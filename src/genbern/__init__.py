@@ -18,7 +18,6 @@ from .bernoulli import (
     gen_bernoulli_numbers_symbolic,
     gen_bernoulli_poly,
     integer_alpha_oracle,
-    omega_apply,
 )
 from .harness import Report, SweepConfig, emit_json, emit_tables, parse_report, run_suite
 from .identities import (
@@ -35,7 +34,7 @@ from .identities import (
     replay_proof,
     verify_case,
 )
-from .poly import ALPHA, Poly, Rational, X, binomial, poly_a, poly_x
+from .poly import ALPHA, Poly, X, binomial, poly_a, poly_x
 from .textform import format_fraction, format_poly, parse_fraction, parse_poly
 
 __version__ = "0.1.0"
@@ -49,7 +48,6 @@ __all__ = [
     "NegativePowerError",
     "OmegaOperator",
     "Poly",
-    "Rational",
     "Report",
     "SumSpec",
     "SweepConfig",
@@ -72,7 +70,6 @@ __all__ = [
     "main_identity_lhs",
     "main_identity_residual",
     "main_identity_rhs",
-    "omega_apply",
     "paired_sum",
     "parse_fraction",
     "parse_poly",

@@ -6,15 +6,25 @@ monic degree-n polynomial in x whose coefficients are polynomials in the
 order parameter ``a``.  The order stays symbolic throughout; classical
 values are the ``a = 1`` specialization.
 
+Both tables are built over Python ints, with one Fraction per exported
+value.  The classical numbers come from the tangent numbers T_k, which
+the in-place integer recurrence of Brent and Harvey ("Fast computation of
+Bernoulli, tangent and secant numbers", arXiv:1108.0286) produces without
+any division; then B_{2k} = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)).
+
 Symbolic computation uses the power-of-series recurrence: writing
 ``f(t) = t/(e^t - 1) = sum f_k t^k`` and ``f**a = sum c_n t^n``,
 
     c_0 = 1,    n*c_n = sum_{k=1..n} ((a+1)*k - n) * f_k * c_{n-k},
 
-which keeps every c_n inside QQ[a] with no series division.  The numbers
-are then ``n! * c_n`` and the polynomials follow from the Appell binomial
-expansion.  A fully independent route for integer orders (repeated
-truncated series multiplication) is provided as an oracle.
+which keeps every c_n inside QQ[a] with no series division.  Each c_n is
+stored as integer numerators over one positive denominator with no
+common factor (the content/denominator layout of FLINT's ``fmpq_poly``),
+so a step is one lcm over the terms, an integer convolution and one gcd.
+The numbers are then ``n! * c_n`` and the polynomials follow from the
+Appell binomial expansion.  Independent routes (a forward solve of the
+binomial recurrence for the classical numbers, repeated truncated series
+multiplication for integer orders) are provided as oracles.
 """
 
 from __future__ import annotations
@@ -23,23 +33,49 @@ import math
 import threading
 from fractions import Fraction
 
-from .poly import Poly, alpha_shifted, alpha_substituted, binomial, poly_a
+from .poly import Poly, alpha_shifted, alpha_substituted, binomial
 
 _classical_lock = threading.Lock()
 _classical: list[Fraction] = [Fraction(1)]
 
 
+def _bernoulli_from_tangents(n_max: int) -> list[Fraction]:
+    """[B_0 .. B_n_max] from the tangent numbers T_1 .. T_(n_max//2)."""
+    m = n_max // 2
+    t = [0] * (m + 1)  # t[k] = T_k
+    if m:
+        t[1] = 1
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        prev = t[k - 1]
+        for i, j in enumerate(range(k, m + 1)):
+            prev = i * prev + (i + 2) * t[j]
+            t[j] = prev
+    out = [Fraction(1), Fraction(-1, 2)][: n_max + 1]
+    for n in range(2, n_max + 1):
+        if n % 2:
+            out.append(Fraction(0))
+        else:
+            k = n // 2
+            four = 4**k
+            out.append(Fraction((-1) ** (k - 1) * n * t[k], four * (four - 1)))
+    return out
+
+
 def classical_bernoulli_numbers(n_max: int) -> list[Fraction]:
-    """[B_0 .. B_n_max] via B_n = -1/(n+1) * sum_{k<n} C(n+1,k) B_k."""
+    """[B_0 .. B_n_max], from a shared table that at least doubles when it grows."""
+    global _classical
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if len(_classical) <= n_max:
+    table = _classical
+    if len(table) <= n_max:
         with _classical_lock:
-            while len(_classical) <= n_max:
-                n = len(_classical)
-                acc = sum(binomial(n + 1, k) * _classical[k] for k in range(n))
-                _classical.append(Fraction(-1, n + 1) * acc)
-    return list(_classical[: n_max + 1])
+            table = _classical
+            if len(table) <= n_max:
+                # rebinding publishes the finished list in one step
+                table = _classical = _bernoulli_from_tangents(max(n_max, 2 * len(table)))
+    return table[: n_max + 1]
 
 
 def bernoulli_numbers_binomial_solve(n_max: int) -> list[Fraction]:
@@ -63,40 +99,48 @@ class GenBernTable:
 
     Entry n holds the number B_n^(a) (a polynomial in ``a``) and the
     polynomial B_n^(a)(x) (monic of degree n in ``x``).  One table serves
-    every order because entries are symbolic.  Growth is serialized by a
-    lock; grown entries are immutable, so readers need no coordination.
+    every order because entries are symbolic.  Numbers are grown under a
+    lock; each polynomial is built from them on first request, under the
+    same lock, and memoized.  An entry is published only once it is fully
+    built and never changes after, so readers need no coordination.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        one = poly_a(1)
-        self._coeffs: list[Poly] = [one]
-        self._numbers: list[Poly] = [one]
-        self._polys: list[Poly] = [Poly("x", (one,))]
+        # c_n as (integer numerators in ascending powers of a, denominator)
+        self._coeffs: list[tuple[list[int], int]] = [([1], 1)]
+        self._numbers: list[Poly] = [Poly("a", (1,))]
+        self._polys: dict[int, Poly] = {}
         self._offset_cache: dict[tuple[int, int], Poly] = {}
 
     def grow(self, n_max: int) -> None:
+        """Make the numbers B_0^(a) .. B_n_max^(a) available."""
         if len(self._numbers) > n_max:
             return
         with self._lock:
-            classical = classical_bernoulli_numbers(n_max)
-            series = [b / math.factorial(k) for k, b in enumerate(classical)]
-            while len(self._coeffs) <= n_max:
-                n = len(self._coeffs)
-                acc = poly_a()
-                for k in range(1, n + 1):
-                    if not series[k]:
-                        continue
-                    # (a+1)*k - n  ==  k*a + (k - n)
-                    factor = poly_a(k - n, k)
-                    acc = acc + factor * (self._coeffs[n - k] * series[k])
-                c_n = acc * Fraction(1, n)
-                self._coeffs.append(c_n)
-                number = c_n * math.factorial(n)
-                self._numbers.append(number)
-                self._polys.append(
-                    Poly("x", tuple(binomial(n, j) * self._numbers[n - j] for j in range(n + 1)))
-                )
+            if len(self._numbers) > n_max:
+                return
+            series = [b / math.factorial(k) for k, b in enumerate(classical_bernoulli_numbers(n_max))]
+            coeffs = self._coeffs
+            while len(coeffs) <= n_max:
+                n = len(coeffs)
+                terms = [(k, series[k], coeffs[n - k]) for k in range(1, n + 1) if series[k]]
+                den = math.lcm(*(f.denominator * d for _, f, (_, d) in terms))
+                acc = [0] * (n + 1)
+                for k, f, (nums, d) in terms:
+                    # ((a+1)*k - n) * f_k * c_{n-k}  ==  (k*a + (k - n)) * ...
+                    scale = den // (f.denominator * d) * f.numerator
+                    for i, v in enumerate(nums):
+                        v *= scale
+                        acc[i] += (k - n) * v
+                        acc[i + 1] += k * v
+                den *= n
+                g = math.gcd(den, *acc)
+                acc = [v // g for v in acc]
+                den //= g
+                coeffs.append((acc, den))
+                fact = math.factorial(n)
+                self._numbers.append(Poly("a", [Fraction(v * fact, den) for v in acc]))
 
     def number(self, n: int) -> Poly:
         """B_n^(a) as a polynomial in a."""
@@ -105,12 +149,20 @@ class GenBernTable:
 
     def poly(self, n: int) -> Poly:
         """B_n^(a)(x) as an element of QQ[a][x]."""
-        self.grow(n)
-        return self._polys[n]
+        hit = self._polys.get(n)
+        if hit is None:
+            self.grow(n)
+            with self._lock:
+                hit = self._polys.get(n)
+                if hit is None:
+                    numbers = self._numbers
+                    hit = Poly("x", tuple(binomial(n, j) * numbers[n - j] for j in range(n + 1)))
+                    self._polys[n] = hit
+        return hit
 
     def numbers(self, n_max: int) -> list[Poly]:
         self.grow(n_max)
-        return list(self._numbers[: n_max + 1])
+        return self._numbers[: n_max + 1]
 
     def number_at(self, n: int, alpha) -> Fraction:
         return self.number(n).eval(Fraction(alpha))
@@ -201,11 +253,6 @@ class OmegaOperator:
 
     def __repr__(self) -> str:
         return f"OmegaOperator(offset={self.offset})"
-
-
-def omega_apply(operator: OmegaOperator, p) -> Poly:
-    """Functional form of :class:`OmegaOperator` application."""
-    return operator(p)
 
 
 def _series_mul(a: list[Fraction], b: list[Fraction], n_max: int) -> list[Fraction]:

@@ -315,10 +315,11 @@ def run_suite(cfg: SweepConfig) -> Report:
     cfg.validate()
     cases = enumerate_cases(cfg)
     start = time.perf_counter()
-    # Pre-grow shared tables so parallel workers only read.
+    # Pre-grow the shared number tables before any worker starts; workers
+    # then only read them, and build each B_n^(a)(x) they need on first
+    # use under the table's lock.
     size = required_table_size(cfg)
     classical_bernoulli_numbers(2 * size)
-    gen_bernoulli_numbers_symbolic(size)
     DEFAULT_TABLE.grow(size)
     if cfg.parallelism > 1 and len(cases) > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
@@ -347,16 +348,24 @@ def parse_report(text: str) -> Report:
     return Report(config=cfg, results=results, elapsed=data.get("elapsed_ms", 0.0) / 1000)
 
 
+# Largest table size each kind exports.  The classical bound stays below
+# n = 2064, the first B_n whose numerator has more digits than Python's
+# default limit on int-to-str conversion (4300) lets it print.
+TABLE_LIMITS = {"classical": 2000, "generalized": 200}
+
+
 def emit_tables(kind: str, n_max: int, fmt: str = "csv") -> str:
     """Number-table export: rows (n, value) with exact text values."""
+    if kind not in TABLE_LIMITS:
+        raise UsageError(f"unknown table kind {kind!r}; expected classical or generalized")
     if n_max < 0:
         raise UsageError("table size must be >= 0")
+    if n_max > TABLE_LIMITS[kind]:
+        raise UsageError(f"{kind} table size must be <= {TABLE_LIMITS[kind]}, got {n_max}")
     if kind == "classical":
         values = [format_fraction(b) for b in classical_bernoulli_numbers(n_max)]
-    elif kind == "generalized":
-        values = [format_poly(b) for b in gen_bernoulli_numbers_symbolic(n_max)]
     else:
-        raise UsageError(f"unknown table kind {kind!r}; expected classical or generalized")
+        values = [format_poly(b) for b in gen_bernoulli_numbers_symbolic(n_max)]
     if fmt == "csv":
         return "".join(f"{n},{v}\n" for n, v in enumerate(values))
     if fmt == "json":

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 # Tower order: a polynomial may only have lower-ranked polynomials as
 # coefficients, never the other way around.
 _VAR_RANK = {"a": 0, "x": 1}

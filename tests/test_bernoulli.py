@@ -1,11 +1,13 @@
 """Bernoulli tables: classical, symbolic, oracles, operator calculus."""
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
 
+from genbern import bernoulli
 from genbern.bernoulli import (
     DEFAULT_TABLE,
     GenBernTable,
@@ -70,7 +72,17 @@ def test_odd_classical_numbers_vanish():
 
 
 def test_binomial_solve_oracle_agrees():
-    assert bernoulli_numbers_binomial_solve(30) == classical_bernoulli_numbers(30)
+    assert bernoulli_numbers_binomial_solve(300) == classical_bernoulli_numbers(300)
+
+
+def test_classical_table_grown_from_cold_in_steps(monkeypatch):
+    oracle = bernoulli_numbers_binomial_solve(120)
+    for n_max in (0, 1, 2, 3):
+        monkeypatch.setattr(bernoulli, "_classical", [F(1)])
+        assert classical_bernoulli_numbers(n_max) == oracle[: n_max + 1]
+    monkeypatch.setattr(bernoulli, "_classical", [F(1)])
+    for n_max in (0, 1, 2, 3, 5, 17, 40, 120, 7):
+        assert classical_bernoulli_numbers(n_max) == oracle[: n_max + 1]
 
 
 def test_binomial_recursion_identity():
@@ -140,9 +152,9 @@ def test_integer_alpha_oracle_base_cases():
 
 
 def test_integer_alpha_oracle_matches_symbolic():
-    for a in range(6):
-        sym = [DEFAULT_TABLE.number_at(n, a) for n in range(13)]
-        assert integer_alpha_oracle(12, a) == sym
+    for a in (0, 1, 2, 3, 4, 5, 8):
+        sym = [DEFAULT_TABLE.number_at(n, a) for n in range(41)]
+        assert integer_alpha_oracle(40, a) == sym
 
 
 def test_leading_alpha_coefficient():
@@ -289,6 +301,35 @@ def test_table_growth_is_thread_safe():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda n: table.poly(n), [12] * 16))
     assert all(r == DEFAULT_TABLE.poly(12) for r in results)
+
+
+def test_table_readers_never_see_partial_entries():
+    # one thread grows a fresh table while three read entries as they appear
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            table = GenBernTable()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                grower = pool.submit(table.grow, 24)
+                readers = [pool.submit(lambda: [table.poly(n) for n in range(25)]) for _ in range(3)]
+                grower.result(timeout=60)
+                polys = [reader.result(timeout=60) for reader in readers]
+            assert all(p == polys[0] for p in polys)
+            assert [p.eval(0) for p in polys[0]] == table.numbers(24)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_table_grown_in_steps_matches_single_grow():
+    stepped = GenBernTable()
+    for n_max in (5, 17, 40):
+        stepped.grow(n_max)
+    single = GenBernTable()
+    single.grow(40)
+    assert stepped.numbers(40) == single.numbers(40) == DEFAULT_TABLE.numbers(40)
+    polys = [stepped.poly(n) for n in reversed(range(41))][::-1]
+    assert polys == [single.poly(n) for n in range(41)]
 
 
 def test_offset_cache_consistency():

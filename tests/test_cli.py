@@ -3,6 +3,9 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
+from genbern import harness
 from genbern.cli import main
 from genbern.identities import paired_sum, symbolic_weight_pair_residual
 
@@ -23,6 +26,18 @@ def test_table_generalized_json(capsys):
     code, out, _ = run_cli(capsys, "table", "--kind", "generalized", "--max", "1", "--format", "json")
     assert code == 0
     assert json.loads(out) == [{"n": 0, "value": "1"}, {"n": 1, "value": "(-1/2)*a"}]
+
+
+@pytest.mark.parametrize("kind", sorted(harness.TABLE_LIMITS))
+def test_table_size_limit(capsys, kind):
+    limit = harness.TABLE_LIMITS[kind]
+    code, out, err = run_cli(capsys, "table", "--kind", kind, "--max", str(limit + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {kind} table size must be <= {limit}, got {limit + 1}\n"
+    code, out, _ = run_cli(capsys, "table", "--kind", kind, "--max", str(limit))
+    assert code == 0
+    assert out.count("\n") == limit + 1
 
 
 def test_verify_theorem_instance(capsys):
