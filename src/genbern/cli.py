@@ -13,12 +13,15 @@ Subcommands:
 Every numeric flag is an exact string (``p/q`` or an integer); nothing is
 ever parsed as a float.  Exit codes: 0 success / all verified, 1 a
 counterexample was found, 2 usage or configuration error, 3 internal
-error.
+error.  Indices and grid bounds have limits (``harness.check_input_size``):
+2*(n+l+r)+s+6 may not exceed the generalized table limit (200), and m
+may not exceed ``harness.MAX_M`` (1000).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -28,6 +31,8 @@ from fractions import Fraction
 from .harness import (
     SweepConfig,
     UsageError,
+    check_input_size,
+    derived_z,
     emit_json,
     emit_tables,
     residual_text,
@@ -35,6 +40,7 @@ from .harness import (
     run_suite,
 )
 from .identities import (
+    CASE_DEFS,
     CASE_IDS,
     STATUS_COUNTEREXAMPLE,
     STATUS_VERIFIED,
@@ -45,11 +51,6 @@ from .identities import (
     verify_case,
 )
 from .textform import PolyParseError, format_fraction, format_poly, parse_fraction
-
-# Cases that require a rational order; everywhere else --alpha defaults to
-# symbolic where the case supports it.
-_RATIONAL_ALPHA_CASES = {"s1", "s2", "cor3a"}
-
 
 def _rational(text: str) -> Fraction:
     try:
@@ -135,41 +136,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_alpha(case_id: str, raw):
     if raw is None:
-        return Fraction(1) if case_id in _RATIONAL_ALPHA_CASES else None
+        # a case that sweeps rational orders needs one; the rest stay symbolic
+        return Fraction(1) if "alpha" in CASE_DEFS[case_id].axes else None
     if raw == "symbolic":
         return None
     return raw
 
 
 def _build_case(args) -> IdentityCase:
-    alpha = _resolve_alpha(args.case, args.alpha)
-    x, y = args.x, args.y
-    z = args.z
-    if z is None:
-        # derive the constrained third argument where one exists
-        if args.case in ("s1", "s2", "cor3a") and alpha is not None:
-            z = alpha - x - y
-        elif args.case == "s4":
-            z = Fraction(args.s + 1) - x - y
-        else:
-            z = Fraction(0)
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(SumSpec)}
+    fields["alpha"] = _resolve_alpha(args.case, args.alpha)
+    if args.z is None:
+        fields["z"] = derived_z(args.case, fields)
     try:
-        spec = SumSpec(
-            n=args.n,
-            l=args.l,
-            r=args.r,
-            s=args.s,
-            m=args.m,
-            lam=args.lam,
-            x=x,
-            y=y,
-            z=z,
-            t=args.t,
-            beta=args.beta,
-            alpha=alpha,
-        )
+        spec = SumSpec(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    check_input_size(spec.n, spec.l, spec.r, spec.s, spec.m)
     return IdentityCase(args.case, spec)
 
 
@@ -200,6 +183,7 @@ def _cmd_verify(args) -> int:
 def _cmd_verify_theorem(args) -> int:
     if min(args.n, args.l, args.r, args.s) < 0:
         raise UsageError("indices n, l, r, s must be >= 0")
+    check_input_size(args.n, args.l, args.r, args.s)
     if args.certify_lambda:
         residuals = certify_lambda(args.n, args.l, args.r, args.s)
         ok = all(res.is_zero() for _, res in residuals)
@@ -257,9 +241,7 @@ def _cmd_suite(args) -> int:
     if args.cases is not None:
         overrides["cases"] = tuple(c.strip() for c in args.cases.split(",") if c.strip())
     if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
+        cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
     report = run_suite(cfg)
     print(emit_json(report))

@@ -6,6 +6,13 @@ skipped), verifies every instance, and aggregates into a :class:`Report`
 with a machine-readable JSON form and CSV/JSON table exports.  Identical
 configurations produce identical result sets at any parallelism level:
 results are canonically ordered by case id and parameters.
+
+The grid is data.  ``CaseDef.axes`` names a case's axes, and :data:`AXES`
+maps each name to the ``SumSpec`` fields it sets and to its sample points.
+The same table gives the report's ``params`` keys, the point sets that
+``SweepConfig.validate`` requires to be non-empty, and the ``z`` that the
+CLI derives when ``--z`` is not given.  Input sizes are bounded by
+:func:`check_input_size`.
 """
 
 from __future__ import annotations
@@ -13,15 +20,16 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
 
 from .bernoulli import DEFAULT_TABLE, classical_bernoulli_numbers, gen_bernoulli_numbers_symbolic
 from .identities import (
     CASE_DEFS,
     CASE_IDS,
+    ZERO,
     IdentityCase,
     SumSpec,
     VerificationResult,
@@ -40,6 +48,13 @@ TRIPLE_XY_PAIRS = ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 3)),
 T_POINTS = (Fraction(0), Fraction(1, 2), Fraction(-1, 3))
 BETA_POINTS = (Fraction(0), Fraction(1, 2))
 RATIO_X_POINTS = (Fraction(0), Fraction(1, 3), Fraction(-1, 2))
+
+# Largest table size each kind exports.  The classical bound stays below
+# n = 2064, the first B_n whose numerator has more digits than Python's
+# default limit on int-to-str conversion (4300) lets it print.
+TABLE_LIMITS = {"classical": 2000, "generalized": 200}
+# Largest m an input may name; the closed forms loop over k < m.
+MAX_M = 1000
 
 
 class UsageError(ValueError):
@@ -62,17 +77,16 @@ class SweepConfig:
         for name in ("max_n", "max_l", "max_r", "max_s", "max_m"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be >= 0")
+        check_input_size(self.max_n, self.max_l, self.max_r, self.max_s, self.max_m)
         if self.parallelism < 1:
             raise UsageError("parallelism must be >= 1")
         unknown = [c for c in self.cases if c not in CASE_DEFS]
         if unknown:
             raise UsageError(f"unknown case ids: {', '.join(unknown)}")
-        needs_lambda = {"theorem_le1", "proof_replay", "app1"}
-        if needs_lambda & set(self.cases) and not self.lambda_points:
-            raise UsageError("lambda_points must be non-empty for the selected cases")
-        needs_alpha = {"s1", "s2", "cor3a"}
-        if needs_alpha & set(self.cases) and not self.alpha_points:
-            raise UsageError("alpha_points must be non-empty for the selected cases")
+        for source in ("lambda_points", "alpha_points"):
+            swept = any(AXES[name].source == source for c in self.cases for name in CASE_DEFS[c].axes)
+            if swept and not getattr(self, source):
+                raise UsageError(f"{source} must be non-empty for the selected cases")
 
     def to_dict(self) -> dict:
         return {
@@ -108,85 +122,75 @@ class SweepConfig:
         return cfg
 
 
-def _case_grid(case_id: str, cfg: SweepConfig):
-    """Yield the raw parameter grid for one case (domain filtering happens
-    inside the verifier, which reports not_applicable)."""
-    ns = range(cfg.max_n + 1)
-    ls = range(cfg.max_l + 1)
-    rs = range(cfg.max_r + 1)
-    ss = range(cfg.max_s + 1)
-    ms = range(1, cfg.max_m + 1)
-    if case_id in ("t3", "s3", "agoh_leibniz"):
-        for n, l, r in product(ns, ls, rs):
-            yield SumSpec(n=n, l=l, r=r)
-    elif case_id in ("t4", "tg4"):
-        for n, l, r, m in product(ns, ls, rs, ms):
-            yield SumSpec(n=n, l=l, r=r, m=m)
-    elif case_id in ("t5", "ges1"):
-        for n, r, m in product(ns, rs, ms):
-            yield SumSpec(n=n, r=r, m=m)
-    elif case_id == "rem1":
-        for m, r, s in product(ms, rs, ss):
-            yield SumSpec(m=m, r=r, s=s)
-    elif case_id in ("p1", "k5", "k3"):
-        for n in ns:
-            yield SumSpec(n=n)
-    elif case_id in ("e1", "e2", "neto_corrected", "vassilev"):
-        for n, l in product(ns, ls):
-            yield SumSpec(n=n, l=l)
-    elif case_id == "t230":
-        for n, l, m in product(ns, ls, ms):
-            yield SumSpec(n=n, l=l, m=m)
-    elif case_id in ("t24", "c1"):
-        for n, m in product(ns, ms):
-            yield SumSpec(n=n, m=m)
-    elif case_id in ("theorem_le1", "proof_replay"):
-        for n, l, r, s in product(ns, ls, rs, ss):
-            for lam in cfg.lambda_points:
-                yield SumSpec(n=n, l=l, r=r, s=s, lam=lam)
-    elif case_id == "app1":
-        for n, l, r, s in product(ns, ls, rs, ss):
-            for lam in cfg.lambda_points:
-                for x0 in EVAL_POINTS:
-                    yield SumSpec(n=n, l=l, r=r, s=s, lam=lam, x=x0)
-    elif case_id == "nielsen_f10":
-        for n, l, r, m in product(ns, ls, rs, ms):
-            for beta in BETA_POINTS:
-                yield SumSpec(n=n, l=l, r=r, m=m, beta=beta)
-    elif case_id in ("s1", "s2", "cor3a"):
-        for n, l, r in product(ns, ls, rs):
-            for alpha in cfg.alpha_points:
-                for x, y in TRIPLE_XY_PAIRS:
-                    yield SumSpec(n=n, l=l, r=r, alpha=alpha, x=x, y=y, z=alpha - x - y)
-    elif case_id == "s4":
-        for n, l, r, s in product(ns, ls, rs, ss):
-            for x, y in TRIPLE_XY_PAIRS:
-                yield SumSpec(n=n, l=l, r=r, s=s, x=x, y=y, z=s + 1 - x - y)
-    elif case_id == "cor3b":
-        for n, l, r in product(ns, ls, rs):
-            for t in T_POINTS:
-                yield SumSpec(n=n, l=l, r=r, t=t)
-    elif case_id == "s20":
-        for n, r in product(ns, rs):
-            for t in T_POINTS:
-                yield SumSpec(n=n, r=r, t=t)
-    elif case_id == "cor1":
-        for n, r in product(ns, rs):
-            for x0 in RATIO_X_POINTS:
-                yield SumSpec(n=n, r=r, x=x0)
-    elif case_id == "fi2":
-        for n, r in product(ns, rs):
-            yield SumSpec(n=n, r=r)
-    else:  # pragma: no cover - registry and grid table kept in sync
-        raise UsageError(f"no grid defined for case {case_id!r}")
+@dataclass(frozen=True)
+class Axis:
+    """One sweep axis: the ``SumSpec`` fields it sets, which the report
+    shows, and its sample points as tuples of those fields' values, given
+    the config and the fields already chosen."""
+
+    fields: tuple[str, ...]
+    points: Callable[[SweepConfig, dict], Iterable[tuple]]
+    source: str | None = None  # the SweepConfig point set it sweeps
+
+
+def _bound(name: str, first: int = 0) -> Axis:
+    return Axis((name,), lambda cfg, chosen: [(v,) for v in range(first, getattr(cfg, "max_" + name) + 1)])
+
+
+def _swept(name: str, source: str) -> Axis:
+    return Axis((name,), lambda cfg, chosen: [(v,) for v in getattr(cfg, source)], source)
+
+
+def _fixed(name: str, points) -> Axis:
+    return Axis((name,), lambda cfg, chosen: [(v,) for v in points])
+
+
+AXES: dict[str, Axis] = {
+    "n": _bound("n"),
+    "l": _bound("l"),
+    "r": _bound("r"),
+    "s": _bound("s"),
+    "m": _bound("m", 1),
+    "lam": _swept("lam", "lambda_points"),
+    "alpha": _swept("alpha", "alpha_points"),
+    "symbolic_alpha": _fixed("alpha", (None,)),
+    "x": _fixed("x", EVAL_POINTS),
+    "ratio_x": _fixed("x", RATIO_X_POINTS),
+    "xy": Axis(("x", "y"), lambda cfg, chosen: TRIPLE_XY_PAIRS),
+    # z is set by the fields already chosen and reads no config; it is 0 at
+    # a symbolic order (``--alpha symbolic``), which no triple balances
+    "z=alpha-x-y": Axis(("z",), lambda cfg, p: [(ZERO if p["alpha"] is None else p["alpha"] - p["x"] - p["y"],)]),
+    "z=s+1-x-y": Axis(("z",), lambda cfg, p: [(p["s"] + 1 - p["x"] - p["y"],)]),
+    "t": _fixed("t", T_POINTS),
+    "beta": _fixed("beta", BETA_POINTS),
+}
+
+# The SumSpec fields each case's report shows.
+_CASE_FIELDS = {case_id: {f for name in d.axes for f in AXES[name].fields} for case_id, d in CASE_DEFS.items()}
+
+
+def _case_grid(case_id: str, cfg: SweepConfig) -> list[SumSpec]:
+    """The raw parameter grid of one case, its first axis outermost (domain
+    filtering happens inside the verifier, which reports not_applicable)."""
+    grid = [{}]
+    for name in CASE_DEFS[case_id].axes:
+        axis = AXES[name]
+        grid = [{**chosen, **dict(zip(axis.fields, values))} for chosen in grid for values in axis.points(cfg, chosen)]
+    return [SumSpec(**chosen) for chosen in grid]
 
 
 def enumerate_cases(cfg: SweepConfig) -> list[IdentityCase]:
-    out = []
-    for case_id in cfg.cases:
-        for spec in _case_grid(case_id, cfg):
-            out.append(IdentityCase(case_id, spec))
-    return out
+    return [IdentityCase(case_id, spec) for case_id in cfg.cases for spec in _case_grid(case_id, cfg)]
+
+
+def derived_z(case_id: str, chosen: dict) -> Fraction:
+    """The z a case's sweep derives from the other fields in ``chosen``;
+    0 for a case whose report shows no z."""
+    for name in CASE_DEFS[case_id].axes:
+        if AXES[name].fields == ("z",):
+            [(z,)] = AXES[name].points(None, chosen)
+            return z
+    return ZERO
 
 
 _PARAM_KEYS = (
@@ -206,13 +210,11 @@ _PARAM_KEYS = (
 
 
 def params_to_dict(case: IdentityCase) -> dict:
-    """Stable JSON encoding restricted to the case's own axes."""
-    axes = set(CASE_DEFS[case.id].axes)
-    if case.id in ("s1", "s4", "cor3a"):
-        axes.add("z")
+    """Stable JSON encoding restricted to the fields of the case's axes."""
+    fields = _CASE_FIELDS[case.id]
     out = {}
     for attr, key in _PARAM_KEYS:
-        if attr not in axes and key not in axes:
+        if attr not in fields:
             continue
         value = getattr(case.params, attr)
         if attr in ("n", "l", "r", "s", "m"):
@@ -306,8 +308,23 @@ def _sort_key(res: VerificationResult):
     return (res.case.id, json.dumps(params_to_dict(res.case), sort_keys=True))
 
 
+def table_size(n: int, l: int, r: int, s: int) -> int:
+    """Symbolic table size that covers every case at indices up to n, l, r, s."""
+    return 2 * (n + l + r) + s + 6
+
+
 def required_table_size(cfg: SweepConfig) -> int:
-    return 2 * (cfg.max_n + cfg.max_l + cfg.max_r) + cfg.max_s + 6
+    return table_size(cfg.max_n, cfg.max_l, cfg.max_r, cfg.max_s)
+
+
+def check_input_size(n: int, l: int, r: int, s: int, m: int = 1) -> None:
+    """Reject indices that no run would finish on: their table size may not
+    exceed the generalized table limit, and m may not exceed MAX_M."""
+    size, limit = table_size(n, l, r, s), TABLE_LIMITS["generalized"]
+    if size > limit:
+        raise UsageError(f"table size 2*(n+l+r)+s+6 must be <= {limit}, got {size}")
+    if m > MAX_M:
+        raise UsageError(f"m must be <= {MAX_M}, got {m}")
 
 
 def run_suite(cfg: SweepConfig) -> Report:
@@ -346,12 +363,6 @@ def parse_report(text: str) -> Report:
     cfg = SweepConfig.from_dict(data["config"])
     results = [result_from_dict(r) for r in data["results"]]
     return Report(config=cfg, results=results, elapsed=data.get("elapsed_ms", 0.0) / 1000)
-
-
-# Largest table size each kind exports.  The classical bound stays below
-# n = 2064, the first B_n whose numerator has more digits than Python's
-# default limit on int-to-str conversion (4300) lets it print.
-TABLE_LIMITS = {"classical": 2000, "generalized": 200}
 
 
 def emit_tables(kind: str, n_max: int, fmt: str = "csv") -> str:

@@ -13,7 +13,10 @@ The central object is the two-block alternating sum
            sum_{k=0}^{l+r} x^(l+r-k) C(l+r,k) C(n+k+r,r) B_{n+k}^(a)(z)
 
 and the main identity evaluates it at (x, y, z) = (lam, x, a+s-lam-x) in
-closed form through the order-lowering umbral operator.  A handful of
+closed form through the order-lowering umbral operator.  Every block of
+such a sum in the catalog goes through one kernel, ``_block``, and every
+order-one closed double sum (r+1) sum_k sum_j C(n+r,j) C(l+r,r+1-j)
+u_k^(l+j-1) v_k^(n+r-j) through another, ``_double_sum``.  A handful of
 catalog entries circulate in print with typographical slips; those run in
 "adjudication" mode, where every candidate reading is evaluated and the
 result records which one verifies.
@@ -68,6 +71,44 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
+def _block(p: int, q: int, r: int, w, term, stop: int | None = None, scale=1, total=ZERO):
+    """total + scale * sum_{k<stop} C(p+r,k) C(q+k+r,r) w^(p+r-k) term(q+k).
+
+    One block of the two-block sum; ``stop`` defaults to p+r+1, the whole
+    block.  Terms with a zero coefficient are skipped without calling
+    ``term``.  Every sign rides in ``scale``, which multiplies the integer
+    coefficient, so a signed block costs no extra product; a second block
+    accumulates into the first through ``total``.
+    """
+    top = p + r
+    for k in range(top + 1 if stop is None else stop):
+        c = scale * binomial(top, k) * binomial(q + k + r, r) * w ** (top - k)
+        if c:
+            total = total + term(q + k) * c
+    return total
+
+
+def _double_sum(n: int, l: int, r: int, ks, u, v) -> Fraction:
+    """(r+1) sum_{k in ks} sum_{j<=r+1} C(n+r,j) C(l+r,r+1-j) u(k)^(l+j-1) v(k)^(n+r-j).
+
+    The shape of every order-one closed double sum.  The exponent l+j-1
+    is negative only at j = 0 with l = 0, where C(r, r+1) vanishes;
+    ``_monomial_value`` asserts that pairing.
+    """
+    coeffs = [(j, Fraction(c)) for j in range(r + 2) if (c := binomial(n + r, j) * binomial(l + r, r + 1 - j))]
+    total = ZERO
+    for k in ks:
+        uk, vk = u(k), v(k)
+        for j, c in coeffs:
+            total += _monomial_value(_monomial_value(c, uk, l + j - 1), vk, n + r - j)
+    return (r + 1) * total
+
+
+def _classical_values(arg):
+    """idx -> B_idx(arg) over QQ."""
+    return lambda idx: classical_bernoulli_poly(idx).eval(arg)
+
+
 # ---------------------------------------------------------------------------
 # The two-block sum and the main identity
 # ---------------------------------------------------------------------------
@@ -83,25 +124,16 @@ def paired_sum(n: int, l: int, r: int, x, y, z, alpha=None, table: GenBernTable 
     t = table or DEFAULT_TABLE
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
     if alpha is None:
-        def bval(idx, arg):
-            return t.poly(idx).eval(arg)
+        def values(arg):
+            return lambda idx: t.poly(idx).eval(arg)
     else:
         order = Fraction(alpha)
 
-        def bval(idx, arg):
-            return t.value_at(idx, order, arg)
+        def values(arg):
+            return lambda idx: t.value_at(idx, order, arg)
 
-    first = ZERO
-    for k in range(n + r + 1):
-        c = binomial(n + r, k) * binomial(l + k + r, r) * x ** (n + r - k)
-        if c:
-            first = first + bval(l + k, y) * c
-    second = ZERO
-    for k in range(l + r + 1):
-        c = binomial(l + r, k) * binomial(n + k + r, r) * x ** (l + r - k)
-        if c:
-            second = second + bval(n + k, z) * c
-    return first + second * _sign(l + n + r + 1)
+    first = _block(n, l, r, x, values(y))
+    return _block(l, n, r, x, values(z), scale=_sign(l + n + r + 1), total=first)
 
 
 def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None = None) -> Poly:
@@ -112,17 +144,10 @@ def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable |
     """
     t = table or DEFAULT_TABLE
     lam = Fraction(lam)
-    out = Poly("x")
-    for k in range(n + r + 1):
-        c = binomial(n + r, k) * binomial(l + k + r, r) * lam ** (n + r - k)
-        if c:
-            out = out + t.poly(l + k) * c
-    sign = _sign(l + n + r + 1)
-    for k in range(l + r + 1):
-        c = binomial(l + r, k) * binomial(n + k + r, r) * lam ** (l + r - k)
-        if c:
-            out = out + t.poly_reflected(n + k, s - lam) * (sign * c)
-    return out
+    first = _block(n, l, r, lam, t.poly, total=Poly("x"))
+    return _block(
+        l, n, r, lam, lambda idx: t.poly_reflected(idx, s - lam), scale=_sign(l + n + r + 1), total=first
+    )
 
 
 def _window_core(n: int, l: int, r: int, k_from: int, k_to: int, lam) -> Poly:
@@ -169,17 +194,10 @@ def main_identity_residual_at(n, l, r, s, lam, alpha, table: GenBernTable | None
     specializing the symbolic residual."""
     t = table or DEFAULT_TABLE
     lam, order = Fraction(lam), Fraction(alpha)
-    lhs = Poly("x")
-    for k in range(n + r + 1):
-        c = binomial(n + r, k) * binomial(l + k + r, r) * lam ** (n + r - k)
-        if c:
-            lhs = lhs + t.poly_at(l + k, order) * c
-    sign = _sign(l + n + r + 1)
-    for k in range(l + r + 1):
-        c = binomial(l + r, k) * binomial(n + k + r, r) * lam ** (l + r - k)
-        if c:
-            refl = t.poly_at(n + k, order).shift(lam - s) * _sign(n + k)
-            lhs = lhs + refl * (sign * c)
+    lhs = _block(n, l, r, lam, lambda idx: t.poly_at(idx, order), total=Poly("x"))
+    # The reflection sign (-1)^(n+k) goes into the weight: with the global
+    # sign (-1)^(l+n+r+1), (-1)^(n+k) lam^(l+r-k) becomes -(-lam)^(l+r-k).
+    lhs = _block(l, n, r, -lam, lambda idx: t.poly_at(idx, order).shift(lam - s), scale=-1, total=lhs)
     core = _window_core(n, l, r, 1, s, lam).derive(r + 1) * Fraction(1, math.factorial(r))
     return lhs - numeric_omega(core, order - 1, t)
 
@@ -228,56 +246,25 @@ def certify_lambda(n: int, l: int, r: int, s: int, table: GenBernTable | None = 
 def gessel_double_sum(n: int, l: int, r: int, m: int) -> Fraction:
     """(r+1) sum_{k<m} sum_{j<=r+1} (-1)^(l+j-1) C(n+r,j) C(l+r,r+1-j)
     k^(l+j-1) (m-k)^(n+r-j)."""
-    total = ZERO
-    for k in range(1, m):
-        for j in range(r + 2):
-            c = binomial(n + r, j) * binomial(l + r, r + 1 - j)
-            if not c:
-                continue
-            term = _monomial_value(Fraction(c), Fraction(k), l + j - 1)
-            term = _monomial_value(term, Fraction(m - k), n + r - j)
-            total += term * _sign(l + j - 1)
-    return (r + 1) * total
+    return _double_sum(n, l, r, range(1, m), lambda k: -k, lambda k: m - k)
 
 
 def gessel_double_sum_reindexed(n: int, l: int, r: int, m: int) -> Fraction:
     """Equivalent form after reindexing k -> m-k: the summand becomes
     C(n+r,j) C(l+r,r+1-j) k^(n+r-j) (k-m)^(l+j-1)."""
-    total = ZERO
-    for k in range(1, m):
-        for j in range(r + 2):
-            c = binomial(n + r, j) * binomial(l + r, r + 1 - j)
-            if not c:
-                continue
-            term = _monomial_value(Fraction(c), Fraction(k), n + r - j)
-            term = _monomial_value(term, Fraction(k - m), l + j - 1)
-            total += term
-    return (r + 1) * total
+    return _double_sum(n, l, r, range(1, m), lambda k: k - m, lambda k: k)
 
 
 def symmetric_block_sum(n: int, r: int, m: int) -> Fraction:
     """The single Bernoulli block sum_{k=0}^{n+r} m^(n+r-k) C(n+r,k)
     C(n+k+r,r) B_{n+k}; for odd r it is half of S(n, n, r; m, 0, 0)."""
-    nums = classical_bernoulli_numbers(2 * n + r)
-    total = ZERO
-    for k in range(n + r + 1):
-        total += Fraction(m) ** (n + r - k) * binomial(n + r, k) * binomial(n + k + r, r) * nums[n + k]
-    return total
+    return _block(n, n, r, m, classical_bernoulli_numbers(2 * n + r).__getitem__)
 
 
 def gessel_halved_double_sum(n: int, r: int, m: int) -> Fraction:
     """(1/2)(r+1) sum_{k<m} sum_{j<=r+1} C(n+r,j) C(n+r,r+1-j)
     k^(j+n-1) (k-m)^(n+r-j), the closed form of the single block for odd r."""
-    total = ZERO
-    for k in range(1, m):
-        for j in range(r + 2):
-            c = binomial(n + r, j) * binomial(n + r, r + 1 - j)
-            if not c:
-                continue
-            term = _monomial_value(Fraction(c), Fraction(k), j + n - 1)
-            term = _monomial_value(term, Fraction(k - m), n + r - j)
-            total += term
-    return Fraction(r + 1, 2) * total
+    return _double_sum(n, n, r, range(1, m), lambda k: k, lambda k: k - m) / 2
 
 
 def q_block_term(k: int, m: int, r: int, n: int, corrected: bool = True) -> Fraction:
@@ -323,18 +310,14 @@ def alternating_power_sum(m: int, r_exp: int, s_exp: int) -> Fraction:
 
 def lucas_pair_sum(n: int, l: int) -> Fraction:
     """sum_k C(n,k) B_{l+k} + (-1)^(l+n+1) sum_k C(l,k) B_{n+k}."""
-    nums = classical_bernoulli_numbers(n + l)
-    first = sum(binomial(n, k) * nums[l + k] for k in range(n + 1))
-    second = sum(binomial(l, k) * nums[n + k] for k in range(l + 1))
-    return first + _sign(l + n + 1) * second
+    nums = classical_bernoulli_numbers(n + l).__getitem__
+    return _block(l, n, 0, 1, nums, scale=_sign(l + n + 1), total=_block(n, l, 0, 1, nums))
 
 
 def truncated_pair_sum(n: int, l: int) -> Fraction:
     """Variant with both top terms dropped (valid for n, l >= 1)."""
-    nums = classical_bernoulli_numbers(n + l)
-    first = sum(binomial(n, k) * nums[l + k] for k in range(n))
-    second = sum(binomial(l, k) * nums[n + k] for k in range(l))
-    return first + _sign(l + n + 1) * second
+    nums = classical_bernoulli_numbers(n + l).__getitem__
+    return _block(l, n, 0, 1, nums, stop=l, scale=_sign(l + n + 1), total=_block(n, l, 0, 1, nums, stop=n))
 
 
 def autoduality_residual(n: int) -> Fraction:
@@ -345,17 +328,12 @@ def autoduality_residual(n: int) -> Fraction:
 
 def weighted_lucas_sum(n: int, m: int = 1) -> Fraction:
     """sum_{k=0}^{n+1} m^(n+1-k) C(n+1,k) (n+k+1) B_{n+k}."""
-    nums = classical_bernoulli_numbers(2 * n + 2)
-    return sum(
-        Fraction(m) ** (n + 1 - k) * binomial(n + 1, k) * (n + k + 1) * nums[n + k]
-        for k in range(n + 2)
-    )
+    return _block(n, n, 1, m, classical_bernoulli_numbers(2 * n + 2).__getitem__)
 
 
 def stern_recurrence_sum(n: int) -> Fraction:
     """sum_{k=0}^{n} C(n+1,k) (n+k+1) B_{n+k}; zero for n >= 1."""
-    nums = classical_bernoulli_numbers(2 * n)
-    return sum(binomial(n + 1, k) * (n + k + 1) * nums[n + k] for k in range(n + 1))
+    return _block(n, n, 1, 1, classical_bernoulli_numbers(2 * n).__getitem__, stop=n + 1)
 
 
 def linear_weight_double_sum(n: int, l: int, m: int) -> Fraction:
@@ -406,32 +384,14 @@ def leibniz_double_sum(n: int, l: int, r: int, s: int, u, v) -> Fraction:
     """(r+1) sum_{k=1..s} sum_{j<=r+1} C(n+r,j) C(l+r,r+1-j)
     (u-k)^(l+j-1) (v-k)^(n+r-j), the order-one closed form at a point."""
     u, v = Fraction(u), Fraction(v)
-    total = ZERO
-    for k in range(1, s + 1):
-        for j in range(r + 2):
-            c = binomial(n + r, j) * binomial(l + r, r + 1 - j)
-            if not c:
-                continue
-            term = _monomial_value(Fraction(c), u - k, l + j - 1)
-            term = _monomial_value(term, v - k, n + r - j)
-            total += term
-    return (r + 1) * total
+    return _double_sum(n, l, r, range(1, s + 1), lambda k: u - k, lambda k: v - k)
 
 
 def classical_pair_residual(n: int, l: int, r: int, s: int, lam, x0) -> Fraction:
     """Order-one specialization of the main identity at a rational point."""
     lam, x0 = Fraction(lam), Fraction(x0)
-    lhs = ZERO
-    for k in range(n + r + 1):
-        c = binomial(n + r, k) * binomial(l + k + r, r) * lam ** (n + r - k)
-        if c:
-            lhs += c * classical_bernoulli_poly(l + k).eval(x0)
-    sign = _sign(l + n + r + 1)
-    arg = 1 + s - lam - x0
-    for k in range(l + r + 1):
-        c = binomial(l + r, k) * binomial(n + k + r, r) * lam ** (l + r - k)
-        if c:
-            lhs += sign * c * classical_bernoulli_poly(n + k).eval(arg)
+    lhs = _block(n, l, r, lam, _classical_values(x0))
+    lhs = _block(l, n, r, lam, _classical_values(1 + s - lam - x0), scale=_sign(l + n + r + 1), total=lhs)
     return lhs - leibniz_double_sum(n, l, r, s, x0, x0 + lam)
 
 
@@ -448,20 +408,15 @@ def order_shift_pair_residual(
     t = table or DEFAULT_TABLE
     beta = Fraction(beta)
     lam = Fraction(m) - 2 * beta
-    out = Poly("x")
-    for k in range(n + r + 1):
-        c = binomial(n + r, k) * binomial(l + k + r, r) * lam ** (n + r - k)
-        if c:
-            out = out + t.poly_shifted(l + k, beta) * c
-    for k in range(l + r + 1):
-        c = binomial(l + r, k) * binomial(n + k + r, r) * lam ** (l + r - k)
-        if not c:
-            continue
-        if reading == "as_printed":
-            out = out + t.poly_shifted(n + k, m - 1 - beta) * (-_sign(r + l + k) * c)
-        else:
-            # B_{n+k}^(a)(a + (1-lam-beta) - x) under the global sign
-            out = out + t.poly_reflected(n + k, 1 - lam - beta) * (_sign(l + n + r + 1) * c)
+    out = _block(n, l, r, lam, lambda idx: t.poly_shifted(idx, beta), total=Poly("x"))
+    if reading == "as_printed":
+        # the per-term sign goes into the weight: -(-1)^(r+l+k) lam^(l+r-k) = -(-lam)^(l+r-k)
+        out = _block(l, n, r, -lam, lambda idx: t.poly_shifted(idx, m - 1 - beta), scale=-1, total=out)
+    else:
+        # B_{n+k}^(a)(a + (1-lam-beta) - x) under the global sign
+        out = _block(
+            l, n, r, lam, lambda idx: t.poly_reflected(idx, 1 - lam - beta), scale=_sign(l + n + r + 1), total=out
+        )
     core = ((X + (beta - 1)) ** (l + r) * (X + (m - 1 - beta)) ** (n + r)).derive(r + 1) * Fraction(
         1, math.factorial(r)
     )
@@ -492,17 +447,8 @@ def balanced_triple_residual_antisym(n, l, r, alpha, x, y, table=None) -> Fracti
     t = table or DEFAULT_TABLE
     alpha, x, y = Fraction(alpha), Fraction(x), Fraction(y)
     z = alpha - x - y
-    lhs = ZERO
-    for k in range(n + r + 1):
-        c = binomial(n + r, k) * binomial(l + k + r, r) * x ** (n + r - k)
-        if c:
-            lhs += c * t.value_at(l + k, alpha, y)
-    rhs = ZERO
-    for k in range(l + r + 1):
-        c = binomial(l + r, k) * binomial(n + k + r, r) * x ** (l + r - k)
-        if c:
-            rhs += c * t.value_at(n + k, alpha, z)
-    return _sign(n) * lhs - _sign(l + r) * rhs
+    lhs = _block(n, l, r, x, lambda idx: t.value_at(idx, alpha, y), scale=_sign(n))
+    return _block(l, n, r, x, lambda idx: t.value_at(idx, alpha, z), scale=-_sign(l + r), total=lhs)
 
 
 def balanced_triple_residual_folded(n, l, r, alpha, x, y, table=None) -> Fraction:
@@ -510,17 +456,8 @@ def balanced_triple_residual_folded(n, l, r, alpha, x, y, table=None) -> Fractio
     first block minus sum_k C(l+r,k) C(n+k+r,r) (-x)^(l+r-k) B_{n+k}(x+y)."""
     t = table or DEFAULT_TABLE
     alpha, x, y = Fraction(alpha), Fraction(x), Fraction(y)
-    lhs = ZERO
-    for k in range(n + r + 1):
-        c = binomial(n + r, k) * binomial(l + k + r, r) * x ** (n + r - k)
-        if c:
-            lhs += c * t.value_at(l + k, alpha, y)
-    rhs = ZERO
-    for k in range(l + r + 1):
-        c = binomial(l + r, k) * binomial(n + k + r, r) * (-x) ** (l + r - k)
-        if c:
-            rhs += c * t.value_at(n + k, alpha, x + y)
-    return lhs - rhs
+    lhs = _block(n, l, r, x, lambda idx: t.value_at(idx, alpha, y))
+    return _block(l, n, r, -x, lambda idx: t.value_at(idx, alpha, x + y), scale=-1, total=lhs)
 
 
 def reflection_route_residuals(n, l, r, alpha, x, y, table=None) -> list[Fraction]:
@@ -554,16 +491,8 @@ def truncated_balanced_residual(n, l, r, alpha, x, y, corrected=True, table=None
     t = table or DEFAULT_TABLE
     alpha, x, y = Fraction(alpha), Fraction(x), Fraction(y)
     z = alpha - x - y
-    lhs = ZERO
-    for k in range(n + r):
-        c = binomial(n + r, k) * binomial(l + k + r, r) * x ** (n + r - k)
-        if c:
-            lhs += c * t.value_at(l + k, alpha, y)
-    lhs *= _sign(n)
-    for k in range(l + r):
-        c = binomial(l + r, k) * binomial(n + k + r, r) * x ** (l + r - k)
-        if c:
-            lhs += _sign(l + r + 1) * c * t.value_at(n + k, alpha, z)
+    lhs = _block(n, l, r, x, lambda idx: t.value_at(idx, alpha, y), stop=n + r, scale=_sign(n))
+    lhs = _block(l, n, r, x, lambda idx: t.value_at(idx, alpha, z), stop=l + r, scale=_sign(l + r + 1), total=lhs)
     idx = n + l + r if corrected else n + l + 1
     rhs = _sign(n) * binomial(n + l + 2 * r, r) * (t.value_at(idx, alpha, x + y) - t.value_at(idx, alpha, y))
     return lhs - rhs
@@ -573,17 +502,8 @@ def truncated_power_residual(n, l, r, t_val, corrected=True) -> Fraction:
     """Order-one specialization of the truncated balanced form at
     (x, y, z) = (1, t, -t); the right side collapses to a monomial."""
     t_val = Fraction(t_val)
-    nums_poly = classical_bernoulli_poly
-    lhs = ZERO
-    for k in range(n + r):
-        c = binomial(n + r, k) * binomial(l + k + r, r)
-        if c:
-            lhs += c * nums_poly(l + k).eval(t_val)
-    lhs *= _sign(n)
-    for k in range(l + r):
-        c = binomial(l + r, k) * binomial(n + k + r, r)
-        if c:
-            lhs += _sign(l + r + 1) * c * nums_poly(n + k).eval(-t_val)
+    lhs = _block(n, l, r, 1, _classical_values(t_val), stop=n + r, scale=_sign(n))
+    lhs = _block(l, n, r, 1, _classical_values(-t_val), stop=l + r, scale=_sign(l + r + 1), total=lhs)
     if corrected:
         rhs = _sign(n) * binomial(n + l + 2 * r, r) * (n + l + r) * t_val ** (n + l + r - 1)
     else:
@@ -596,23 +516,14 @@ def odd_order_tail_residual(n: int, r: int, t_val, table: GenBernTable | None = 
     weight (a-2t)^(n+r-k) plus C(2n+2r,r) B_{2n+r}^(a)(t); residual in QQ[a]."""
     t = table or DEFAULT_TABLE
     t_val = Fraction(t_val)
-    weight_base = poly_a(-2 * t_val, 1)
-    total = poly_a()
-    for k in range(n + r):
-        c = binomial(n + r, k) * binomial(n + k + r, r)
-        if c:
-            total = total + weight_base ** (n + r - k) * t.poly(n + k).eval(t_val) * c
-    total = total + t.poly(2 * n + r).eval(t_val) * binomial(2 * n + 2 * r, r)
-    return total
+    total = _block(n, n, r, poly_a(-2 * t_val, 1), lambda idx: t.poly(idx).eval(t_val), stop=n + r, total=poly_a())
+    return total + t.poly(2 * n + r).eval(t_val) * binomial(2 * n + 2 * r, r)
 
 
 def halved_tail_sum_residual(n: int, r: int) -> Fraction:
     """Odd-r closed form for sum_{k=n}^{2n+r} C(n+r,k-n) C(k+r,r) B_k / 2^k."""
     nums = classical_bernoulli_numbers(2 * n + r)
-    lhs = sum(
-        binomial(n + r, k - n) * binomial(k + r, r) * nums[k] / Fraction(2) ** k
-        for k in range(n, 2 * n + r + 1)
-    )
+    lhs = _block(n, n, r, 1, lambda idx: nums[idx] / Fraction(2) ** idx)
     rhs = (
         Fraction(_sign(n + (r - 1) // 2) * (r + 1), 2 ** (2 * n + r + 1))
         * binomial(n + r, (r + 1) // 2)
@@ -630,12 +541,11 @@ def scaled_ratio_sum_residual(n: int, r: int, x0, corrected: bool = True) -> Fra
     x0 = Fraction(x0)
     if x0 == 1:
         raise ValueError("the weighted form divides by (1-x); x = 1 is outside its domain")
-    lhs = ZERO
-    for k in range(n + r + 1):
-        c = binomial(n + r, k) * binomial(n + k + r, r)
-        if not c:
-            continue
-        lhs += c * classical_bernoulli_poly(n + k).eval(x0) / (Fraction(2) ** k * (1 - x0) ** (n + k - 1))
+
+    def term(idx):
+        return classical_bernoulli_poly(idx).eval(x0) / (Fraction(2) ** (idx - n) * (1 - x0) ** (idx - 1))
+
+    lhs = _block(n, n, r, 1, term)
     c_mid = binomial(n + r, (r + 1) // 2)
     if corrected:
         rhs = Fraction(_sign(n + (r - 1) // 2) * (r + 1), 2 ** (n + r + 1)) * c_mid
@@ -649,17 +559,8 @@ def symbolic_weight_pair_residual(n: int, l: int, table: GenBernTable | None = N
     sum_k a^(n-k) C(n,k) B_{l+k}^(a) + (-1)^(l+n+1) sum_k a^(l-k) C(l,k)
     B_{n+k}^(a); residual in QQ[a]."""
     t = table or DEFAULT_TABLE
-    first = poly_a()
-    for k in range(n + 1):
-        c = binomial(n, k)
-        if c:
-            first = first + ALPHA ** (n - k) * t.number(l + k) * c
-    second = poly_a()
-    for k in range(l + 1):
-        c = binomial(l, k)
-        if c:
-            second = second + ALPHA ** (l - k) * t.number(n + k) * c
-    return first + second * _sign(l + n + 1)
+    first = _block(n, l, 0, ALPHA, t.number, total=poly_a())
+    return _block(l, n, 0, ALPHA, t.number, scale=_sign(l + n + 1), total=first)
 
 
 # ---------------------------------------------------------------------------
@@ -895,8 +796,6 @@ def _verify_s2(p: SumSpec):
 
 
 def _verify_s4(p: SumSpec):
-    if p.s < 0:
-        return _not_applicable("needs s >= 0")
     if Fraction(p.x) + p.y + p.z != p.s + 1:
         return _not_applicable("needs x + y + z = s + 1")
     return _outcome(integer_balance_residual(p.n, p.l, p.r, p.s, p.x, p.y))
@@ -974,6 +873,9 @@ def _verify_vassilev(p: SumSpec):
 
 @dataclass(frozen=True)
 class CaseDef:
+    """One catalog entry.  ``axes`` names its sweep axes, outermost first;
+    ``genbern.harness.AXES`` gives each name's fields and sample points."""
+
     id: str
     axes: tuple[str, ...]
     verify: object
@@ -998,20 +900,20 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef("t230", ("n", "l", "m"), _verify_t230),
         CaseDef("t24", ("n", "m"), _verify_t24, adjudicated=True),
         CaseDef("c1", ("n", "m"), _verify_c1, adjudicated=True),
-        CaseDef("theorem_le1", ("n", "l", "r", "s", "lam", "alpha"), _verify_theorem),
+        CaseDef("theorem_le1", ("n", "l", "r", "s", "lam", "symbolic_alpha"), _verify_theorem),
         CaseDef("proof_replay", ("n", "l", "r", "s", "lam"), _verify_replay),
         CaseDef("app1", ("n", "l", "r", "s", "lam", "x"), _verify_app1),
         CaseDef("nielsen_f10", ("n", "l", "r", "m", "beta"), _verify_f10, adjudicated=True),
         CaseDef("agoh_leibniz", ("n", "l", "r"), _verify_agoh_leibniz),
-        CaseDef("s1", ("n", "l", "r", "alpha", "x", "y"), _verify_s1),
-        CaseDef("s2", ("n", "l", "r", "alpha", "x", "y"), _verify_s2),
-        CaseDef("s4", ("n", "l", "r", "s", "x", "y"), _verify_s4),
-        CaseDef("cor3a", ("n", "l", "r", "alpha", "x", "y"), _verify_cor3a, adjudicated=True),
+        CaseDef("s1", ("n", "l", "r", "alpha", "xy", "z=alpha-x-y"), _verify_s1),
+        CaseDef("s2", ("n", "l", "r", "alpha", "xy"), _verify_s2),
+        CaseDef("s4", ("n", "l", "r", "s", "xy", "z=s+1-x-y"), _verify_s4),
+        CaseDef("cor3a", ("n", "l", "r", "alpha", "xy", "z=alpha-x-y"), _verify_cor3a, adjudicated=True),
         CaseDef("cor3b", ("n", "l", "r", "t"), _verify_cor3b, adjudicated=True),
-        CaseDef("s20", ("n", "r", "t", "alpha"), _verify_s20),
-        CaseDef("cor1", ("n", "r", "x"), _verify_cor1, adjudicated=True),
+        CaseDef("s20", ("n", "r", "t", "symbolic_alpha"), _verify_s20),
+        CaseDef("cor1", ("n", "r", "ratio_x"), _verify_cor1, adjudicated=True),
         CaseDef("fi2", ("n", "r"), _verify_fi2),
-        CaseDef("neto_corrected", ("n", "l", "alpha"), _verify_neto),
+        CaseDef("neto_corrected", ("n", "l", "symbolic_alpha"), _verify_neto),
         CaseDef("vassilev", ("n", "l"), _verify_vassilev),
     )
 }

@@ -183,3 +183,67 @@ def test_alpha_pinned_case_evaluates_consistently(capsys):
     # numeric-order evaluation path matches the symbolic residual route
     sym = paired_sum(2, 1, 1, x=3, y=0, z=0, alpha=None)
     assert sym.eval(F(1)) == paired_sum(2, 1, 1, x=3, y=0, z=0, alpha=1)
+
+
+def eval_record(capsys, *argv):
+    code, out, _ = run_cli(capsys, "eval", *argv)
+    return code, json.loads(out)
+
+
+def test_eval_s4_derives_z_from_s_even_with_alpha(capsys):
+    code, record = eval_record(capsys, "--case", "s4", "--s", "2", "--x", "1/3", "--y", "-1", "--alpha", "2")
+    assert code == 0
+    assert record["params"]["z"] == "11/3"
+    assert record["status"] == "verified"
+
+
+@pytest.mark.parametrize("case", ["s1", "cor3a"])
+def test_eval_symbolic_order_leaves_z_at_zero(capsys, case):
+    code, record = eval_record(capsys, "--case", case, "--alpha", "symbolic", "--x", "1", "--y", "1/3")
+    assert code == 0
+    assert record["params"]["z"] == "0"
+    assert record["params"]["alpha"] == "symbolic"
+    assert record["status"] == "not_applicable"
+
+
+def test_eval_s2_reports_no_z(capsys):
+    code, record = eval_record(capsys, "--case", "s2", "--x", "1", "--y", "1/3")
+    assert code == 0
+    assert list(record["params"]) == ["n", "l", "r", "x", "y", "alpha"]
+
+
+def test_eval_rational_order_case_defaults_to_order_one(capsys):
+    code, record = eval_record(capsys, "--case", "s1")
+    assert code == 0
+    assert record["params"]["alpha"] == "1"
+    assert record["params"]["z"] == "1"
+    assert record["status"] == "verified"
+
+
+def test_index_bounds(capsys):
+    limit = harness.TABLE_LIMITS["generalized"]
+    size_error = f"error: table size 2*(n+l+r)+s+6 must be <= {limit}, got {limit + 1}\n"
+    # p1 reads only n, so s can reach the limit at no cost
+    code, out, _ = run_cli(capsys, "verify", "--case", "p1", "--s", str(limit - 6))
+    assert code == 0 and out.startswith("p1: verified")
+    code, out, err = run_cli(capsys, "verify", "--case", "p1", "--s", str(limit - 5))
+    assert (code, out, err) == (2, "", size_error)
+    code, out, err = run_cli(capsys, "verify-theorem", "--s", str(limit - 5), "--certify-lambda")
+    assert (code, out, err) == (2, "", size_error)
+    zero = ("--max-n", "0", "--max-l", "0", "--max-r", "0")
+    code, out, _ = run_cli(capsys, "suite", "--cases", "p1", *zero, "--max-s", str(limit - 6))
+    assert code == 0 and json.loads(out)["summary"]["verified"] == 1
+    code, out, err = run_cli(capsys, "suite", "--cases", "p1", *zero, "--max-s", str(limit - 5))
+    assert (code, out, err) == (2, "", size_error)
+
+
+def test_m_bound(capsys):
+    limit = harness.MAX_M
+    code, out, _ = run_cli(capsys, "verify", "--case", "rem1", "--m", str(limit))
+    assert code == 0 and out.startswith("rem1: verified")
+    code, out, err = run_cli(capsys, "verify", "--case", "rem1", "--m", str(limit + 1))
+    assert (code, out, err) == (2, "", f"error: m must be <= {limit}, got {limit + 1}\n")
+    code, out, _ = run_cli(capsys, "suite", "--cases", "p1", "--max-n", "0", "--max-m", str(limit))
+    assert code == 0
+    code, out, err = run_cli(capsys, "suite", "--cases", "p1", "--max-m", str(limit + 1))
+    assert (code, out, err) == (2, "", f"error: m must be <= {limit}, got {limit + 1}\n")

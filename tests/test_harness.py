@@ -3,22 +3,25 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from genbern.bernoulli import gen_bernoulli_numbers_symbolic
 from genbern.harness import (
+    AXES,
     SweepConfig,
     UsageError,
     emit_json,
     emit_tables,
     enumerate_cases,
+    params_to_dict,
     parse_report,
     result_to_dict,
     run_suite,
 )
-from genbern.identities import IdentityCase, SumSpec, VerificationResult
+from genbern.identities import CASE_DEFS, IdentityCase, SumSpec, VerificationResult
 from genbern.textform import format_poly
 
 
@@ -178,3 +181,58 @@ def test_adjudicated_flag_matches_reading_output():
     for res in report.results:
         if res.status == "not_applicable":
             assert res.readings is None
+
+
+DEFAULT_GRID_COUNTS = {
+    "t3": 48, "t4": 192, "tg4": 192, "t5": 48, "ges1": 48, "rem1": 36, "p1": 4, "e1": 16, "e2": 16,
+    "k5": 4, "k3": 4, "s3": 48, "t230": 64, "t24": 16, "c1": 16, "theorem_le1": 576,
+    "proof_replay": 576, "app1": 1152, "nielsen_f10": 384, "agoh_leibniz": 48, "s1": 432,
+    "s2": 432, "s4": 432, "cor3a": 432, "cor3b": 144, "s20": 36, "cor1": 36, "fi2": 12,
+    "neto_corrected": 16, "vassilev": 16,
+}
+
+
+def test_default_grid_counts_per_case():
+    counts = Counter(case.id for case in enumerate_cases(SweepConfig()))
+    assert counts == DEFAULT_GRID_COUNTS
+    assert sum(counts.values()) == 5476
+
+
+def test_params_keys_and_first_grid_point():
+    first = {}
+    for case in enumerate_cases(SweepConfig()):
+        first.setdefault(case.id, case)
+    expected = {
+        "s1": {"n": 0, "l": 0, "r": 0, "x": "1", "y": "0", "z": "0", "alpha": "1"},
+        "s2": {"n": 0, "l": 0, "r": 0, "x": "1", "y": "0", "alpha": "1"},
+        "s4": {"n": 0, "l": 0, "r": 0, "s": 0, "x": "1", "y": "0", "z": "0"},
+        "cor3a": {"n": 0, "l": 0, "r": 0, "x": "1", "y": "0", "z": "0", "alpha": "1"},
+        "cor1": {"n": 0, "r": 0, "x": "0"},
+        "theorem_le1": {"n": 0, "l": 0, "r": 0, "s": 0, "lambda": "0", "alpha": "symbolic"},
+        "s20": {"n": 0, "r": 0, "t": "0", "alpha": "symbolic"},
+        "neto_corrected": {"n": 0, "l": 0, "alpha": "symbolic"},
+    }
+    for case_id, params in expected.items():
+        got = params_to_dict(first[case_id])
+        assert list(got.items()) == list(params.items()), case_id
+
+
+def test_every_case_axis_is_in_the_axis_table():
+    assert {name for d in CASE_DEFS.values() for name in d.axes} <= set(AXES)
+
+
+# Every case, with r up to 3 so that the blocks and double sums reach past
+# their r <= 1 shapes.  The digest pins every byte of the report apart from
+# the timings; it was recorded from the hand-written loops that the shared
+# block and double-sum kernels replaced.
+GOLDEN_CONFIG = SweepConfig(
+    max_n=2, max_l=2, max_r=3, max_s=1, max_m=3, lambda_points=(F(0), F(1, 2)), alpha_points=(F(1), F(-1, 3))
+)
+GOLDEN_DIGEST = "e0cd83b74964ded97e874c04331947f5134a32cb4ba9efb0c5ca63e5e445133c"
+
+
+def test_golden_report_digest():
+    report = run_suite(GOLDEN_CONFIG)
+    assert len(report.results) == 2358
+    text = json.dumps(_stripped(emit_json(report)), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST

@@ -1,10 +1,11 @@
 """Identity catalog: spec'd instances, frozen values, and adjudications."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from genbern.bernoulli import OmegaOperator, classical_bernoulli_numbers
+from genbern.bernoulli import OmegaOperator, bernoulli_numbers_binomial_solve, classical_bernoulli_numbers
 from genbern.identities import (
     CASE_DEFS,
     CASE_IDS,
@@ -22,6 +23,7 @@ from genbern.identities import (
     halved_tail_sum_residual,
     kaneko_weighted_term,
     lambda_degree_bound,
+    leibniz_double_sum,
     linear_weight_double_sum,
     lucas_pair_sum,
     main_identity_lhs,
@@ -462,3 +464,77 @@ def test_every_case_id_has_verifier():
         "s20", "cor1", "fi2", "neto_corrected", "vassilev",
     }
     assert set(CASE_IDS) == expected
+
+
+# -- an independent literal evaluator --------------------------------------------
+# Plain loops over math.comb and the binomial-solve oracle, written from the
+# displayed formulas without the catalog's block and double-sum kernels, so
+# that the kernels are compared against code that does not share them.
+
+ORACLE_NUMS = bernoulli_numbers_binomial_solve(24)
+
+
+def _b(n, y=0):
+    """B_n(y) = sum_j C(n,j) B_(n-j) y^j."""
+    return sum(math.comb(n, j) * ORACLE_NUMS[n - j] * F(y) ** j for j in range(n + 1))
+
+
+def test_kernels_against_literal_evaluator():
+    for n in range(4):
+        for l in range(4):
+            assert lucas_pair_sum(n, l) == sum(math.comb(n, k) * _b(l + k) for k in range(n + 1)) + (-1) ** (
+                l + n + 1
+            ) * sum(math.comb(l, k) * _b(n + k) for k in range(l + 1))
+            assert truncated_pair_sum(n, l) == sum(math.comb(n, k) * _b(l + k) for k in range(n)) + (-1) ** (
+                l + n + 1
+            ) * sum(math.comb(l, k) * _b(n + k) for k in range(l))
+        assert stern_recurrence_sum(n) == sum(
+            math.comb(n + 1, k) * (n + k + 1) * _b(n + k) for k in range(n + 1)
+        )
+        for r in range(4):
+            for m in range(1, 5):
+                assert symmetric_block_sum(n, r, m) == sum(
+                    F(m) ** (n + r - k) * math.comb(n + r, k) * math.comb(n + k + r, r) * _b(n + k)
+                    for k in range(n + r + 1)
+                )
+
+
+def test_paired_sum_against_literal_evaluator():
+    x, y, z = F(2, 3), F(1, 3), F(-1, 2)
+    for n in range(4):
+        for l in range(4):
+            for r in range(4):
+                first = sum(
+                    x ** (n + r - k) * math.comb(n + r, k) * math.comb(l + k + r, r) * _b(l + k, y)
+                    for k in range(n + r + 1)
+                )
+                second = sum(
+                    x ** (l + r - k) * math.comb(l + r, k) * math.comb(n + k + r, r) * _b(n + k, z)
+                    for k in range(l + r + 1)
+                )
+                assert paired_sum(n, l, r, x, y, z, alpha=1) == first + (-1) ** (l + n + r + 1) * second
+
+
+def test_double_sums_against_literal_evaluator():
+    # u and v are not integers, so no base k - u or k - v is zero and every
+    # formally negative power is a finite Fraction times a zero binomial.
+    u, v = F(1, 3), F(-1, 2)
+    for n in range(4):
+        for l in range(4):
+            for r in range(4):
+                for m in range(1, 5):
+                    assert gessel_double_sum(n, l, r, m) == (r + 1) * sum(
+                        F(-1) ** (l + j - 1)
+                        * math.comb(n + r, j)
+                        * math.comb(l + r, r + 1 - j)
+                        * F(k) ** (l + j - 1)
+                        * F(m - k) ** (n + r - j)
+                        for k in range(1, m)
+                        for j in range(r + 2)
+                    )
+                for s in range(3):
+                    assert leibniz_double_sum(n, l, r, s, u, v) == (r + 1) * sum(
+                        math.comb(n + r, j) * math.comb(l + r, r + 1 - j) * (u - k) ** (l + j - 1) * (v - k) ** (n + r - j)
+                        for k in range(1, s + 1)
+                        for j in range(r + 2)
+                    )
