@@ -25,6 +25,13 @@ The numbers are then ``n! * c_n`` and the polynomials follow from the
 Appell binomial expansion.  Independent routes (a forward solve of the
 binomial recurrence for the classical numbers, repeated truncated series
 multiplication for integer orders) are provided as oracles.
+
+Every derived polynomial is built once per process and memoized: the
+classical B_n(x) per n, and in each :class:`GenBernTable` B_n^(a)(x) per
+n, B_n^(a)(x + c) per (n, c), B_n^(alpha)(x) per (n, alpha) and
+B_n^(a + offset)(x) per (n, offset).  The caches are never evicted, so
+each grows with the distinct keys a process asks for; the default sweep
+asks for 99 (n, c) and 27 (n, alpha).
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .poly import Poly, alpha_shifted, alpha_substituted, binomial
 
 _classical_lock = threading.Lock()
 _classical: list[Fraction] = [Fraction(1)]
+_classical_polys: dict[int, Poly] = {}
 
 
 def _bernoulli_from_tangents(n_max: int) -> list[Fraction]:
@@ -89,9 +97,14 @@ def bernoulli_numbers_binomial_solve(n_max: int) -> list[Fraction]:
 
 
 def classical_bernoulli_poly(n: int) -> Poly:
-    """B_n(x) over QQ, from the binomial expansion of classical numbers."""
-    nums = classical_bernoulli_numbers(n)
-    return Poly("x", tuple(binomial(n, j) * nums[n - j] for j in range(n + 1)))
+    """B_n(x) over QQ, from the binomial expansion of classical numbers;
+    memoized per n."""
+    hit = _classical_polys.get(n)
+    if hit is None:
+        nums = classical_bernoulli_numbers(n)
+        built = Poly("x", tuple(binomial(n, j) * nums[n - j] for j in range(n + 1)))
+        hit = _classical_polys.setdefault(n, built)
+    return hit
 
 
 class GenBernTable:
@@ -101,8 +114,18 @@ class GenBernTable:
     polynomial B_n^(a)(x) (monic of degree n in ``x``).  One table serves
     every order because entries are symbolic.  Numbers are grown under a
     lock; each polynomial is built from them on first request, under the
-    same lock, and memoized.  An entry is published only once it is fully
-    built and never changes after, so readers need no coordination.
+    same lock, and memoized.
+
+    The polynomials derived from B_n^(a)(x) are memoized too, each in its
+    own dict: :meth:`poly_shifted` by ``(n, Fraction(c))``, :meth:`poly_at`
+    by ``(n, Fraction(alpha))`` and :meth:`offset_poly` by ``(n, offset)``.
+    They are built outside the lock and published whole, one dict
+    operation each; a race at worst builds an entry twice and keeps one.
+    Nothing is evicted, so each cache grows with the distinct keys the
+    process asks for.
+
+    An entry is published only once it is fully built and never changes
+    after, so readers need no coordination.
     """
 
     def __init__(self):
@@ -111,6 +134,8 @@ class GenBernTable:
         self._coeffs: list[tuple[list[int], int]] = [([1], 1)]
         self._numbers: list[Poly] = [Poly("a", (1,))]
         self._polys: dict[int, Poly] = {}
+        self._shifted_cache: dict[tuple[int, Fraction], Poly] = {}
+        self._alpha_cache: dict[tuple[int, Fraction], Poly] = {}
         self._offset_cache: dict[tuple[int, int], Poly] = {}
 
     def grow(self, n_max: int) -> None:
@@ -168,20 +193,29 @@ class GenBernTable:
         return self.number(n).eval(Fraction(alpha))
 
     def poly_at(self, n: int, alpha) -> Poly:
-        """B_n^(alpha)(x) over QQ for a fixed rational order."""
-        return alpha_substituted(self.poly(n), Fraction(alpha))
+        """B_n^(alpha)(x) over QQ for a fixed rational order, cached per (n, alpha)."""
+        alpha = Fraction(alpha)
+        key = (n, alpha)
+        hit = self._alpha_cache.get(key)
+        if hit is None:
+            hit = self._alpha_cache.setdefault(key, alpha_substituted(self.poly(n), alpha))
+        return hit
 
     def value_at(self, n: int, alpha, x) -> Fraction:
         """B_n^(alpha)(x) fully evaluated at rational order and argument."""
         return self.poly_at(n, alpha).eval(Fraction(x))
 
     def poly_shifted(self, n: int, c) -> Poly:
-        """B_n^(a)(x + c) via the binomial addition formula."""
+        """B_n^(a)(x + c) via the binomial addition formula, cached per (n, c)."""
         c = Fraction(c)
-        out = Poly("x")
-        for k in range(n + 1):
-            out = out + self.poly(k) * (binomial(n, k) * c ** (n - k))
-        return out
+        key = (n, c)
+        hit = self._shifted_cache.get(key)
+        if hit is None:
+            out = Poly("x")
+            for k in range(n + 1):
+                out = out + self.poly(k) * (binomial(n, k) * c ** (n - k))
+            hit = self._shifted_cache.setdefault(key, out)
+        return hit
 
     def poly_reflected(self, n: int, c) -> Poly:
         """B_n^(a)(a + c - x) represented inside QQ[a][x].

@@ -314,7 +314,13 @@ def table_size(n: int, l: int, r: int, s: int) -> int:
 
 
 def required_table_size(cfg: SweepConfig) -> int:
-    return table_size(cfg.max_n, cfg.max_l, cfg.max_r, cfg.max_s)
+    """Symbolic table size the selected cases read: each case counts only
+    the bounds of its own axes, since the others stay 0 in its grid."""
+    sizes = [
+        table_size(*(getattr(cfg, "max_" + name) if name in CASE_DEFS[c].axes else 0 for name in "nlrs"))
+        for c in cfg.cases
+    ]
+    return max(sizes, default=0)
 
 
 def check_input_size(n: int, l: int, r: int, s: int, m: int = 1) -> None:
@@ -333,8 +339,8 @@ def run_suite(cfg: SweepConfig) -> Report:
     cases = enumerate_cases(cfg)
     start = time.perf_counter()
     # Pre-grow the shared number tables before any worker starts; workers
-    # then only read them, and build each B_n^(a)(x) they need on first
-    # use under the table's lock.
+    # then only read them, and build each polynomial they need on first
+    # use (see GenBernTable).
     size = required_table_size(cfg)
     classical_bernoulli_numbers(2 * size)
     DEFAULT_TABLE.grow(size)

@@ -12,6 +12,13 @@ Everything is immutable after construction and normalized (no trailing
 zero coefficients, fractions always in lowest terms with positive
 denominator), so equality is plain structural comparison.  The global
 convention 0**0 = 1 applies to all monomial evaluation.
+
+Validation happens at the public boundary only: ``Poly(...)`` and
+:meth:`Poly.map_coeffs` (which applies a caller's function) check every
+coefficient and coerce ints to Fractions.  The ring operations, ``shift``
+and ``derive`` combine coefficients that are already valid, so they build
+their results with the internal :meth:`Poly._make`, which only trims
+trailing zeros.
 """
 
 from __future__ import annotations
@@ -68,6 +75,21 @@ class Poly:
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs", tuple(fixed))
 
+    @staticmethod
+    def _make(var: str, coeffs) -> Poly:
+        """Internal constructor for coefficients that are already valid
+        (Fractions or lower-ranked Polys, never ints): trims trailing
+        zeros and checks nothing."""
+        if coeffs and not coeffs[-1]:
+            end = len(coeffs) - 1
+            while end and not coeffs[end - 1]:
+                end -= 1
+            coeffs = coeffs[:end]
+        p = _new_poly(Poly)
+        _set_var(p, var)
+        _set_coeffs(p, tuple(coeffs))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -118,7 +140,7 @@ class Poly:
     # -- ring operations -------------------------------------------------
 
     def __neg__(self) -> Poly:
-        return Poly(self.var, tuple(-c for c in self.coeffs))
+        return Poly._make(self.var, [-c for c in self.coeffs])
 
     def __add__(self, other) -> Poly:
         if isinstance(other, Poly):
@@ -129,14 +151,14 @@ class Poly:
                 out = list(a)
                 for i, c in enumerate(b):
                     out[i] = out[i] + c
-                return Poly(self.var, out)
+                return Poly._make(self.var, out)
             if _VAR_RANK[other.var] > _VAR_RANK[self.var]:
                 return other + self
         elif not _is_scalar(other):
             return NotImplemented
         out = list(self.coeffs) or [Fraction(0)]
         out[0] = out[0] + other
-        return Poly(self.var, out)
+        return Poly._make(self.var, out)
 
     __radd__ = __add__
 
@@ -151,7 +173,7 @@ class Poly:
             if other.var == self.var:
                 a, b = self.coeffs, other.coeffs
                 if not a or not b:
-                    return Poly(self.var)
+                    return Poly._make(self.var, ())
                 out = [Fraction(0)] * (len(a) + len(b) - 1)
                 for i, ca in enumerate(a):
                     if not ca:
@@ -159,12 +181,12 @@ class Poly:
                     for j, cb in enumerate(b):
                         if cb:
                             out[i + j] = out[i + j] + ca * cb
-                return Poly(self.var, out)
+                return Poly._make(self.var, out)
             if _VAR_RANK[other.var] > _VAR_RANK[self.var]:
                 return other * self
         elif not _is_scalar(other):
             return NotImplemented
-        return Poly(self.var, tuple(c * other for c in self.coeffs))
+        return Poly._make(self.var, [c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -172,7 +194,7 @@ class Poly:
         """Binary exponentiation; p**0 is 1 for every p, including 0."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        result = Poly(self.var, (Fraction(1),))
+        result = Poly._make(self.var, (Fraction(1),))
         base = self
         e = exponent
         while e:
@@ -192,9 +214,9 @@ class Poly:
         if order == 0:
             return self
         if len(self.coeffs) <= order:
-            return Poly(self.var)
+            return Poly._make(self.var, ())
         out = [self.coeffs[i] * math.perm(i, order) for i in range(order, len(self.coeffs))]
-        return Poly(self.var, out)
+        return Poly._make(self.var, out)
 
     def shift(self, offset) -> Poly:
         """p evaluated at (var + offset), expanded exactly.
@@ -216,7 +238,7 @@ class Poly:
                 nxt[i] = nxt[i] + v * offset
             nxt[0] = nxt[0] + c
             acc = nxt
-        return Poly(self.var, acc)
+        return Poly._make(self.var, acc)
 
     def delta(self) -> Poly:
         """Forward difference p(var + 1) - p(var)."""
@@ -234,6 +256,12 @@ class Poly:
     def map_coeffs(self, fn) -> Poly:
         """New polynomial with ``fn`` applied to every coefficient."""
         return Poly(self.var, tuple(fn(c) for c in self.coeffs))
+
+
+# Slot setters for Poly._make, which skips __init__ and __setattr__.
+_new_poly = object.__new__
+_set_var = Poly.var.__set__
+_set_coeffs = Poly.coeffs.__set__
 
 
 def poly_x(*coeffs) -> Poly:

@@ -339,6 +339,48 @@ def test_offset_cache_consistency():
     assert table.offset_poly(6, 0) == table.poly(6)
 
 
+def test_derived_polys_cached_equal_recomputed():
+    table = GenBernTable()
+    for n in range(13):
+        for v in (F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3)):
+            shifted = table.poly_shifted(n, v)
+            # shift runs Horner on B_n^(a)(x), not the Appell sum
+            assert shifted == table.poly(n).shift(v)
+            assert table.poly_shifted(n, v) is shifted
+            at = table.poly_at(n, v)
+            assert at == alpha_substituted(table.poly(n), v)
+            assert table.poly_at(n, v) is at
+        # keys are Fractions, so an int argument finds the same entry
+        assert table.poly_shifted(n, 1) is table.poly_shifted(n, F(1))
+        assert table.poly_at(n, -1) is table.poly_at(n, F(-1))
+        assert classical_bernoulli_poly(n) is classical_bernoulli_poly(n)
+        assert classical_bernoulli_poly(n) == table.poly_at(n, 1)
+
+
+def test_derived_poly_readers_see_equal_entries():
+    # one thread grows a fresh table while three read shifted and
+    # specialized polynomials, building each cache entry as they go
+    keys = [(n, v) for n in range(13) for v in (F(0), F(1, 2), F(-1))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            table = GenBernTable()
+
+            def read():
+                return [(table.poly_shifted(n, v), table.poly_at(n, v)) for n, v in keys]
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                grower = pool.submit(table.grow, 12)
+                readers = [pool.submit(read) for _ in range(3)]
+                grower.result(timeout=60)
+                seen = [reader.result(timeout=60) for reader in readers]
+            assert all(entries == seen[0] for entries in seen)
+            assert seen[0] == [(table.poly(n).shift(v), alpha_substituted(table.poly(n), v)) for n, v in keys]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_negative_n_rejected():
     with pytest.raises(ValueError):
         classical_bernoulli_numbers(-1)

@@ -18,8 +18,10 @@ from genbern.harness import (
     enumerate_cases,
     params_to_dict,
     parse_report,
+    required_table_size,
     result_to_dict,
     run_suite,
+    table_size,
 )
 from genbern.identities import CASE_DEFS, IdentityCase, SumSpec, VerificationResult
 from genbern.textform import format_poly
@@ -236,3 +238,14 @@ def test_golden_report_digest():
     assert len(report.results) == 2358
     text = json.dumps(_stripped(emit_json(report)), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST
+
+
+def test_pre_grow_counts_only_the_axes_a_case_reads():
+    bounds = {"max_n": 2, "max_l": 5, "max_r": 1, "max_s": 40}
+    assert required_table_size(SweepConfig(**bounds, cases=("p1",))) == table_size(2, 0, 0, 0)
+    # rem1 sweeps m, r and s; t3 sweeps n, l and r
+    assert required_table_size(SweepConfig(**bounds, cases=("p1", "rem1"))) == table_size(0, 0, 1, 40)
+    assert required_table_size(SweepConfig(**bounds, cases=("t3", "p1"))) == table_size(2, 5, 1, 0)
+    # theorem_le1 sweeps all four, so the full catalog needs every bound
+    assert required_table_size(SweepConfig(**bounds)) == table_size(2, 5, 1, 40)
+    assert required_table_size(SweepConfig(cases=())) == 0

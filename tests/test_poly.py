@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbern.poly import ALPHA, Poly, X, binomial, poly_a, poly_x
+from genbern.poly import _VAR_RANK, ALPHA, Poly, X, binomial, poly_a, poly_x
 from genbern.textform import PolyParseError, format_poly, parse_fraction, parse_poly
 
 # -- independent oracles ------------------------------------------------------
@@ -190,6 +190,53 @@ def test_derive_delta_commute_on_monomials():
 def test_alpha_level_ring(p, q):
     assert p * q == q * p
     assert (p - q) + q == p
+
+
+def _structure(p: Poly):
+    """Exact layout of a polynomial, coefficient types included."""
+    return p.var, tuple(_structure(c) if isinstance(c, Poly) else (type(c), c) for c in p.coeffs)
+
+
+def assert_normalized(r: Poly):
+    """The invariants Poly(...) establishes, checked on a computed result."""
+    assert not r.coeffs or r.coeffs[-1], "trailing zero coefficient"
+    for c in r.coeffs:
+        if isinstance(c, Poly):
+            assert _VAR_RANK[c.var] < _VAR_RANK[r.var]
+            assert_normalized(c)
+        else:
+            assert type(c) is F, f"coefficient of type {type(c).__name__}"
+    assert _structure(r) == _structure(Poly(r.var, r.coeffs))
+
+
+bipolys = st.lists(st.one_of(fractions, polys("a")), max_size=4).map(lambda cs: Poly("x", cs))
+scalars = st.one_of(st.integers(-3, 3), fractions, polys("a"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(polys("a"), bipolys), bipolys, scalars, fractions, st.integers(0, 3))
+def test_operations_keep_constructor_invariants(p, q, scalar, c, k):
+    results = [
+        -p,
+        p + q,
+        p - q,
+        p - p,
+        p * q,
+        q * p,
+        p + scalar,
+        scalar + p,
+        p - scalar,
+        scalar - p,
+        p * scalar,
+        scalar * p,
+        p * 0,
+        p**k,
+        p.shift(c),
+        p.derive(k),
+        p.delta(),
+    ]
+    for r in results:
+        assert_normalized(r)
 
 
 # -- text grammar -------------------------------------------------------------
