@@ -28,10 +28,15 @@ multiplication for integer orders) are provided as oracles.
 
 Every derived polynomial is built once per process and memoized: the
 classical B_n(x) per n, and in each :class:`GenBernTable` B_n^(a)(x) per
-n, B_n^(a)(x + c) per (n, c), B_n^(alpha)(x) per (n, alpha) and
-B_n^(a + offset)(x) per (n, offset).  The caches are never evicted, so
-each grows with the distinct keys a process asks for; the default sweep
-asks for 99 (n, c) and 27 (n, alpha).
+n, B_n^(a)(x + c) per (n, c), B_n^(a)(a + c - x) per (n, c) for odd n,
+B_n^(alpha)(x) per (n, alpha), the value B_n^(alpha)(x) per
+(n, alpha, x) and B_n^(a + offset)(x) per (n, offset).  The caches are
+never evicted, so each grows with the distinct keys a process asks for;
+the default sweep asks for 99 (n, c), 44 odd-n reflections, 27
+(n, alpha) and 234 (n, alpha, x).  Each cached polynomial also keeps the
+integer view that :func:`genbern.poly.lincomb` builds on its first use,
+so the umbral map and the catalog's Bernoulli blocks flatten it once per
+process.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .poly import Poly, alpha_shifted, alpha_substituted, binomial
+from .poly import Poly, alpha_shifted, alpha_substituted, binomial, lincomb
 
 _classical_lock = threading.Lock()
 _classical: list[Fraction] = [Fraction(1)]
@@ -117,8 +122,11 @@ class GenBernTable:
     same lock, and memoized.
 
     The polynomials derived from B_n^(a)(x) are memoized too, each in its
-    own dict: :meth:`poly_shifted` by ``(n, Fraction(c))``, :meth:`poly_at`
-    by ``(n, Fraction(alpha))`` and :meth:`offset_poly` by ``(n, offset)``.
+    own dict: :meth:`poly_shifted` by ``(n, Fraction(c))``,
+    :meth:`poly_reflected` by ``(n, Fraction(c))`` (odd n only; an even n
+    returns the :meth:`poly_shifted` entry), :meth:`poly_at` by
+    ``(n, Fraction(alpha))`` and :meth:`offset_poly` by ``(n, offset)``;
+    the values of :meth:`value_at` by ``(n, Fraction(alpha), Fraction(x))``.
     They are built outside the lock and published whole, one dict
     operation each; a race at worst builds an entry twice and keeps one.
     Nothing is evicted, so each cache grows with the distinct keys the
@@ -135,7 +143,9 @@ class GenBernTable:
         self._numbers: list[Poly] = [Poly("a", (1,))]
         self._polys: dict[int, Poly] = {}
         self._shifted_cache: dict[tuple[int, Fraction], Poly] = {}
+        self._reflected_cache: dict[tuple[int, Fraction], Poly] = {}
         self._alpha_cache: dict[tuple[int, Fraction], Poly] = {}
+        self._value_cache: dict[tuple[int, Fraction, Fraction], Fraction] = {}
         self._offset_cache: dict[tuple[int, int], Poly] = {}
 
     def grow(self, n_max: int) -> None:
@@ -202,8 +212,14 @@ class GenBernTable:
         return hit
 
     def value_at(self, n: int, alpha, x) -> Fraction:
-        """B_n^(alpha)(x) fully evaluated at rational order and argument."""
-        return self.poly_at(n, alpha).eval(Fraction(x))
+        """B_n^(alpha)(x) fully evaluated at rational order and argument,
+        cached per (n, alpha, x)."""
+        alpha, x = Fraction(alpha), Fraction(x)
+        key = (n, alpha, x)
+        hit = self._value_cache.get(key)
+        if hit is None:
+            hit = self._value_cache.setdefault(key, self.poly_at(n, alpha).eval(x))
+        return hit
 
     def poly_shifted(self, n: int, c) -> Poly:
         """B_n^(a)(x + c) via the binomial addition formula, cached per (n, c)."""
@@ -222,10 +238,16 @@ class GenBernTable:
 
         The reflection rule B_n^(a)(a - u) = (-1)^n B_n^(a)(u) with
         u = x - c turns the a-dependent argument into the plain shift
-        (-1)^n * B_n^(a)(x - c).
+        (-1)^n * B_n^(a)(x - c).  Odd n is cached per (n, c).
         """
-        base = self.poly_shifted(n, -Fraction(c))
-        return base if n % 2 == 0 else -base
+        c = Fraction(c)
+        if n % 2 == 0:
+            return self.poly_shifted(n, -c)
+        key = (n, c)
+        hit = self._reflected_cache.get(key)
+        if hit is None:
+            hit = self._reflected_cache.setdefault(key, -self.poly_shifted(n, -c))
+        return hit
 
     def offset_poly(self, n: int, offset: int) -> Poly:
         """B_n^(a + offset)(x), cached per (n, offset)."""
@@ -267,7 +289,8 @@ class OmegaOperator:
 
     ``offset`` selects the symbolic order: offset 0 applies the operator
     at order a, offset -1 at order a - 1, and so on.  Coefficients of the
-    input (rational or in QQ[a]) multiply through linearly.  The backing
+    input (rational or in QQ[a]) multiply through linearly; rational input
+    is summed over integers by :func:`genbern.poly.lincomb`.  The backing
     table grows automatically to cover the input degree.
     """
 
@@ -278,6 +301,8 @@ class OmegaOperator:
     def __call__(self, p) -> Poly:
         if not isinstance(p, Poly) or p.var == "a":
             return Poly("x", (p,))
+        if not any(isinstance(c, Poly) for c in p.coeffs):
+            return lincomb("x", [(c, self.table.offset_poly(k, self.offset)) for k, c in enumerate(p.coeffs) if c])
         out = Poly("x")
         for k, c in enumerate(p.coeffs):
             if not c:

@@ -36,7 +36,7 @@ from .bernoulli import (
     classical_bernoulli_numbers,
     classical_bernoulli_poly,
 )
-from .poly import ALPHA, Poly, X, binomial, poly_a
+from .poly import ALPHA, Poly, X, binomial, lincomb, poly_a
 
 ZERO = Fraction(0)
 
@@ -71,6 +71,11 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
+def _difference(lhs: Poly, rhs: Poly) -> Poly:
+    """lhs - rhs for two x-polynomials, over integers."""
+    return lincomb("x", [(1, lhs), (-1, rhs)])
+
+
 def _block(p: int, q: int, r: int, w, term, stop: int | None = None, scale=1, total=ZERO):
     """total + scale * sum_{k<stop} C(p+r,k) C(q+k+r,r) w^(p+r-k) term(q+k).
 
@@ -78,13 +83,19 @@ def _block(p: int, q: int, r: int, w, term, stop: int | None = None, scale=1, to
     block.  Terms with a zero coefficient are skipped without calling
     ``term``.  Every sign rides in ``scale``, which multiplies the integer
     coefficient, so a signed block costs no extra product; a second block
-    accumulates into the first through ``total``.
+    accumulates into the first through ``total``.  A polynomial block with
+    a rational weight is one integer linear combination (``lincomb``).
     """
     top = p + r
-    for k in range(top + 1 if stop is None else stop):
-        c = scale * binomial(top, k) * binomial(q + k + r, r) * w ** (top - k)
-        if c:
-            total = total + term(q + k) * c
+    weights = [
+        (c, q + k)
+        for k in range(top + 1 if stop is None else stop)
+        if (c := scale * binomial(top, k) * binomial(q + k + r, r) * w ** (top - k))
+    ]
+    if isinstance(total, Poly) and not isinstance(w, Poly):
+        return lincomb(total.var, [(1, total)] + [(c, term(idx)) for c, idx in weights])
+    for c, idx in weights:
+        total = total + term(idx) * c
     return total
 
 
@@ -151,12 +162,25 @@ def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable |
 
 
 def _window_core(n: int, l: int, r: int, k_from: int, k_to: int, lam) -> Poly:
-    """sum_{k=k_from..k_to} (x-k)^(l+r) (x+lam-k)^(n+r) over QQ[x]."""
+    """sum_{k=k_from..k_to} (x-k)^(l+r) (x+lam-k)^(n+r) over QQ[x].
+
+    With lam = p/q the second factor is (q*x + p - k*q)^(n+r) / q^(n+r),
+    so both factors expand binomially over the integers, the products are
+    integer convolutions, and the sum is divided by q^(n+r) once.
+    """
     lam = Fraction(lam)
-    out = Poly("x")
+    p, q = lam.numerator, lam.denominator
+    e1, e2 = l + r, n + r
+    acc = [0] * (e1 + e2 + 1)
     for k in range(k_from, k_to + 1):
-        out = out + (X - k) ** (l + r) * (X + (lam - k)) ** (n + r)
-    return out
+        left = [binomial(e1, i) * (-k) ** (e1 - i) for i in range(e1 + 1)]
+        right = [binomial(e2, j) * q**j * (p - k * q) ** (e2 - j) for j in range(e2 + 1)]
+        for i, u in enumerate(left):
+            if u:
+                for j, v in enumerate(right):
+                    acc[i + j] += u * v
+    den = q**e2
+    return Poly._make("x", [Fraction(v, den) if v else ZERO for v in acc])
 
 
 def telescoping_core(n: int, l: int, r: int, s: int, lam) -> Poly:
@@ -173,19 +197,15 @@ def main_identity_rhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable |
 
 
 def main_identity_residual(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None = None) -> Poly:
-    return main_identity_lhs(n, l, r, s, lam, table) - main_identity_rhs(n, l, r, s, lam, table)
+    return _difference(main_identity_lhs(n, l, r, s, lam, table), main_identity_rhs(n, l, r, s, lam, table))
 
 
 def numeric_omega(p: Poly, order, table: GenBernTable | None = None) -> Poly:
-    """x^k -> B_k^(order)(x) for a fixed rational order (independent of the
-    symbolic operator path)."""
+    """x^k -> B_k^(order)(x) on p over QQ[x], for a fixed rational order
+    (independent of the symbolic operator path)."""
     t = table or DEFAULT_TABLE
     order = Fraction(order)
-    out = Poly("x")
-    for k, c in enumerate(p.coeffs):
-        if c:
-            out = out + t.poly_at(k, order) * c
-    return out
+    return lincomb("x", [(c, t.poly_at(k, order)) for k, c in enumerate(p.coeffs) if c])
 
 
 def main_identity_residual_at(n, l, r, s, lam, alpha, table: GenBernTable | None = None) -> Poly:
@@ -199,7 +219,7 @@ def main_identity_residual_at(n, l, r, s, lam, alpha, table: GenBernTable | None
     # sign (-1)^(l+n+r+1), (-1)^(n+k) lam^(l+r-k) becomes -(-lam)^(l+r-k).
     lhs = _block(l, n, r, -lam, lambda idx: t.poly_at(idx, order).shift(lam - s), scale=-1, total=lhs)
     core = _window_core(n, l, r, 1, s, lam).derive(r + 1) * Fraction(1, math.factorial(r))
-    return lhs - numeric_omega(core, order - 1, t)
+    return _difference(lhs, numeric_omega(core, order - 1, t))
 
 
 def replay_proof(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None = None) -> dict[str, Poly]:
@@ -215,9 +235,9 @@ def replay_proof(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None
     delta_route = OmegaOperator(0, t)(p.delta())
     derive_route = OmegaOperator(-1, t)(p.derive())
     return {
-        "operator_link": delta_route - derive_route,
-        "lhs_match": delta_route - main_identity_lhs(n, l, r, s, lam, t),
-        "rhs_match": derive_route - main_identity_rhs(n, l, r, s, lam, t),
+        "operator_link": _difference(delta_route, derive_route),
+        "lhs_match": _difference(delta_route, main_identity_lhs(n, l, r, s, lam, t)),
+        "rhs_match": _difference(derive_route, main_identity_rhs(n, l, r, s, lam, t)),
     }
 
 
@@ -420,7 +440,7 @@ def order_shift_pair_residual(
     core = ((X + (beta - 1)) ** (l + r) * (X + (m - 1 - beta)) ** (n + r)).derive(r + 1) * Fraction(
         1, math.factorial(r)
     )
-    return out - OmegaOperator(-1, t)(core)
+    return _difference(out, OmegaOperator(-1, t)(core))
 
 
 def product_rule_split_residual(n: int, l: int, r: int) -> Poly:

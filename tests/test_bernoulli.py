@@ -21,7 +21,7 @@ from genbern.bernoulli import (
     gen_bernoulli_poly,
     integer_alpha_oracle,
 )
-from genbern.poly import ALPHA, Poly, X, alpha_shifted, alpha_substituted, binomial, poly_a, poly_x
+from genbern.poly import ALPHA, Poly, X, alpha_shifted, alpha_substituted, binomial, lincomb, poly_a, poly_x
 
 # -- independent oracle: exp(order * log f) as truncated series ---------------
 
@@ -368,7 +368,14 @@ def test_derived_poly_readers_see_equal_entries():
             table = GenBernTable()
 
             def read():
-                return [(table.poly_shifted(n, v), table.poly_at(n, v)) for n, v in keys]
+                entries = [(table.poly_shifted(n, v), table.poly_at(n, v)) for n, v in keys]
+                # the kernel flattens the shared entries, each reader racing to
+                # store the same integer views
+                sums = [
+                    lincomb("x", [(F(-1, 3), table.poly(n)), (v + 2, shifted), (1, at)])
+                    for (n, v), (shifted, at) in zip(keys, entries)
+                ]
+                return entries, sums
 
             with ThreadPoolExecutor(max_workers=4) as pool:
                 grower = pool.submit(table.grow, 12)
@@ -376,9 +383,32 @@ def test_derived_poly_readers_see_equal_entries():
                 grower.result(timeout=60)
                 seen = [reader.result(timeout=60) for reader in readers]
             assert all(entries == seen[0] for entries in seen)
-            assert seen[0] == [(table.poly(n).shift(v), alpha_substituted(table.poly(n), v)) for n, v in keys]
+            oracle = [(table.poly(n).shift(v), alpha_substituted(table.poly(n), v)) for n, v in keys]
+            assert seen[0][0] == oracle
+            assert seen[0][1] == [
+                table.poly(n) * F(-1, 3) + shifted * (v + 2) + at for (n, v), (shifted, at) in zip(keys, oracle)
+            ]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_value_and_reflection_memos_equal_recomputed():
+    table = GenBernTable()
+    for n in range(11):
+        for alpha in (F(1), F(1, 2), F(-2, 3), F(3)):
+            for x in (F(0), F(1, 2), F(-3), F(5, 7)):
+                value = table.value_at(n, alpha, x)
+                # Horner on the specialized polynomial, outside the caches
+                assert value == alpha_substituted(table.poly(n), alpha).eval(x)
+                assert table.value_at(n, alpha, x) is value
+        # keys are Fractions, so int arguments find the same entry
+        assert table.value_at(n, 1, 0) is table.value_at(n, F(1), F(0))
+        for c in (F(0), F(1), F(-1, 2), F(2, 3)):
+            reflected = table.poly_reflected(n, c)
+            # B_n^(a)(a + c - x) = (-1)^n B_n^(a)(x - c), by Horner shift
+            assert reflected == table.poly(n).shift(-c) * (-1) ** n
+            assert table.poly_reflected(n, c) is reflected
+        assert table.poly_reflected(n, -1) is table.poly_reflected(n, F(-1))
 
 
 def test_negative_n_rejected():

@@ -140,6 +140,21 @@ def test_rhs_window_additivity():
     assert total == head + tail
 
 
+def test_window_core_matches_product_expansion():
+    # the integer expansion against the Fraction ring products it replaced
+    for n in range(5):
+        for l in range(5):
+            for r in range(5):
+                for s in range(4):
+                    for lam in (F(0), F(1), F(-2), F(1, 2), F(-2, 3)):
+                        expected = Poly("x")
+                        for k in range(1, s + 1):
+                            expected = expected + (X - k) ** (l + r) * (X + (lam - k)) ** (n + r)
+                        got = _window_core(n, l, r, 1, s, lam)
+                        assert got == expected, (n, l, r, s, lam)
+                        assert all(type(c) is F for c in got.coeffs)
+
+
 def test_proof_replay_checks():
     for params in ((0, 0, 0, 0, F(0)), (1, 1, 1, 1, F(2)), (2, 1, 0, 2, F(1, 2)), (0, 2, 1, 3, F(-1))):
         checks = replay_proof(*params)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbern.poly import _VAR_RANK, ALPHA, Poly, X, binomial, poly_a, poly_x
+from genbern.poly import _VAR_RANK, ALPHA, Poly, X, _int_view, binomial, lincomb, poly_a, poly_x
 from genbern.textform import PolyParseError, format_poly, parse_fraction, parse_poly
 
 # -- independent oracles ------------------------------------------------------
@@ -237,6 +237,73 @@ def test_operations_keep_constructor_invariants(p, q, scalar, c, k):
     ]
     for r in results:
         assert_normalized(r)
+
+
+# -- the integer linear-combination kernel -------------------------------------
+
+# Numerators and denominators far beyond a machine word; a negative
+# denominator is normalized by Fraction itself.
+big_fractions = st.builds(
+    F, st.integers(-(10**30), 10**30), st.one_of(st.integers(-(10**30), -1), st.integers(1, 10**30))
+)
+weights = st.one_of(st.integers(-3, 3), fractions, big_fractions)
+big_coeff_lists = st.lists(st.one_of(fractions, big_fractions), max_size=5)
+
+
+def kernel_polys(var):
+    return st.one_of(polys(var), big_coeff_lists.map(lambda cs: Poly(var, cs)))
+
+
+kernel_operands = {
+    "a": kernel_polys("a"),
+    "x": kernel_polys("x"),
+    # Q[a][x], with Fraction and a-polynomial coefficients mixed
+    "ax": st.lists(st.one_of(fractions, big_fractions, kernel_polys("a")), max_size=4).map(lambda cs: Poly("x", cs)),
+}
+
+
+def ring_sum(var, pairs):
+    """Oracle for lincomb: sum c*P through the Fraction ring operators."""
+    out = Poly(var)
+    for c, p in pairs:
+        if c:
+            out = out + p * c
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(kernel_operands))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_lincomb_matches_ring_sum(kind, data):
+    var = "a" if kind == "a" else "x"
+    pairs = data.draw(st.lists(st.tuples(weights, kernel_operands[kind]), max_size=5))
+    cancel = data.draw(st.booleans())
+    if cancel:
+        # every term meets its negative, in a shuffled order
+        pairs = pairs + data.draw(st.permutations([(-c, p) for c, p in pairs]))
+    result = lincomb(var, pairs)
+    assert result == ring_sum(var, pairs)
+    assert result.var == var
+    assert_normalized(result)
+    if cancel:
+        assert result.coeffs == ()
+    # the view a sum keeps is the one its coefficients give
+    assert _int_view(result) == _int_view(Poly(result.var, result.coeffs))
+    # every operand with a nonzero weight now keeps its view; a second call reads it
+    assert all(p._view is not None for c, p in pairs if c)
+    assert lincomb(var, pairs) == result
+
+
+def test_lincomb_examples():
+    p = Poly("x", (F(1, 2), poly_a(1, F(-1, 3))))
+    q = Poly("x", (poly_a(0, 1), F(2, 3), F(5)))
+    assert lincomb("x", [(F(2), p), (F(-1, 5), q)]) == p * 2 - q * F(1, 5)
+    assert lincomb("x", [(1, p), (-1, p)]).coeffs == ()
+    assert lincomb("x", []).coeffs == ()
+    assert lincomb("a", [(F(3, 4), poly_a(F(1, 3), 2))]) == poly_a(F(1, 4), F(3, 2))
+    # a zero weight drops its term, even where it is the only a-polynomial
+    assert lincomb("x", [(0, q), (1, poly_x(1, 2))]).coeffs == (F(1), F(2))
+    assert _int_view(p) == (6, [3, [6, -2]])
 
 
 # -- text grammar -------------------------------------------------------------
