@@ -6,8 +6,11 @@ monic degree-n polynomial in x whose coefficients are polynomials in the
 order parameter ``a``.  The order stays symbolic throughout; classical
 values are the ``a = 1`` specialization.
 
-Both tables are built over Python ints, with one Fraction per exported
-value.  The classical numbers come from the tangent numbers T_k, which
+Both tables are built over Python ints.  The classical numbers are
+Fractions; the generalized numbers and polynomials are :class:`Poly`
+values stored as integer numerators over one denominator, whose Fractions
+are built only when their ``coeffs`` are read (the text form of an
+export).  The classical numbers come from the tangent numbers T_k, which
 the in-place integer recurrence of Brent and Harvey ("Fast computation of
 Bernoulli, tangent and secant numbers", arXiv:1108.0286) produces without
 any division; then B_{2k} = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)).
@@ -27,16 +30,15 @@ binomial recurrence for the classical numbers, repeated truncated series
 multiplication for integer orders) are provided as oracles.
 
 Every derived polynomial is built once per process and memoized: the
-classical B_n(x) per n, and in each :class:`GenBernTable` B_n^(a)(x) per
-n, B_n^(a)(x + c) per (n, c), B_n^(a)(a + c - x) per (n, c) for odd n,
-B_n^(alpha)(x) per (n, alpha), the value B_n^(alpha)(x) per
-(n, alpha, x) and B_n^(a + offset)(x) per (n, offset).  The caches are
-never evicted, so each grows with the distinct keys a process asks for;
-the default sweep asks for 99 (n, c), 44 odd-n reflections, 27
-(n, alpha) and 234 (n, alpha, x).  Each cached polynomial also keeps the
-integer view that :func:`genbern.poly.lincomb` builds on its first use,
-so the umbral map and the catalog's Bernoulli blocks flatten it once per
-process.
+classical B_n(x) per n and its value B_n(x) per (n, x), and in each
+:class:`GenBernTable` B_n^(a)(x) per n, B_n^(a)(x + c) per (n, c),
+B_n^(a)(a + c - x) per (n, c) for odd n, B_n^(alpha)(x) per (n, alpha),
+the value B_n^(alpha)(x) per (n, alpha, x) and B_n^(a + offset)(x) per
+(n, offset).  The caches are never evicted, so each grows with the
+distinct keys a process asks for; the default sweep asks for 99 (n, c),
+44 odd-n reflections, 27 (n, alpha) and 234 (n, alpha, x).  Every entry
+is built on integers: B_n^(a)(x + c) is one :func:`genbern.poly.lincomb`
+call, the order maps are integer Horner passes and Taylor shifts.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ import math
 import threading
 from fractions import Fraction
 
-from .poly import Poly, alpha_shifted, alpha_substituted, binomial, lincomb
+from .poly import Poly, alpha_shifted, alpha_substituted, binomial, from_rows, lincomb, linear_image
 
 _classical_lock = threading.Lock()
 _classical: list[Fraction] = [Fraction(1)]
 _classical_polys: dict[int, Poly] = {}
+_classical_values: dict[tuple[int, Fraction], Fraction] = {}
 
 
 def _bernoulli_from_tangents(n_max: int) -> list[Fraction]:
@@ -112,6 +115,15 @@ def classical_bernoulli_poly(n: int) -> Poly:
     return hit
 
 
+def classical_bernoulli_value(n: int, x) -> Fraction:
+    """B_n(x) at a rational x; memoized per (n, x)."""
+    x = Fraction(x)
+    hit = _classical_values.get((n, x))
+    if hit is None:
+        hit = _classical_values.setdefault((n, x), classical_bernoulli_poly(n).eval(x))
+    return hit
+
+
 class GenBernTable:
     """Grow-on-demand cache of symbolic generalized Bernoulli data.
 
@@ -119,7 +131,8 @@ class GenBernTable:
     polynomial B_n^(a)(x) (monic of degree n in ``x``).  One table serves
     every order because entries are symbolic.  Numbers are grown under a
     lock; each polynomial is built from them on first request, under the
-    same lock, and memoized.
+    same lock, and memoized.  Both are integer numerators over one
+    denominator (``Poly.den``, ``Poly.rows``), built without a Fraction.
 
     The polynomials derived from B_n^(a)(x) are memoized too, each in its
     own dict: :meth:`poly_shifted` by ``(n, Fraction(c))``,
@@ -174,8 +187,10 @@ class GenBernTable:
                 acc = [v // g for v in acc]
                 den //= g
                 coeffs.append((acc, den))
+                # B_n^(a) = n! c_n, with the common factor of n! and den cancelled
                 fact = math.factorial(n)
-                self._numbers.append(Poly("a", [Fraction(v * fact, den) for v in acc]))
+                g = math.gcd(fact, den)
+                self._numbers.append(from_rows("a", den // g, [v * (fact // g) for v in acc]))
 
     def number(self, n: int) -> Poly:
         """B_n^(a) as a polynomial in a."""
@@ -190,8 +205,13 @@ class GenBernTable:
             with self._lock:
                 hit = self._polys.get(n)
                 if hit is None:
-                    numbers = self._numbers
-                    hit = Poly("x", tuple(binomial(n, j) * numbers[n - j] for j in range(n + 1)))
+                    numbers = self._numbers[n::-1]  # B_n^(a) .. B_0^(a)
+                    den = math.lcm(*(b.den for b in numbers))
+                    rows = []
+                    for j, b in enumerate(numbers):
+                        scale = binomial(n, j) * (den // b.den)
+                        rows.append([v * scale for v in b.rows])
+                    hit = from_rows("x", den, rows)
                     self._polys[n] = hit
         return hit
 
@@ -227,10 +247,10 @@ class GenBernTable:
         key = (n, c)
         hit = self._shifted_cache.get(key)
         if hit is None:
-            out = Poly("x")
-            for k in range(n + 1):
-                out = out + self.poly(k) * (binomial(n, k) * c ** (n - k))
-            hit = self._shifted_cache.setdefault(key, out)
+            # sum_k C(n,k) p^(n-k) q^k B_k^(a)(x) / q^n for c = p/q
+            p, q = c.numerator, c.denominator
+            pairs = [(binomial(n, k) * p ** (n - k) * q**k, self.poly(k)) for k in range(n + 1)]
+            hit = self._shifted_cache.setdefault(key, lincomb("x", pairs, q**n))
         return hit
 
     def poly_reflected(self, n: int, c) -> Poly:
@@ -289,9 +309,9 @@ class OmegaOperator:
 
     ``offset`` selects the symbolic order: offset 0 applies the operator
     at order a, offset -1 at order a - 1, and so on.  Coefficients of the
-    input (rational or in QQ[a]) multiply through linearly; rational input
-    is summed over integers by :func:`genbern.poly.lincomb`.  The backing
-    table grows automatically to cover the input degree.
+    input (rational or in QQ[a]) multiply through linearly, in one integer
+    sum (:func:`genbern.poly.linear_image`).  The backing table grows
+    automatically to cover the input degree.
     """
 
     def __init__(self, offset: int = 0, table: GenBernTable | None = None):
@@ -301,14 +321,7 @@ class OmegaOperator:
     def __call__(self, p) -> Poly:
         if not isinstance(p, Poly) or p.var == "a":
             return Poly("x", (p,))
-        if not any(isinstance(c, Poly) for c in p.coeffs):
-            return lincomb("x", [(c, self.table.offset_poly(k, self.offset)) for k, c in enumerate(p.coeffs) if c])
-        out = Poly("x")
-        for k, c in enumerate(p.coeffs):
-            if not c:
-                continue
-            out = out + self.table.offset_poly(k, self.offset) * c
-        return out
+        return linear_image(p, lambda k: self.table.offset_poly(k, self.offset))
 
     def __repr__(self) -> str:
         return f"OmegaOperator(offset={self.offset})"

@@ -4,7 +4,9 @@ Subcommands:
 
 * ``table``          export exact Bernoulli number tables (CSV or JSON);
 * ``eval``           evaluate one catalog case and print the full result
-                     record (residual, readings, timing) as JSON;
+                     record (residual, readings, timing) as JSON; it and
+                     ``verify`` accept only the flags of the fields the
+                     case reads (``harness.CASE_FIELDS``);
 * ``verify``         same evaluation, one human-oriented summary line;
 * ``verify-theorem`` check the main identity at one shift value, or
                      certify it for every shift value at once;
@@ -29,6 +31,7 @@ import traceback
 from fractions import Fraction
 
 from .harness import (
+    CASE_FIELDS,
     SweepConfig,
     UsageError,
     check_input_size,
@@ -94,18 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = add_parser(name, help_text)
         p.add_argument("--case", required=True, choices=CASE_IDS, metavar="ID")
-        p.add_argument("--n", type=int, default=0)
-        p.add_argument("--l", type=int, default=0)
-        p.add_argument("--r", type=int, default=0)
-        p.add_argument("--s", type=int, default=0)
-        p.add_argument("--m", type=int, default=1)
-        p.add_argument("--lambda", dest="lam", type=_rational, default=Fraction(0), metavar="p/q")
-        p.add_argument("--x", type=_rational, default=Fraction(0), metavar="p/q")
-        p.add_argument("--y", type=_rational, default=Fraction(0), metavar="p/q")
-        p.add_argument("--z", type=_rational, default=None, metavar="p/q")
-        p.add_argument("--t", type=_rational, default=Fraction(0), metavar="p/q")
-        p.add_argument("--beta", type=_rational, default=Fraction(0), metavar="p/q")
-        p.add_argument("--alpha", type=_alpha, default=None, metavar="p/q|symbolic")
+        # None marks a flag not given; a given flag must be one the case reads
+        for name in ("n", "l", "r", "s", "m"):
+            p.add_argument(f"--{name}", type=int)
+        p.add_argument("--lambda", dest="lam", type=_rational, metavar="p/q")
+        for name in ("x", "y", "z", "t", "beta"):
+            p.add_argument(f"--{name}", type=_rational, metavar="p/q")
+        p.add_argument("--alpha", type=_alpha, metavar="p/q|symbolic")
 
     p_thm = add_parser("verify-theorem", "verify the main identity")
     p_thm.add_argument("--n", type=int, default=0)
@@ -143,8 +141,18 @@ def _resolve_alpha(case_id: str, raw):
     return raw
 
 
+def _flag(field: str) -> str:
+    return "--lambda" if field == "lam" else f"--{field}"
+
+
 def _build_case(args) -> IdentityCase:
-    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(SumSpec)}
+    reads = CASE_FIELDS[args.case]
+    given = [f.name for f in dataclasses.fields(SumSpec) if getattr(args, f.name) is not None]
+    foreign = [name for name in given if name not in reads]
+    if foreign:
+        own = ", ".join(_flag(f.name) for f in dataclasses.fields(SumSpec) if f.name in reads)
+        raise UsageError(f"case {args.case} does not read {', '.join(map(_flag, foreign))} (it reads {own})")
+    fields = {f.name: getattr(args, f.name) if f.name in given else f.default for f in dataclasses.fields(SumSpec)}
     fields["alpha"] = _resolve_alpha(args.case, args.alpha)
     if args.z is None:
         fields["z"] = derived_z(args.case, fields)

@@ -165,8 +165,9 @@ AXES: dict[str, Axis] = {
     "beta": _fixed("beta", BETA_POINTS),
 }
 
-# The SumSpec fields each case's report shows.
-_CASE_FIELDS = {case_id: {f for name in d.axes for f in AXES[name].fields} for case_id, d in CASE_DEFS.items()}
+# The SumSpec fields each case reads: its report shows these, and the CLI
+# accepts only these flags for it.
+CASE_FIELDS = {case_id: {f for name in d.axes for f in AXES[name].fields} for case_id, d in CASE_DEFS.items()}
 
 
 def _case_grid(case_id: str, cfg: SweepConfig) -> list[SumSpec]:
@@ -211,7 +212,7 @@ _PARAM_KEYS = (
 
 def params_to_dict(case: IdentityCase) -> dict:
     """Stable JSON encoding restricted to the fields of the case's axes."""
-    fields = _CASE_FIELDS[case.id]
+    fields = CASE_FIELDS[case.id]
     out = {}
     for attr, key in _PARAM_KEYS:
         if attr not in fields:

@@ -34,9 +34,9 @@ from .bernoulli import (
     GenBernTable,
     OmegaOperator,
     classical_bernoulli_numbers,
-    classical_bernoulli_poly,
+    classical_bernoulli_value,
 )
-from .poly import ALPHA, Poly, X, binomial, lincomb, poly_a
+from .poly import ALPHA, Poly, X, binomial, from_rows, lincomb, linear_image, poly_a
 
 ZERO = Fraction(0)
 
@@ -83,17 +83,23 @@ def _block(p: int, q: int, r: int, w, term, stop: int | None = None, scale=1, to
     block.  Terms with a zero coefficient are skipped without calling
     ``term``.  Every sign rides in ``scale``, which multiplies the integer
     coefficient, so a signed block costs no extra product; a second block
-    accumulates into the first through ``total``.  A polynomial block with
-    a rational weight is one integer linear combination (``lincomb``).
+    accumulates into the first through ``total``.  A polynomial block is
+    one integer linear combination (``lincomb``): a rational weight w = u/v
+    enters as the integer weights C C u^(p+r-k) v^k over the single
+    denominator v^(p+r).  A rational-valued block sums Fractions.
     """
     top = p + r
+    u, v = w, 1
+    if isinstance(total, Poly) and not isinstance(w, Poly):
+        w = Fraction(w)
+        u, v = w.numerator, w.denominator
     weights = [
         (c, q + k)
         for k in range(top + 1 if stop is None else stop)
-        if (c := scale * binomial(top, k) * binomial(q + k + r, r) * w ** (top - k))
+        if (c := scale * binomial(top, k) * binomial(q + k + r, r) * u ** (top - k) * v**k)
     ]
-    if isinstance(total, Poly) and not isinstance(w, Poly):
-        return lincomb(total.var, [(1, total)] + [(c, term(idx)) for c, idx in weights])
+    if isinstance(total, Poly):
+        return lincomb(total.var, [(v**top, total)] + [(c, term(idx)) for c, idx in weights], v**top)
     for c, idx in weights:
         total = total + term(idx) * c
     return total
@@ -117,7 +123,7 @@ def _double_sum(n: int, l: int, r: int, ks, u, v) -> Fraction:
 
 def _classical_values(arg):
     """idx -> B_idx(arg) over QQ."""
-    return lambda idx: classical_bernoulli_poly(idx).eval(arg)
+    return lambda idx: classical_bernoulli_value(idx, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -161,38 +167,37 @@ def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable |
     )
 
 
-def _window_core(n: int, l: int, r: int, k_from: int, k_to: int, lam) -> Poly:
-    """sum_{k=k_from..k_to} (x-k)^(l+r) (x+lam-k)^(n+r) over QQ[x].
+def _window_core(n: int, l: int, r: int, ks, u, v) -> Poly:
+    """sum_{k in ks} (x+u-k)^(l+r) (x+v-k)^(n+r) over QQ[x], for rational u, v.
 
-    With lam = p/q the second factor is (q*x + p - k*q)^(n+r) / q^(n+r),
-    so both factors expand binomially over the integers, the products are
-    integer convolutions, and the sum is divided by q^(n+r) once.
+    With u = a/b the first factor is (b*x + a - k*b)^(l+r) / b^(l+r), and
+    likewise for v = c/d, so both factors expand binomially over the
+    integers, the products are integer convolutions, and the sum is divided
+    by b^(l+r) d^(n+r) once.
     """
-    lam = Fraction(lam)
-    p, q = lam.numerator, lam.denominator
+    (a, b), (c, d) = [(w.numerator, w.denominator) for w in (Fraction(u), Fraction(v))]
     e1, e2 = l + r, n + r
     acc = [0] * (e1 + e2 + 1)
-    for k in range(k_from, k_to + 1):
-        left = [binomial(e1, i) * (-k) ** (e1 - i) for i in range(e1 + 1)]
-        right = [binomial(e2, j) * q**j * (p - k * q) ** (e2 - j) for j in range(e2 + 1)]
-        for i, u in enumerate(left):
-            if u:
-                for j, v in enumerate(right):
-                    acc[i + j] += u * v
-    den = q**e2
-    return Poly._make("x", [Fraction(v, den) if v else ZERO for v in acc])
+    for k in ks:
+        left = [binomial(e1, i) * b**i * (a - k * b) ** (e1 - i) for i in range(e1 + 1)]
+        right = [binomial(e2, j) * d**j * (c - k * d) ** (e2 - j) for j in range(e2 + 1)]
+        for i, s in enumerate(left):
+            if s:
+                for j, t in enumerate(right):
+                    acc[i + j] += s * t
+    return from_rows("x", b**e1 * d**e2, acc)
 
 
 def telescoping_core(n: int, l: int, r: int, s: int, lam) -> Poly:
     """The proof's auxiliary polynomial P(x): the r-th scaled derivative of
     the windowed product sum."""
-    return _window_core(n, l, r, 1, s, lam).derive(r) * Fraction(1, math.factorial(r))
+    return _window_core(n, l, r, range(1, s + 1), 0, lam).derive(r) * Fraction(1, math.factorial(r))
 
 
 def main_identity_rhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None = None) -> Poly:
     """Right side: the order-lowered umbral image of D^(r+1)/r! of the
     windowed product sum."""
-    core = _window_core(n, l, r, 1, s, lam).derive(r + 1) * Fraction(1, math.factorial(r))
+    core = _window_core(n, l, r, range(1, s + 1), 0, lam).derive(r + 1) * Fraction(1, math.factorial(r))
     return OmegaOperator(-1, table)(core)
 
 
@@ -205,7 +210,7 @@ def numeric_omega(p: Poly, order, table: GenBernTable | None = None) -> Poly:
     (independent of the symbolic operator path)."""
     t = table or DEFAULT_TABLE
     order = Fraction(order)
-    return lincomb("x", [(c, t.poly_at(k, order)) for k, c in enumerate(p.coeffs) if c])
+    return linear_image(p, lambda k: t.poly_at(k, order))
 
 
 def main_identity_residual_at(n, l, r, s, lam, alpha, table: GenBernTable | None = None) -> Poly:
@@ -218,7 +223,7 @@ def main_identity_residual_at(n, l, r, s, lam, alpha, table: GenBernTable | None
     # The reflection sign (-1)^(n+k) goes into the weight: with the global
     # sign (-1)^(l+n+r+1), (-1)^(n+k) lam^(l+r-k) becomes -(-lam)^(l+r-k).
     lhs = _block(l, n, r, -lam, lambda idx: t.poly_at(idx, order).shift(lam - s), scale=-1, total=lhs)
-    core = _window_core(n, l, r, 1, s, lam).derive(r + 1) * Fraction(1, math.factorial(r))
+    core = _window_core(n, l, r, range(1, s + 1), 0, lam).derive(r + 1) * Fraction(1, math.factorial(r))
     return _difference(lhs, numeric_omega(core, order - 1, t))
 
 
@@ -437,9 +442,7 @@ def order_shift_pair_residual(
         out = _block(
             l, n, r, lam, lambda idx: t.poly_reflected(idx, 1 - lam - beta), scale=_sign(l + n + r + 1), total=out
         )
-    core = ((X + (beta - 1)) ** (l + r) * (X + (m - 1 - beta)) ** (n + r)).derive(r + 1) * Fraction(
-        1, math.factorial(r)
-    )
+    core = _window_core(n, l, r, (0,), beta - 1, m - 1 - beta).derive(r + 1) * Fraction(1, math.factorial(r))
     return _difference(out, OmegaOperator(-1, t)(core))
 
 
@@ -563,7 +566,7 @@ def scaled_ratio_sum_residual(n: int, r: int, x0, corrected: bool = True) -> Fra
         raise ValueError("the weighted form divides by (1-x); x = 1 is outside its domain")
 
     def term(idx):
-        return classical_bernoulli_poly(idx).eval(x0) / (Fraction(2) ** (idx - n) * (1 - x0) ** (idx - 1))
+        return classical_bernoulli_value(idx, x0) / (Fraction(2) ** (idx - n) * (1 - x0) ** (idx - 1))
 
     lhs = _block(n, n, r, 1, term)
     c_mid = binomial(n + r, (r + 1) // 2)

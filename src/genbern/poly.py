@@ -1,42 +1,24 @@
 """Dense exact polynomial arithmetic over the two-level ring QQ[a][x].
 
-A :class:`Poly` is a dense list of coefficients in ascending powers of a
-single named variable.  Two variables exist and form a fixed tower:
+A :class:`Poly` is a dense polynomial in ``"a"`` (rational coefficients:
+expressions in the generalized order) or in ``"x"`` (coefficients may also
+be ``"a"`` polynomials).  The convention 0**0 = 1 applies throughout.
 
-* ``"a"`` polynomials have :class:`~fractions.Fraction` coefficients
-  (these hold symbolic expressions in the generalized-order parameter);
-* ``"x"`` polynomials may additionally have ``"a"`` polynomials as
-  coefficients, giving elements of QQ[a][x].
-
-Everything is immutable after construction and normalized (no trailing
-zero coefficients, fractions always in lowest terms with positive
-denominator), so equality is plain structural comparison.  The global
-convention 0**0 = 1 applies to all monomial evaluation.
-
-Validation happens at the public boundary only: ``Poly(...)`` and
-:meth:`Poly.map_coeffs` (which applies a caller's function) check every
-coefficient and coerce ints to Fractions.  The ring operations, ``shift``
-and ``derive`` combine coefficients that are already valid, so they build
-their results with the internal :meth:`Poly._make`, which only trims
-trailing zeros.
-
-Linear combinations with rational weights run on integers.  Every Poly
-has an integer view ``(den, rows)``: the least common denominator and,
-per coefficient, its numerator over ``den`` (an int for a Fraction, a
-list of ints for an ``a``-polynomial).  The view is built on first use
-and published whole with one slot store, so concurrent readers at worst
-build it twice with equal values; the memoized table polynomials are
-therefore flattened once per process.  :func:`lincomb` sums ``c * P``
-over these views with one lcm, integer multiply-adds and one Fraction
-per nonzero output coefficient, the content/denominator layout of
-FLINT's ``fmpq_poly``.  Its result keeps the view it was summed in, so a
-sum fed into the next one is not flattened again.  The kernel serves the
-hot sums of the identity catalog: the Bernoulli blocks of
-``identities._block`` when the running total is a Poly and the weight
-rational, the umbral maps ``OmegaOperator`` (on rational input) and
-``identities.numeric_omega``, and the final ``lhs - rhs`` subtractions
-of the main identity's residuals.  The ring operators themselves still
-run on Fractions.
+Storage is integer, in the content/denominator layout of FLINT's
+``fmpq_poly``: coefficient i is ``rows[i] / den``, a row being an int or,
+for an ``a``-polynomial coefficient, a list of ints in ascending powers
+of a.  It is canonical -- ``den > 0``, no common factor of ``den`` and the
+numerators, no trailing zero in ``rows`` or an a-row -- so equal
+polynomials have equal storage up to an int row ``v`` standing for an
+a-row ``[v]`` (0 for ``[]``), which ``==`` accepts.  Rows are never
+mutated once held, so Polys share them.  Every operation (``+ - * **``,
+``derive``, ``shift`` as an integer Taylor shift after von zur Gathen and
+Gerhard, ISSAC 1997, ``eval`` as integer Horner, :func:`lincomb` and the
+a-coefficient maps) works on rows and ends in one gcd.  Fractions exist
+only at the boundary: ``Poly(var, coeffs)`` validates and flattens them,
+and the read-only ``coeffs`` builds them on first read and publishes the
+tuple with one slot store (concurrent first readers at worst build equal
+tuples twice).
 """
 
 from __future__ import annotations
@@ -67,90 +49,75 @@ def _is_scalar(value) -> bool:
 class Poly:
     """Immutable dense polynomial in one named variable.
 
-    ``coeffs[i]`` is the coefficient of ``var**i``.  Coefficients are
-    Fractions, or Polys in a lower-ranked variable.  Arithmetic against
-    plain ints/Fractions and against lower-ranked Polys coerces them into
-    the constant term / a scalar factor, so QQ[a][x] expressions can be
-    assembled without explicit lifting.
+    ``coeffs[i]`` is the coefficient of ``var**i``: a Fraction, or a Poly
+    in a lower-ranked variable.  Arithmetic against ints, Fractions and
+    lower-ranked Polys coerces them into the constant term or a scalar
+    factor, so QQ[a][x] expressions need no explicit lifting.
     """
 
-    __slots__ = ("var", "coeffs", "_view")
+    __slots__ = ("var", "den", "rows", "_coeffs")
 
     def __init__(self, var: str, coeffs=()):
         if var not in _VAR_RANK:
             raise ValueError(f"unknown variable {var!r}; expected one of {sorted(_VAR_RANK)}")
-        rank = _VAR_RANK[var]
-        fixed = []
-        for c in coeffs:
-            if isinstance(c, int):
-                c = Fraction(c)
-            elif isinstance(c, Poly):
-                if _VAR_RANK[c.var] >= rank:
+        fixed = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+        for c in fixed:
+            if isinstance(c, Poly):
+                if _VAR_RANK[c.var] >= _VAR_RANK[var]:
                     raise ValueError(f"coefficient in {c.var!r} not allowed inside a {var!r} polynomial")
             elif not isinstance(c, Fraction):
                 raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-            fixed.append(c)
         while fixed and not fixed[-1]:
             fixed.pop()
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", tuple(fixed))
-        object.__setattr__(self, "_view", None)
-
-    @staticmethod
-    def _make(var: str, coeffs) -> Poly:
-        """Internal constructor for coefficients that are already valid
-        (Fractions or lower-ranked Polys, never ints): trims trailing
-        zeros and checks nothing."""
-        if coeffs and not coeffs[-1]:
-            end = len(coeffs) - 1
-            while end and not coeffs[end - 1]:
-                end -= 1
-            coeffs = coeffs[:end]
-        p = _new_poly(Poly)
-        _set_var(p, var)
-        _set_coeffs(p, tuple(coeffs))
-        _set_view(p, None)
-        return p
+        # the lcm of reduced denominators leaves no common factor
+        den = math.lcm(*(c.den if isinstance(c, Poly) else c.denominator for c in fixed))
+        rows = [c.numerator * (den // c.denominator) if isinstance(c, Fraction) else [v * den // c.den for v in c.rows]
+                for c in fixed]
+        _poly(var, den, rows, self, tuple(fixed))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions and ``"a"`` Polys, built on first read."""
+        out = self._coeffs
+        if out is None:
+            den = self.den
+            out = tuple(
+                from_rows("a", den, row) if type(row) is list else Fraction(row, den) if row else _ZERO
+                for row in self.rows
+            )
+            _set_coeffs(self, out)
+        return out
 
     # -- basic structure ------------------------------------------------
 
     @property
     def degree(self):
         """Degree of the polynomial; -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+        return len(self.rows) - 1 if self.rows else float("-inf")
 
     def coeff(self, k: int):
         """Coefficient of var**k (0 beyond the stored degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self.rows) else Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.rows)
 
     def constant(self):
         """The coefficient of var**0."""
         return self.coeff(0)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            if other.var == self.var:
-                if len(self.coeffs) != len(other.coeffs):
-                    return False
-                return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-            if _VAR_RANK[other.var] > _VAR_RANK[self.var]:
-                return other == self
-            # lower-ranked poly: only equal to a constant-or-zero poly
-            return len(self.coeffs) <= 1 and self.constant() == other
-        if _is_scalar(other):
-            return len(self.coeffs) <= 1 and self.constant() == other
-        return NotImplemented
+        pair = self._align(other)
+        if pair is None:
+            return NotImplemented
+        (p, q), same = pair, lambda u, v: u == v or _as_list(u) == _as_list(v)
+        return p.den == q.den and len(p.rows) == len(q.rows) and all(map(same, p.rows, q.rows))
 
     __hash__ = None
 
@@ -159,28 +126,25 @@ class Poly:
 
         return f"Poly({self.var!r}, {format_poly(self)!r})"
 
+    def _align(self, other):
+        """(self, other) as Polys in the higher of their variables; None
+        for an operand of another type."""
+        if isinstance(other, Poly):
+            if other.var == self.var:
+                return self, other
+            return (_lift(self), other) if _VAR_RANK[other.var] > _VAR_RANK[self.var] else (self, _lift(other))
+        if _is_scalar(other):
+            return self, _poly(self.var, other.denominator, [other.numerator] if other else [])
+        return None
+
     # -- ring operations -------------------------------------------------
 
     def __neg__(self) -> Poly:
-        return Poly._make(self.var, [-c for c in self.coeffs])
+        return _poly(self.var, self.den, [[-v for v in r] if type(r) is list else -r for r in self.rows])
 
     def __add__(self, other) -> Poly:
-        if isinstance(other, Poly):
-            if other.var == self.var:
-                a, b = self.coeffs, other.coeffs
-                if len(a) < len(b):
-                    a, b = b, a
-                out = list(a)
-                for i, c in enumerate(b):
-                    out[i] = out[i] + c
-                return Poly._make(self.var, out)
-            if _VAR_RANK[other.var] > _VAR_RANK[self.var]:
-                return other + self
-        elif not _is_scalar(other):
-            return NotImplemented
-        out = list(self.coeffs) or [Fraction(0)]
-        out[0] = out[0] + other
-        return Poly._make(self.var, out)
+        pair = self._align(other)
+        return NotImplemented if pair is None else lincomb(pair[0].var, [(1, pair[0]), (1, pair[1])])
 
     __radd__ = __add__
 
@@ -191,24 +155,15 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> Poly:
-        if isinstance(other, Poly):
-            if other.var == self.var:
-                a, b = self.coeffs, other.coeffs
-                if not a or not b:
-                    return Poly._make(self.var, ())
-                out = [Fraction(0)] * (len(a) + len(b) - 1)
-                for i, ca in enumerate(a):
-                    if not ca:
-                        continue
-                    for j, cb in enumerate(b):
-                        if cb:
-                            out[i + j] = out[i + j] + ca * cb
-                return Poly._make(self.var, out)
-            if _VAR_RANK[other.var] > _VAR_RANK[self.var]:
-                return other * self
-        elif not _is_scalar(other):
+        if _is_scalar(other):
+            p = other.numerator
+            rows = [[v * p for v in r] if type(r) is list else r * p for r in self.rows] if p else []
+            return from_rows(self.var, self.den * other.denominator, rows)
+        pair = self._align(other)
+        if pair is None:
             return NotImplemented
-        return Poly._make(self.var, [c * other for c in self.coeffs])
+        a, b = pair
+        return from_rows(a.var, a.den * b.den, _mul_rows(a.rows, b.rows))
 
     __rmul__ = __mul__
 
@@ -216,9 +171,7 @@ class Poly:
         """Binary exponentiation; p**0 is 1 for every p, including 0."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        result = Poly._make(self.var, (Fraction(1),))
-        base = self
-        e = exponent
+        result, base, e = _poly(self.var, 1, [1]), self, exponent
         while e:
             if e & 1:
                 result = result * base
@@ -235,103 +188,162 @@ class Poly:
             raise ValueError(f"derivative order must be >= 0, got {order}")
         if order == 0:
             return self
-        if len(self.coeffs) <= order:
-            return Poly._make(self.var, ())
-        out = [self.coeffs[i] * math.perm(i, order) for i in range(order, len(self.coeffs))]
-        return Poly._make(self.var, out)
+        scaled = [(math.perm(i, order), r) for i, r in enumerate(self.rows) if i >= order]
+        return from_rows(self.var, self.den, [[v * f for v in r] if type(r) is list else r * f for f, r in scaled])
 
     def shift(self, offset) -> Poly:
-        """p evaluated at (var + offset), expanded exactly.
-
-        ``offset`` is a scalar; the expansion runs Horner-style so
-        coefficients stay in the original domain.
-        """
-        if isinstance(offset, int):
-            offset = Fraction(offset)
-        if not isinstance(offset, Fraction):
+        """p evaluated at (var + offset), for a rational offset p/q: an
+        integer Taylor shift by p of each column of numerators, over
+        den * q^deg."""
+        if not _is_scalar(offset):
             raise TypeError("shift offset must be rational")
-        if not offset or not self.coeffs:
+        if not offset or not self.rows:
             return self
-        acc: list = []
-        for c in reversed(self.coeffs):
-            nxt = [Fraction(0)] * (len(acc) + 1)
-            for i, v in enumerate(acc):
-                nxt[i + 1] = nxt[i + 1] + v
-                nxt[i] = nxt[i] + v * offset
-            nxt[0] = nxt[0] + c
-            acc = nxt
-        return Poly._make(self.var, acc)
+        p, q = offset.numerator, offset.denominator
+        rows = self.rows
+        if any(type(r) is list for r in rows):
+            rows = [list(r) for r in zip(*(_taylor(col, p, q) for col in zip(*_grid(rows))))]
+        else:
+            rows = _taylor(rows, p, q)
+        return from_rows(self.var, self.den * q ** (len(self.rows) - 1), rows)
 
     def delta(self) -> Poly:
         """Forward difference p(var + 1) - p(var)."""
-        return self.shift(1) - self
+        return lincomb(self.var, [(1, self.shift(1)), (-1, self)])
 
     # -- evaluation and coefficient maps -----------------------------------
 
     def eval(self, value):
-        """Horner evaluation at ``value`` (scalar or lower/equal-rank Poly)."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        """Evaluation at ``value`` (scalar or lower/equal-rank Poly); at a
+        scalar p/q, one integer Horner pass per column, over den * q^deg."""
+        if not _is_scalar(value):
+            acc = Fraction(0)
+            for c in reversed(self.coeffs):
+                acc = acc * value + c
+            return acc
+        rows = self.rows
+        if not rows:
+            return Fraction(0)
+        p, q = value.numerator, value.denominator
+        den = self.den * q ** (len(rows) - 1)
+        if any(type(r) is list for r in rows):
+            return from_rows("a", den, [_horner(col, p, q) for col in zip(*_grid(rows))])
+        return Fraction(_horner(rows, p, q), den)
 
-    def map_coeffs(self, fn) -> Poly:
-        """New polynomial with ``fn`` applied to every coefficient."""
-        return Poly(self.var, tuple(fn(c) for c in self.coeffs))
+
+# Slot setters for the internal constructor, which skips __init__ and __setattr__.
+_set_var, _set_den, _set_rows, _set_coeffs = (s.__set__ for s in (Poly.var, Poly.den, Poly.rows, Poly._coeffs))
 
 
-# Slot setters for Poly._make, which skips __init__ and __setattr__.
-_new_poly = object.__new__
-_set_var = Poly.var.__set__
-_set_coeffs = Poly.coeffs.__set__
-_set_view = Poly._view.__set__
+def _poly(var: str, den: int, rows: list, p: Poly | None = None, coeffs=None) -> Poly:
+    """Poly over storage that is already canonical, checking nothing; a
+    given ``p`` is filled in instead of a new instance."""
+    p = object.__new__(Poly) if p is None else p
+    _set_var(p, var)
+    _set_den(p, den)
+    _set_rows(p, rows)
+    _set_coeffs(p, coeffs)
+    return p
 
 
-def _int_view(p: Poly) -> tuple[int, list]:
-    """``(den, rows)`` of ``p``, built on first use and then kept on ``p``.
+def from_rows(var: str, den: int, rows: list) -> Poly:
+    """The Poly with coefficients ``rows[i] / den`` (den > 0; rows as in
+    the module docstring), made canonical: trailing zeros are trimmed and
+    the common factor divided out.  The lists passed in become its own."""
+    if var == "x":
+        for row in rows:
+            while type(row) is list and row and not row[-1]:
+                row.pop()
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows:
+        return _poly(var, 1, rows)
+    g = den
+    for row in rows:
+        g = math.gcd(g, *row) if type(row) is list else math.gcd(g, row)
+        if g == 1:
+            return _poly(var, den, rows)
+    return _poly(var, den // g, [[v // g for v in row] if type(row) is list else row // g for row in rows])
 
-    ``den`` is the least common denominator and ``rows[i]`` is
-    ``coeffs[i] * den``: an int for a Fraction, a list of ints for an
-    ``a``-polynomial.  The view is stored with one slot write once
-    complete and never mutated.  Its rows are lists, not tuples: CPython
-    keeps up to 2000 freed tuples of each small size for reuse, and
-    tuple rows on transient sums raised the peak RSS of the benchmark's
-    symbolic sweep by about 0.7 MB.
+
+def _lift(p: Poly) -> Poly:
+    """An ``a``-polynomial as a constant x-polynomial."""
+    return _poly("x", p.den, [p.rows] if p.rows else [])
+
+
+def _as_list(row) -> list:
+    return row if type(row) is list else [row] if row else []
+
+
+def _grid(rows: list) -> list[list[int]]:
+    """Rows of an x-polynomial as new int lists of one width (at least 1);
+    ``zip(*_grid(rows))`` gives one column per power of a."""
+    rows = [_as_list(r) for r in rows]
+    width = max([1, *map(len, rows)])
+    return [r + [0] * (width - len(r)) for r in rows]
+
+
+def _add_product(acc: list, u: list, v: list) -> list:
+    """acc += u * v for lists of ints, extending acc as needed."""
+    acc.extend([0] * (len(u) + len(v) - 1 - len(acc)))
+    for i, s in enumerate(u):
+        if s:
+            for j, t in enumerate(v):
+                acc[i + j] += s * t
+    return acc
+
+
+def _mul_rows(r1: list, r2: list) -> list:
+    """Rows of the product of two polynomials, before reduction."""
+    if not any(type(r) is list for r in r1 + r2):
+        return _add_product([], r1, r2)
+    out: list = [[] for _ in range(len(r1) + len(r2) - 1)]
+    g2 = _grid(r2)
+    for i, u in enumerate(_grid(r1)):
+        for j, v in enumerate(g2):
+            _add_product(out[i + j], u, v)
+    return out
+
+
+def _taylor(c, p: int, q: int) -> list:
+    """Numerators over q^d (d = len(c) - 1) of the polynomial with integer
+    coefficients c at var + p/q: scale by q^(d-k), shift by the integer p,
+    rescale by q^k."""
+    d = len(c) - 1
+    a = list(c) if q == 1 else [v * q ** (d - k) for k, v in enumerate(c)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += p * a[j + 1]
+    return a if q == 1 else [v * q**k for k, v in enumerate(a)]
+
+
+def _horner(c, p: int, q: int) -> int:
+    """sum c_k p^k q^(d-k): the numerator over q^d of c at p/q."""
+    acc, qk = 0, 1
+    for v in reversed(c):
+        acc = acc * p + v * qk
+        qk *= q
+    return acc
+
+
+def lincomb(var: str, pairs, den: int = 1) -> Poly:
+    """(sum of c * P over ``pairs``) / ``den``, for Polys P in ``var``.
+
+    A weight c is an int, a Fraction, or an ``a``-polynomial (which
+    multiplies its P first).  The work is integer: one lcm of the
+    denominators, multiply-adds over the rows and one gcd.
     """
-    view = p._view
-    if view is None:
-        coeffs = p.coeffs
-        den = math.lcm(
-            *(math.lcm(*(f.denominator for f in c.coeffs)) if isinstance(c, Poly) else c.denominator for c in coeffs)
-        )
-        rows = [
-            [f.numerator * (den // f.denominator) for f in c.coeffs]
-            if isinstance(c, Poly)
-            else c.numerator * (den // c.denominator)
-            for c in coeffs
-        ]
-        view = (den, rows)
-        _set_view(p, view)
-    return view
-
-
-def lincomb(var: str, pairs) -> Poly:
-    """sum of c * P over ``pairs`` of a rational c and a Poly P in ``var``.
-
-    Equal to the sum built with ``*`` and ``+``; a coefficient is an
-    ``a``-polynomial wherever some P has one.  The work is integer: one
-    lcm of the denominators, integer multiply-adds over the integer views,
-    one gcd to reduce the sum, and one Fraction per nonzero output
-    coefficient.  The result carries its integer view, so a sum fed into
-    another sum is not flattened again.  A zero sum builds no Fraction.
-    """
-    terms = [(c, _int_view(p)) for c, p in pairs if c]
-    den = math.lcm(*(c.denominator * d for c, (d, _) in terms))
+    terms = []
+    for c, p in pairs:
+        if isinstance(c, Poly):
+            c, p = 1, p * c
+        if c and p.rows:
+            terms.append((c.numerator, c.denominator * p.den, p.rows))
+    lcm = math.lcm(*(d for _, d, _ in terms))
     acc: list = []  # per coefficient: an int, or a list of ints for an a-polynomial
-    for c, (d, rows) in terms:
-        scale = c.numerator * (den // (c.denominator * d))
-        if len(acc) < len(rows):
-            acc.extend([0] * (len(rows) - len(acc)))
+    for num, d, rows in terms:
+        scale = num * (lcm // d)
+        acc.extend([0] * (len(rows) - len(acc)))
         for i, row in enumerate(rows):
             if type(row) is int:
                 if row:
@@ -343,32 +355,17 @@ def lincomb(var: str, pairs) -> Poly:
             a = acc[i]
             if type(a) is int:
                 a = acc[i] = [a]
-            if len(a) < len(row):
-                a.extend([0] * (len(row) - len(a)))
+            a.extend([0] * (len(row) - len(a)))
             for j, v in enumerate(row):
                 a[j] += scale * v
-    while acc and not (any(acc[-1]) if type(acc[-1]) is list else acc[-1]):
-        acc.pop()
-    if not acc:
-        return Poly._make(var, ())
-    g = den
-    for a in acc:
-        g = math.gcd(g, *a) if type(a) is list else math.gcd(g, a)
-    den //= g
-    coeffs, rows = [], []
-    for a in acc:
-        if type(a) is list:
-            while a and not a[-1]:
-                a.pop()
-            row = [v // g for v in a] if g > 1 else a
-            coeffs.append(Poly._make("a", [Fraction(v, den) if v else _ZERO for v in row]))
-        else:
-            row = a // g
-            coeffs.append(Fraction(row, den) if row else _ZERO)
-        rows.append(row)
-    out = Poly._make(var, coeffs)
-    _set_view(out, (den, rows))
-    return out
+    return from_rows(var, lcm * den, acc)
+
+
+def linear_image(p: Poly, image) -> Poly:
+    """sum_k p_k * image(k) over integers: the linear map sending var**k
+    to the x-polynomial ``image(k)``."""
+    pairs = [(_poly("a", 1, r) if type(r) is list else r, image(k)) for k, r in enumerate(p.rows) if r]
+    return lincomb("x", pairs, p.den)
 
 
 def poly_x(*coeffs) -> Poly:
@@ -392,19 +389,20 @@ X = poly_x(0, 1)
 ALPHA = poly_a(0, 1)
 
 
+def _map_a_rows(p: Poly, fn, value) -> Poly:
+    """fn(row, num, den) of the rational ``value`` on each a-row of p,
+    padded to one width w, over p.den * den^(w-1)."""
+    grid = _grid(p.rows) or [[0]]
+    num, den = value.numerator, value.denominator
+    return from_rows("x", p.den * den ** (len(grid[0]) - 1), [fn(r, num, den) for r in grid])
+
+
 def alpha_substituted(p: Poly, value) -> Poly | Fraction:
-    """Evaluate every ``a``-coefficient of an x-polynomial at ``value``.
-
-    For an x-polynomial over QQ[a] this returns the specialized
-    x-polynomial over QQ; for an a-polynomial it returns its value.
-    """
-    if p.var == "a":
-        return p.eval(value)
-    return p.map_coeffs(lambda c: c.eval(value) if isinstance(c, Poly) else c)
+    """Every ``a``-coefficient of an x-polynomial evaluated at the rational
+    ``value``: an x-polynomial over QQ (an a-polynomial gives its value)."""
+    return p.eval(value) if p.var == "a" else _map_a_rows(p, _horner, value)
 
 
-def alpha_shifted(p: Poly, offset: int) -> Poly:
-    """Substitute a -> a + offset in every coefficient of an x-polynomial."""
-    if p.var == "a":
-        return p.shift(offset)
-    return p.map_coeffs(lambda c: c.shift(offset) if isinstance(c, Poly) else c)
+def alpha_shifted(p: Poly, offset) -> Poly:
+    """Substitute a -> a + offset (rational) in every coefficient."""
+    return p.shift(offset) if p.var == "a" else _map_a_rows(p, _taylor, offset)

@@ -15,6 +15,7 @@ from genbern.bernoulli import (
     bernoulli_numbers_binomial_solve,
     classical_bernoulli_numbers,
     classical_bernoulli_poly,
+    classical_bernoulli_value,
     gen_bern_poly_reflected,
     gen_bern_poly_shifted,
     gen_bernoulli_numbers_symbolic,
@@ -83,6 +84,21 @@ def test_classical_table_grown_from_cold_in_steps(monkeypatch):
     monkeypatch.setattr(bernoulli, "_classical", [F(1)])
     for n_max in (0, 1, 2, 3, 5, 17, 40, 120, 7):
         assert classical_bernoulli_numbers(n_max) == oracle[: n_max + 1]
+
+
+def test_classical_value_memo(monkeypatch):
+    monkeypatch.setattr(bernoulli, "_classical_values", {})
+    nums = bernoulli_numbers_binomial_solve(12)
+    for n in range(13):
+        for x in (F(0), F(1, 3), F(-2), 5):
+            # B_n(x) = sum_j C(n,j) B_(n-j) x^j by a Fraction Horner pass
+            horner = F(0)
+            for j in range(n, -1, -1):
+                horner = horner * x + binomial(n, j) * nums[n - j]
+            value = classical_bernoulli_value(n, x)
+            assert value == horner and type(value) is F
+            assert classical_bernoulli_value(n, F(x)) is value
+    assert len(bernoulli._classical_values) == 13 * 4
 
 
 def test_binomial_recursion_identity():

@@ -7,7 +7,7 @@ import pytest
 
 from genbern import harness
 from genbern.cli import main
-from genbern.identities import paired_sum, symbolic_weight_pair_residual
+from genbern.identities import CASE_DEFS, paired_sum, symbolic_weight_pair_residual
 
 
 def run_cli(capsys, *argv):
@@ -190,11 +190,14 @@ def eval_record(capsys, *argv):
     return code, json.loads(out)
 
 
-def test_eval_s4_derives_z_from_s_even_with_alpha(capsys):
-    code, record = eval_record(capsys, "--case", "s4", "--s", "2", "--x", "1/3", "--y", "-1", "--alpha", "2")
+def test_eval_s4_derives_z_from_s(capsys):
+    code, record = eval_record(capsys, "--case", "s4", "--s", "2", "--x", "1/3", "--y", "-1")
     assert code == 0
     assert record["params"]["z"] == "11/3"
     assert record["status"] == "verified"
+    # s4 has order one; an order flag is a usage error, not ignored
+    code, out, err = run_cli(capsys, "eval", "--case", "s4", "--s", "2", "--x", "1/3", "--y", "-1", "--alpha", "2")
+    assert (code, out) == (2, "") and "does not read --alpha" in err
 
 
 @pytest.mark.parametrize("case", ["s1", "cor3a"])
@@ -223,10 +226,10 @@ def test_eval_rational_order_case_defaults_to_order_one(capsys):
 def test_index_bounds(capsys):
     limit = harness.TABLE_LIMITS["generalized"]
     size_error = f"error: table size 2*(n+l+r)+s+6 must be <= {limit}, got {limit + 1}\n"
-    # p1 reads only n, so s can reach the limit at no cost
-    code, out, _ = run_cli(capsys, "verify", "--case", "p1", "--s", str(limit - 6))
-    assert code == 0 and out.startswith("p1: verified")
-    code, out, err = run_cli(capsys, "verify", "--case", "p1", "--s", str(limit - 5))
+    # rem1 sums over k < m = 1, nothing, so s can reach the limit at no cost
+    code, out, _ = run_cli(capsys, "verify", "--case", "rem1", "--s", str(limit - 6))
+    assert code == 0 and out.startswith("rem1: verified")
+    code, out, err = run_cli(capsys, "verify", "--case", "rem1", "--s", str(limit - 5))
     assert (code, out, err) == (2, "", size_error)
     code, out, err = run_cli(capsys, "verify-theorem", "--s", str(limit - 5), "--certify-lambda")
     assert (code, out, err) == (2, "", size_error)
@@ -247,3 +250,24 @@ def test_m_bound(capsys):
     assert code == 0
     code, out, err = run_cli(capsys, "suite", "--cases", "p1", "--max-m", str(limit + 1))
     assert (code, out, err) == (2, "", f"error: m must be <= {limit}, got {limit + 1}\n")
+
+
+# A value for each eval/verify flag, keyed by the SumSpec field it sets.
+FLAG_VALUES = {
+    "n": ("--n", "1"), "l": ("--l", "1"), "r": ("--r", "1"), "s": ("--s", "1"), "m": ("--m", "2"),
+    "lam": ("--lambda", "1/2"), "x": ("--x", "1/3"), "y": ("--y", "1/2"), "z": ("--z", "1/6"),
+    "t": ("--t", "1/2"), "beta": ("--beta", "1/2"), "alpha": ("--alpha", "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASE_DEFS))
+def test_case_flags_are_strict(capsys, case):
+    reads = harness.CASE_FIELDS[case]
+    own = [arg for field in sorted(reads) for arg in FLAG_VALUES[field]]
+    code, out, err = run_cli(capsys, "verify", "--case", case, *own)
+    assert code == 0, (case, out, err)
+    foreign = sorted(set(FLAG_VALUES) - reads)[0]
+    flag, value = FLAG_VALUES[foreign]
+    code, out, err = run_cli(capsys, "eval", "--case", case, *own, flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: case {case} does not read {flag} (it reads ") and err.count("\n") == 1

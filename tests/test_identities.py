@@ -135,13 +135,13 @@ def test_rhs_window_additivity():
     s1, s2 = 2, 3
     total = main_identity_rhs(n, l, r, s1 + s2, lam)
     head = main_identity_rhs(n, l, r, s1, lam)
-    tail_core = _window_core(n, l, r, s1 + 1, s1 + s2, lam).derive(r + 1)
+    tail_core = _window_core(n, l, r, range(s1 + 1, s1 + s2 + 1), 0, lam).derive(r + 1)
     tail = OmegaOperator(-1)(tail_core)  # r! = 1 here
     assert total == head + tail
 
 
 def test_window_core_matches_product_expansion():
-    # the integer expansion against the Fraction ring products it replaced
+    # the integer expansion against the ring products it replaced
     for n in range(5):
         for l in range(5):
             for r in range(5):
@@ -150,8 +150,15 @@ def test_window_core_matches_product_expansion():
                         expected = Poly("x")
                         for k in range(1, s + 1):
                             expected = expected + (X - k) ** (l + r) * (X + (lam - k)) ** (n + r)
-                        got = _window_core(n, l, r, 1, s, lam)
+                        got = _window_core(n, l, r, range(1, s + 1), 0, lam)
                         assert got == expected, (n, l, r, s, lam)
+                        assert all(type(c) is F for c in got.coeffs)
+                # the order-shift core: two rational offsets, one term
+                for m in (1, 2, 3):
+                    for beta in (F(0), F(1), F(1, 2), F(-2, 3), F(3)):
+                        expected = (X + (beta - 1)) ** (l + r) * (X + (m - 1 - beta)) ** (n + r)
+                        got = _window_core(n, l, r, (0,), beta - 1, m - 1 - beta)
+                        assert got == expected, (n, l, r, m, beta)
                         assert all(type(c) is F for c in got.coeffs)
 
 

@@ -1,12 +1,27 @@
 """Exact polynomial ring: operations, operators, and the text grammar."""
 
+import math
+import operator
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbern.poly import _VAR_RANK, ALPHA, Poly, X, _int_view, binomial, lincomb, poly_a, poly_x
+from genbern.poly import (
+    _VAR_RANK,
+    ALPHA,
+    Poly,
+    X,
+    alpha_shifted,
+    alpha_substituted,
+    binomial,
+    lincomb,
+    poly_a,
+    poly_x,
+)
 from genbern.textform import PolyParseError, format_poly, parse_fraction, parse_poly
 
 # -- independent oracles ------------------------------------------------------
@@ -239,6 +254,206 @@ def test_operations_keep_constructor_invariants(p, q, scalar, c, k):
         assert_normalized(r)
 
 
+# -- the Fraction reference ring -------------------------------------------------
+#
+# The slow oracle for every Poly operation: dense lists of Fractions, with
+# no integer storage.  At level "a" a polynomial is a list of Fractions; at
+# level "x" it is a list of such lists (a rational coefficient c is [c]).
+# Every value is compared in trimmed form, so no result depends on how a
+# Poly stores its rows.
+
+
+def _trim(values, zero):
+    values = list(values)
+    while values and values[-1] == zero:
+        values.pop()
+    return values
+
+
+def lift(level, value):
+    """Trimmed reference form of a scalar, Poly or reference list at ``level``."""
+    if level == "a":
+        if isinstance(value, Poly):
+            assert value.var == "a"
+            return _trim(value.coeffs, 0)
+        return _trim([F(value)], 0)
+    if isinstance(value, Poly) and value.var == "x":
+        return _trim([lift("a", c) for c in value.coeffs], [])
+    return _trim([lift("a", value)], [])
+
+
+def _add_lists(u, v, add, zero):
+    return [add(u[i] if i < len(u) else zero, v[i] if i < len(v) else zero) for i in range(max(len(u), len(v)))]
+
+
+def _mul_lists(u, v, add, mul, zero):
+    out = [zero] * max(len(u) + len(v) - 1, 0)
+    for i, s in enumerate(u):
+        for j, t in enumerate(v):
+            out[i + j] = add(out[i + j], mul(s, t))
+    return out
+
+
+def _a_add(u, v):
+    return _trim(_add_lists(u, v, operator.add, F(0)), 0)
+
+
+def _a_mul(u, v):
+    return _trim(_mul_lists(u, v, operator.add, operator.mul, F(0)), 0)
+
+
+def ref_add(level, u, v):
+    if level == "a":
+        return _a_add(u, v)
+    return _trim(_add_lists(u, v, _a_add, []), [])
+
+
+def ref_mul(level, u, v):
+    if level == "a":
+        return _a_mul(u, v)
+    return _trim(_mul_lists(u, v, _a_add, _a_mul, []), [])
+
+
+def ref_shift(level, u, c):
+    """u(var + c) by Horner over the reference ring."""
+    base = [F(c), F(1)] if level == "a" else [[F(c)], [F(1)]]
+    acc = []
+    for coeff in reversed(u):
+        acc = ref_add(level, ref_mul(level, acc, base), [coeff])
+    return acc
+
+
+def ref_pow(level, u, k):
+    out = lift(level, 1)
+    for _ in range(k):
+        out = ref_mul(level, out, u)
+    return out
+
+
+def ref_derive(level, u, k):
+    if level == "a":
+        return _trim([c * math.perm(i, k) for i, c in enumerate(u)][k:], 0)
+    return _trim([_a_mul([F(math.perm(i, k))], c) for i, c in enumerate(u)][k:], [])
+
+
+def ref_eval_a(u, value):
+    acc = F(0)
+    for c in reversed(u):
+        acc = acc * value + c
+    return acc
+
+
+def ref_eval(level, u, value):
+    """u at var = value: a Fraction at level "a", an a-level list at level "x"."""
+    if level == "a":
+        return ref_eval_a(u, value)
+    acc = []
+    for c in reversed(u):
+        acc = _a_add(_a_mul(acc, [F(value)]), c)
+    return acc
+
+
+def storage(p):
+    return p.den, p.rows
+
+
+levels = {"a": polys("a"), "x": polys("x"), "ax": bipolys}
+offsets = st.one_of(st.integers(-3, 3), fractions, st.builds(
+    F, st.integers(-(10**30), 10**30), st.one_of(st.integers(-(10**30), -1), st.integers(1, 10**30))
+))
+
+
+def as_list_kinds(p):
+    """The same x-polynomial with every coefficient an a-polynomial."""
+    return Poly("x", [c if isinstance(c, Poly) else Poly("a", (c,)) for c in p.coeffs])
+
+
+@pytest.mark.parametrize("kind", sorted(levels))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_operations_match_fraction_reference(kind, data):
+    p = data.draw(levels[kind])
+    q = data.draw(st.one_of(polys("a"), polys("x"), bipolys))
+    scalar = data.draw(scalars)
+    c, value = data.draw(offsets), data.draw(offsets)
+    k = data.draw(st.integers(0, 3))
+    level = "x" if "x" in (p.var, q.var) else "a"
+    lp, lq, minus = lift(level, p), lift(level, q), lift(level, -1)
+    own, ls, own_minus = lift(p.var, p), lift(p.var, scalar), lift(p.var, -1)
+    cases = [
+        (p + q, level, ref_add(level, lp, lq)),
+        (p - q, level, ref_add(level, lp, ref_mul(level, minus, lq))),
+        (p * q, level, ref_mul(level, lp, lq)),
+        (q * p, level, ref_mul(level, lq, lp)),
+        (p + scalar, p.var, ref_add(p.var, own, ls)),
+        (scalar - p, p.var, ref_add(p.var, ls, ref_mul(p.var, own_minus, own))),
+        (p * scalar, p.var, ref_mul(p.var, own, ls)),
+        (p**k, p.var, ref_pow(p.var, own, k)),
+        (p.shift(c), p.var, ref_shift(p.var, own, F(c))),
+        (p.derive(k), p.var, ref_derive(p.var, own, k)),
+        (p.delta(), p.var, ref_add(p.var, ref_shift(p.var, own, F(1)), ref_mul(p.var, own_minus, own))),
+    ]
+    for got, lv, expected in cases:
+        assert lift(lv, got) == expected
+        assert_normalized(got)
+    got = p.eval(value)
+    expected = ref_eval(p.var, own, F(value))
+    assert lift("a", got) == (expected if p.var == "x" else lift("a", expected))
+    if p.var == "x":
+        substituted = alpha_substituted(p, F(value))
+        assert lift("x", substituted) == _trim([_trim([ref_eval_a(a, F(value))], 0) for a in own], [])
+        assert_normalized(substituted)
+        shifted = alpha_shifted(p, c)
+        assert lift("x", shifted) == _trim([ref_shift("a", a, F(c)) for a in own], [])
+        assert_normalized(shifted)
+    # equal polynomials compare equal whatever their row kinds
+    for r in (p + q, p.shift(c), p * scalar):
+        if r.var == "x":
+            same = as_list_kinds(r)
+            assert same == r and r == same and not (same != r)
+        assert r == Poly(r.var, r.coeffs)
+
+
+def test_equality_across_row_kinds():
+    assert Poly("x", (F(3),)) == Poly("x", (poly_a(3),)) == F(3) == poly_a(3)
+    assert Poly("x", (0, poly_a(1, 2))) == Poly("x", (poly_a(), poly_a(1, 2)))
+    assert Poly("x", (F(1, 2), 1)) != Poly("x", (poly_a(F(1, 2), 1), 1))
+    assert storage(Poly("x", (poly_a(F(1, 6), F(2, 3)), F(1, 4)))) == (12, [[2, 8], 3])
+
+
+def test_coeffs_publication_race():
+    """Four threads read one shared Poly whose coefficients nobody has read
+    yet; every reader sees the same complete tuple."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(30):
+            shared = (X * F(1, 3) + ALPHA * F(trial + 1, 7) - F(1, 5)) ** 9
+            expected = Poly("x", shared.coeffs).coeffs  # from a separate instance's read
+            shared = (X * F(1, 3) + ALPHA * F(trial + 1, 7) - F(1, 5)) ** 9
+            assert shared._coeffs is None
+            barrier = threading.Barrier(4)
+            seen = []
+
+            def reader():
+                barrier.wait(timeout=30)
+                seen.append((shared.coeffs, shared.is_zero(), shared == shared * 1))
+
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert len(seen) == 4
+            for coeffs, zero, equal in seen:
+                assert type(coeffs) is tuple and coeffs == expected
+                assert not zero and equal
+            assert shared.coeffs is shared.coeffs
+    finally:
+        sys.setswitchinterval(old)
+
+
 # -- the integer linear-combination kernel -------------------------------------
 
 # Numerators and denominators far beyond a machine word; a negative
@@ -263,11 +478,10 @@ kernel_operands = {
 
 
 def ring_sum(var, pairs):
-    """Oracle for lincomb: sum c*P through the Fraction ring operators."""
-    out = Poly(var)
+    """Oracle for lincomb: sum c*P through the Fraction reference ring."""
+    out = []
     for c, p in pairs:
-        if c:
-            out = out + p * c
+        out = ref_add(var, out, ref_mul(var, lift(var, c), lift(var, p)))
     return out
 
 
@@ -282,15 +496,13 @@ def test_lincomb_matches_ring_sum(kind, data):
         # every term meets its negative, in a shuffled order
         pairs = pairs + data.draw(st.permutations([(-c, p) for c, p in pairs]))
     result = lincomb(var, pairs)
-    assert result == ring_sum(var, pairs)
+    assert lift(var, result) == ring_sum(var, pairs)
     assert result.var == var
     assert_normalized(result)
     if cancel:
         assert result.coeffs == ()
-    # the view a sum keeps is the one its coefficients give
-    assert _int_view(result) == _int_view(Poly(result.var, result.coeffs))
-    # every operand with a nonzero weight now keeps its view; a second call reads it
-    assert all(p._view is not None for c, p in pairs if c)
+    # the storage a sum holds is the canonical one its coefficients give
+    assert storage(result) == storage(Poly(result.var, result.coeffs))
     assert lincomb(var, pairs) == result
 
 
@@ -303,7 +515,9 @@ def test_lincomb_examples():
     assert lincomb("a", [(F(3, 4), poly_a(F(1, 3), 2))]) == poly_a(F(1, 4), F(3, 2))
     # a zero weight drops its term, even where it is the only a-polynomial
     assert lincomb("x", [(0, q), (1, poly_x(1, 2))]).coeffs == (F(1), F(2))
-    assert _int_view(p) == (6, [3, [6, -2]])
+    assert storage(p) == (6, [3, [6, -2]])
+    # an a-polynomial weight multiplies its polynomial first; den divides the sum
+    assert lincomb("x", [(ALPHA, p), (F(1, 2), q)], 3) == (p * ALPHA + q * F(1, 2)) * F(1, 3)
 
 
 # -- text grammar -------------------------------------------------------------
