@@ -34,11 +34,12 @@ classical B_n(x) per n and its value B_n(x) per (n, x), and in each
 :class:`GenBernTable` B_n^(a)(x) per n, B_n^(a)(x + c) per (n, c),
 B_n^(a)(a + c - x) per (n, c) for odd n, B_n^(alpha)(x) per (n, alpha),
 the value B_n^(alpha)(x) per (n, alpha, x) and B_n^(a + offset)(x) per
-(n, offset).  The caches are never evicted, so each grows with the
-distinct keys a process asks for; the default sweep asks for 99 (n, c),
-44 odd-n reflections, 27 (n, alpha) and 234 (n, alpha, x).  Every entry
-is built on integers: B_n^(a)(x + c) is one :func:`genbern.poly.lincomb`
-call, the order maps are integer Horner passes and Taylor shifts.
+(n, offset), a rational in a key standing as its numerator and denominator
+so that a hit builds no Fraction.  The caches are never evicted; the
+default sweep asks for 99 (n, c), 44 odd-n reflections, 27 (n, alpha) and
+234 (n, alpha, x).  Every entry is built on integers: B_n^(a)(x + c) is
+one :func:`genbern.poly.lincomb` call, the order maps are integer Horner
+passes and Taylor shifts.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .poly import Poly, alpha_shifted, alpha_substituted, binomial, from_rows, l
 _classical_lock = threading.Lock()
 _classical: list[Fraction] = [Fraction(1)]
 _classical_polys: dict[int, Poly] = {}
-_classical_values: dict[tuple[int, Fraction], Fraction] = {}
+_classical_values: dict[tuple[int, int, int], Fraction] = {}
 
 
 def _bernoulli_from_tangents(n_max: int) -> list[Fraction]:
@@ -115,12 +116,18 @@ def classical_bernoulli_poly(n: int) -> Poly:
     return hit
 
 
+def _rational(v):
+    """An int or a Fraction as given; anything else (a str, a float) as a Fraction."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
 def classical_bernoulli_value(n: int, x) -> Fraction:
-    """B_n(x) at a rational x; memoized per (n, x)."""
-    x = Fraction(x)
-    hit = _classical_values.get((n, x))
+    """B_n(x) at a rational x; memoized per (n, numerator, denominator of x)."""
+    x = _rational(x)
+    key = (n, x.numerator, x.denominator)
+    hit = _classical_values.get(key)
     if hit is None:
-        hit = _classical_values.setdefault((n, x), classical_bernoulli_poly(n).eval(x))
+        hit = _classical_values.setdefault(key, classical_bernoulli_poly(n).eval(Fraction(x)))
     return hit
 
 
@@ -135,11 +142,12 @@ class GenBernTable:
     denominator (``Poly.den``, ``Poly.rows``), built without a Fraction.
 
     The polynomials derived from B_n^(a)(x) are memoized too, each in its
-    own dict: :meth:`poly_shifted` by ``(n, Fraction(c))``,
-    :meth:`poly_reflected` by ``(n, Fraction(c))`` (odd n only; an even n
-    returns the :meth:`poly_shifted` entry), :meth:`poly_at` by
-    ``(n, Fraction(alpha))`` and :meth:`offset_poly` by ``(n, offset)``;
-    the values of :meth:`value_at` by ``(n, Fraction(alpha), Fraction(x))``.
+    own dict: :meth:`poly_shifted` and :meth:`poly_reflected` (odd n only;
+    an even n returns the :meth:`poly_shifted` entry) by ``(n, c)``,
+    :meth:`poly_at` by ``(n, alpha)``, :meth:`offset_poly` by ``(n, offset)``
+    and the values of :meth:`value_at` by ``(n, alpha, x)``, where a rational
+    stands as ``numerator, denominator``: an int meets the equal Fraction,
+    and a str or a float goes through ``Fraction`` first.
     They are built outside the lock and published whole, one dict
     operation each; a race at worst builds an entry twice and keeps one.
     Nothing is evicted, so each cache grows with the distinct keys the
@@ -155,10 +163,10 @@ class GenBernTable:
         self._coeffs: list[tuple[list[int], int]] = [([1], 1)]
         self._numbers: list[Poly] = [Poly("a", (1,))]
         self._polys: dict[int, Poly] = {}
-        self._shifted_cache: dict[tuple[int, Fraction], Poly] = {}
-        self._reflected_cache: dict[tuple[int, Fraction], Poly] = {}
-        self._alpha_cache: dict[tuple[int, Fraction], Poly] = {}
-        self._value_cache: dict[tuple[int, Fraction, Fraction], Fraction] = {}
+        self._shifted_cache: dict[tuple[int, int, int], Poly] = {}
+        self._reflected_cache: dict[tuple[int, int, int], Poly] = {}
+        self._alpha_cache: dict[tuple[int, int, int], Poly] = {}
+        self._value_cache: dict[tuple[int, int, int, int, int], Fraction] = {}
         self._offset_cache: dict[tuple[int, int], Poly] = {}
 
     def grow(self, n_max: int) -> None:
@@ -224,27 +232,27 @@ class GenBernTable:
 
     def poly_at(self, n: int, alpha) -> Poly:
         """B_n^(alpha)(x) over QQ for a fixed rational order, cached per (n, alpha)."""
-        alpha = Fraction(alpha)
-        key = (n, alpha)
+        alpha = _rational(alpha)
+        key = (n, alpha.numerator, alpha.denominator)
         hit = self._alpha_cache.get(key)
         if hit is None:
-            hit = self._alpha_cache.setdefault(key, alpha_substituted(self.poly(n), alpha))
+            hit = self._alpha_cache.setdefault(key, alpha_substituted(self.poly(n), Fraction(alpha)))
         return hit
 
     def value_at(self, n: int, alpha, x) -> Fraction:
         """B_n^(alpha)(x) fully evaluated at rational order and argument,
         cached per (n, alpha, x)."""
-        alpha, x = Fraction(alpha), Fraction(x)
-        key = (n, alpha, x)
+        alpha, x = _rational(alpha), _rational(x)
+        key = (n, alpha.numerator, alpha.denominator, x.numerator, x.denominator)
         hit = self._value_cache.get(key)
         if hit is None:
-            hit = self._value_cache.setdefault(key, self.poly_at(n, alpha).eval(x))
+            hit = self._value_cache.setdefault(key, self.poly_at(n, alpha).eval(Fraction(x)))
         return hit
 
     def poly_shifted(self, n: int, c) -> Poly:
         """B_n^(a)(x + c) via the binomial addition formula, cached per (n, c)."""
-        c = Fraction(c)
-        key = (n, c)
+        c = _rational(c)
+        key = (n, c.numerator, c.denominator)
         hit = self._shifted_cache.get(key)
         if hit is None:
             # sum_k C(n,k) p^(n-k) q^k B_k^(a)(x) / q^n for c = p/q
@@ -260,10 +268,10 @@ class GenBernTable:
         u = x - c turns the a-dependent argument into the plain shift
         (-1)^n * B_n^(a)(x - c).  Odd n is cached per (n, c).
         """
-        c = Fraction(c)
+        c = _rational(c)
         if n % 2 == 0:
             return self.poly_shifted(n, -c)
-        key = (n, c)
+        key = (n, c.numerator, c.denominator)
         hit = self._reflected_cache.get(key)
         if hit is None:
             hit = self._reflected_cache.setdefault(key, -self.poly_shifted(n, -c))

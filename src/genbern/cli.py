@@ -10,7 +10,8 @@ Subcommands:
 * ``verify``         same evaluation, one human-oriented summary line;
 * ``verify-theorem`` check the main identity at one shift value, or
                      certify it for every shift value at once;
-* ``suite``          run a parameter-grid sweep and print the JSON report.
+* ``suite``          run a parameter-grid sweep and print the JSON report
+                     (a ``--config`` file sets only points a case reads).
 
 Every numeric flag is an exact string (``p/q`` or an integer); nothing is
 ever parsed as a float.  Exit codes: 0 success / all verified, 1 a
@@ -41,6 +42,7 @@ from .harness import (
     residual_text,
     result_to_dict,
     run_suite,
+    sweeps,
 )
 from .identities import (
     CASE_DEFS,
@@ -222,6 +224,7 @@ def _split_points(text: str) -> tuple[Fraction, ...]:
 
 
 def _cmd_suite(args) -> int:
+    data = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -251,6 +254,9 @@ def _cmd_suite(args) -> int:
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
+    unread = [key for key in ("lambda_points", "alpha_points") if key in data and not sweeps(cfg.cases, key)]
+    if unread:
+        raise UsageError(f"config {args.config!r} sets {' and '.join(unread)}, which no selected case reads")
     report = run_suite(cfg)
     print(emit_json(report))
     counts = report.summary

@@ -84,8 +84,7 @@ class SweepConfig:
         if unknown:
             raise UsageError(f"unknown case ids: {', '.join(unknown)}")
         for source in ("lambda_points", "alpha_points"):
-            swept = any(AXES[name].source == source for c in self.cases for name in CASE_DEFS[c].axes)
-            if swept and not getattr(self, source):
+            if sweeps(self.cases, source) and not getattr(self, source):
                 raise UsageError(f"{source} must be non-empty for the selected cases")
 
     def to_dict(self) -> dict:
@@ -164,6 +163,12 @@ AXES: dict[str, Axis] = {
     "t": _fixed("t", T_POINTS),
     "beta": _fixed("beta", BETA_POINTS),
 }
+
+
+def sweeps(cases, source: str) -> bool:
+    """Whether one of ``cases`` has an axis that reads the config point set ``source``."""
+    return any(AXES[name].source == source for c in cases for name in CASE_DEFS[c].axes)
+
 
 # The SumSpec fields each case reads: its report shows these, and the CLI
 # accepts only these flags for it.

@@ -72,7 +72,10 @@ def _sign(e: int) -> int:
 
 
 def _difference(lhs: Poly, rhs: Poly) -> Poly:
-    """lhs - rhs for two x-polynomials, over integers."""
+    """lhs - rhs for two x-polynomials, over integers; equal storage is
+    a zero difference, since storage is canonical."""
+    if lhs.den == rhs.den and lhs.rows == rhs.rows:
+        return from_rows("x", 1, [])
     return lincomb("x", [(1, lhs), (-1, rhs)])
 
 
@@ -83,42 +86,47 @@ def _block(p: int, q: int, r: int, w, term, stop: int | None = None, scale=1, to
     block.  Terms with a zero coefficient are skipped without calling
     ``term``.  Every sign rides in ``scale``, which multiplies the integer
     coefficient, so a signed block costs no extra product; a second block
-    accumulates into the first through ``total``.  A polynomial block is
-    one integer linear combination (``lincomb``): a rational weight w = u/v
-    enters as the integer weights C C u^(p+r-k) v^k over the single
-    denominator v^(p+r).  A rational-valued block sums Fractions.
+    accumulates into the first through ``total``.  A rational weight w = u/v
+    enters as the integer weights C C u^(p+r-k) v^k over v^(p+r).  With a
+    polynomial ``total`` the block is one ``lincomb``; with a rational one,
+    the numerators of ``total`` and the terms are summed over the lcm L of
+    their denominators into one Fraction over L v^(p+r).
     """
     top = p + r
-    u, v = w, 1
-    if isinstance(total, Poly) and not isinstance(w, Poly):
-        w = Fraction(w)
-        u, v = w.numerator, w.denominator
-    weights = [
-        (c, q + k)
+    u, v = (w, 1) if isinstance(w, Poly) else (w.numerator, w.denominator)
+    pairs = [(v**top, total)] + [
+        (c, term(q + k))
         for k in range(top + 1 if stop is None else stop)
         if (c := scale * binomial(top, k) * binomial(q + k + r, r) * u ** (top - k) * v**k)
     ]
     if isinstance(total, Poly):
-        return lincomb(total.var, [(v**top, total)] + [(c, term(idx)) for c, idx in weights], v**top)
-    for c, idx in weights:
-        total = total + term(idx) * c
-    return total
+        return lincomb(total.var, pairs, v**top)
+    lcm = math.lcm(*(t.denominator for _, t in pairs))
+    return Fraction(sum(c * t.numerator * (lcm // t.denominator) for c, t in pairs), lcm * v**top)
 
 
-def _double_sum(n: int, l: int, r: int, ks, u, v) -> Fraction:
-    """(r+1) sum_{k in ks} sum_{j<=r+1} C(n+r,j) C(l+r,r+1-j) u(k)^(l+j-1) v(k)^(n+r-j).
+def _double_sum(n: int, l: int, r: int, ks, u, v, stop: int | None = None) -> Fraction:
+    """(r+1) sum_{k in ks} sum_{j<stop} C(n+r,j) C(l+r,r+1-j) u(k)^(l+j-1) v(k)^(n+r-j).
 
-    The shape of every order-one closed double sum.  The exponent l+j-1
-    is negative only at j = 0 with l = 0, where C(r, r+1) vanishes;
-    ``_monomial_value`` asserts that pairing.
+    The shape of every order-one closed double sum; ``stop`` defaults to
+    r+2.  With u(k) = a/b and v(k) = c/d the k-th inner sum is the integer
+    sum_j C C a^(l+j-1) b^(r+1-j) c^(n+r-j) d^j over b^(l+r) d^(n+r); one
+    Fraction is built over the lcm of those.  The exponent l+j-1 is
+    negative only at j = 0 with l = 0, where C(r, r+1) vanishes; a negative
+    exponent on a nonzero coefficient raises ``NegativePowerError``.
     """
-    coeffs = [(j, Fraction(c)) for j in range(r + 2) if (c := binomial(n + r, j) * binomial(l + r, r + 1 - j))]
-    total = ZERO
+    js = range(r + 2 if stop is None else stop)
+    coeffs = [(j, c) for j in js if (c := binomial(n + r, j) * binomial(l + r, r + 1 - j))]
+    if any(min(l + j - 1, n + r - j) < 0 for j, _ in coeffs):
+        raise NegativePowerError(f"a negative exponent meets a nonzero coefficient at n={n}, l={l}, r={r}")
+    parts = []
     for k in ks:
         uk, vk = u(k), v(k)
-        for j, c in coeffs:
-            total += _monomial_value(_monomial_value(c, uk, l + j - 1), vk, n + r - j)
-    return (r + 1) * total
+        a, b, c, d = uk.numerator, uk.denominator, vk.numerator, vk.denominator
+        num = sum(cj * a ** (l + j - 1) * b ** (r + 1 - j) * c ** (n + r - j) * d**j for j, cj in coeffs)
+        parts.append((num, b ** (l + r) * d ** (n + r)))
+    lcm = math.lcm(*(den for _, den in parts))
+    return Fraction((r + 1) * sum(num * (lcm // den) for num, den in parts), lcm)
 
 
 def _classical_values(arg):
@@ -140,6 +148,7 @@ def paired_sum(n: int, l: int, r: int, x, y, z, alpha=None, table: GenBernTable 
     """
     t = table or DEFAULT_TABLE
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    total = Poly("a") if alpha is None else ZERO
     if alpha is None:
         def values(arg):
             return lambda idx: t.poly(idx).eval(arg)
@@ -149,7 +158,7 @@ def paired_sum(n: int, l: int, r: int, x, y, z, alpha=None, table: GenBernTable 
         def values(arg):
             return lambda idx: t.value_at(idx, order, arg)
 
-    first = _block(n, l, r, x, values(y))
+    first = _block(n, l, r, x, values(y), total=total)
     return _block(l, n, r, x, values(z), scale=_sign(l + n + r + 1), total=first)
 
 
@@ -298,21 +307,14 @@ def q_block_term(k: int, m: int, r: int, n: int, corrected: bool = True) -> Frac
     As printed the leading piece is
     (r+1)/2 * C(n+r,(r+1)/2)^2 * (k(m-k))^(n+(r-1)/2); the corrected
     reading replaces the base k(m-k) by k(k-m) (a factor
-    (-1)^(n+(r-1)/2)), which is what direct evaluation confirms.
+    (-1)^(n+(r-1)/2)), which is what direct evaluation confirms.  The tail
+    j <= (r-1)/2 is the double sum at the single point k.
     """
     half = (r + 1) // 2
     c_mid = binomial(n + r, half)
     base = Fraction(k * (k - m)) if corrected else Fraction(k * (m - k))
     total = Fraction(r + 1, 2) * c_mid * c_mid * base ** (n + (r - 1) // 2)
-    tail = ZERO
-    for j in range((r - 1) // 2 + 1):
-        c = binomial(n + r, j) * binomial(n + r, r + 1 - j)
-        if not c:
-            continue
-        term = _monomial_value(Fraction(c), Fraction(k), j + n - 1)
-        term = _monomial_value(term, Fraction(k - m), n + r - j)
-        tail += term
-    return total + (r + 1) * tail
+    return total + _double_sum(n, n, r, (k,), lambda k: k, lambda k: k - m, stop=half)
 
 
 def q_block_sum(n: int, r: int, m: int, corrected: bool = True) -> Fraction:
@@ -321,11 +323,7 @@ def q_block_sum(n: int, r: int, m: int, corrected: bool = True) -> Fraction:
 
 def alternating_power_sum(m: int, r_exp: int, s_exp: int) -> Fraction:
     """sum_{k<m} (k^r (k-m)^s - k^s (k-m)^r); zero whenever r+s is even."""
-    total = ZERO
-    for k in range(1, m):
-        ka, kb = Fraction(k), Fraction(k - m)
-        total += ka**r_exp * kb**s_exp - ka**s_exp * kb**r_exp
-    return total
+    return Fraction(sum(k**r_exp * (k - m) ** s_exp - k**s_exp * (k - m) ** r_exp for k in range(1, m)))
 
 
 # ---------------------------------------------------------------------------

@@ -417,7 +417,7 @@ def test_value_and_reflection_memos_equal_recomputed():
                 # Horner on the specialized polynomial, outside the caches
                 assert value == alpha_substituted(table.poly(n), alpha).eval(x)
                 assert table.value_at(n, alpha, x) is value
-        # keys are Fractions, so int arguments find the same entry
+        # keys are numerator/denominator pairs, so int arguments find the same entry
         assert table.value_at(n, 1, 0) is table.value_at(n, F(1), F(0))
         for c in (F(0), F(1), F(-1, 2), F(2, 3)):
             reflected = table.poly_reflected(n, c)
@@ -425,6 +425,25 @@ def test_value_and_reflection_memos_equal_recomputed():
             assert reflected == table.poly(n).shift(-c) * (-1) ** n
             assert table.poly_reflected(n, c) is reflected
         assert table.poly_reflected(n, -1) is table.poly_reflected(n, F(-1))
+
+
+def test_cache_keys_from_any_rational_form(monkeypatch):
+    monkeypatch.setattr(bernoulli, "_classical_values", {})
+    table = GenBernTable()
+    # a str or a float is converted with Fraction before its key is read
+    assert classical_bernoulli_value(3, "1/2") == classical_bernoulli_value(3, F(1, 2)) == 0
+    assert classical_bernoulli_value(3, "-2/3") is classical_bernoulli_value(3, F(-2, 3))
+    value = table.value_at(3, 0.5, 1)
+    assert value == table.value_at(3, F(1, 2), F(1)) and type(value) is F
+    assert table.value_at(3, "1/2", 1.0) is value
+    for n in range(7):
+        assert table.poly_at(n, 2) is table.poly_at(n, F(2)) is table.poly_at(n, "2")
+        assert table.poly_shifted(n, -1) is table.poly_shifted(n, F(-1))
+        assert table.poly_reflected(n, F(1, 3)) is table.poly_reflected(n, "1/3")
+    # equal rationals meet in one entry whatever form they came in
+    assert len(table._value_cache) == 1
+    assert len(table._alpha_cache) == 7 + 1  # order 2 for each n, order 1/2 behind the value
+    assert len(bernoulli._classical_values) == 2
 
 
 def test_negative_n_rejected():

@@ -152,14 +152,32 @@ def test_suite_flags_and_report(capsys):
 
 
 def test_suite_config_file(tmp_path, capsys):
-    cfg = {"max_n": 1, "max_l": 0, "max_r": 0, "cases": ["e1"], "lambda_points": ["0"], "alpha_points": ["1"]}
+    cfg = {"max_n": 1, "max_l": 0, "max_r": 0, "cases": ["e1", "s2"], "alpha_points": ["1"]}
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     code, out, _ = run_cli(capsys, "suite", "--config", str(path))
     assert code == 0
     report = json.loads(out)
     assert report["config"]["max_n"] == 1
-    assert {r["case"] for r in report["results"]} == {"e1"}
+    assert {r["case"] for r in report["results"]} == {"e1", "s2"}
+
+
+@pytest.mark.parametrize("cases", [["e1"], ["e1", "s2"]])
+def test_suite_config_points_no_case_reads_are_usage_error(tmp_path, capsys, cases):
+    # e1 reads neither point set and s2 reads only alpha_points
+    cfg = {"max_n": 1, "max_l": 0, "max_r": 0, "cases": cases, "lambda_points": ["0"], "alpha_points": ["1"]}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "suite", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    unread = "lambda_points and alpha_points" if cases == ["e1"] else "lambda_points,"
+    assert err.count("\n") == 1 and unread in err and "no selected case reads" in err
+    # the rule is the command's: the same dict still loads as a config
+    loaded = harness.SweepConfig.from_dict(cfg)
+    assert loaded.cases == tuple(cases)
+    assert loaded.lambda_points == (F(0),)
+    assert loaded.alpha_points == (F(1),)
 
 
 def test_suite_bad_config_is_usage_error(tmp_path, capsys):

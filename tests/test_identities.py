@@ -4,6 +4,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genbern.bernoulli import OmegaOperator, bernoulli_numbers_binomial_solve, classical_bernoulli_numbers
 from genbern.identities import (
@@ -12,6 +14,9 @@ from genbern.identities import (
     IdentityCase,
     NegativePowerError,
     SumSpec,
+    _block,
+    _difference,
+    _double_sum,
     _monomial_value,
     alternating_power_sum,
     certify_lambda,
@@ -27,6 +32,7 @@ from genbern.identities import (
     linear_weight_double_sum,
     lucas_pair_sum,
     main_identity_lhs,
+    main_identity_residual,
     main_identity_residual_at,
     main_identity_rhs,
     order_shift_pair_residual,
@@ -44,7 +50,7 @@ from genbern.identities import (
     weighted_lucas_sum,
     _window_core,
 )
-from genbern.poly import Poly, X, alpha_substituted, binomial, poly_a
+from genbern.poly import ALPHA, Poly, X, alpha_substituted, binomial, from_rows, lincomb, poly_a
 from genbern.textform import format_poly
 
 
@@ -560,3 +566,113 @@ def test_double_sums_against_literal_evaluator():
                         for k in range(1, s + 1)
                         for j in range(r + 2)
                     )
+
+
+def test_double_sums_at_rationals_against_literal_evaluator():
+    big = 10**29 + 7  # a 30-digit denominator
+    for u, v in ((F(1, 2), F(-2, 3)), (F(-5, 7), F(1, 2)), (F(3, big), F(-big + 1, 7))):
+        for n in range(3):
+            for l in range(3):
+                for r in range(3):
+                    for s in range(3):
+                        assert leibniz_double_sum(n, l, r, s, u, v) == (r + 1) * sum(
+                            math.comb(n + r, j)
+                            * math.comb(l + r, r + 1 - j)
+                            * (u - k) ** (l + j - 1)
+                            * (v - k) ** (n + r - j)
+                            for k in range(1, s + 1)
+                            for j in range(r + 2)
+                        )
+    # bases whose denominators change with k, so the k-th sums do not share one
+    u, v = (lambda k: F(k, k + 1)), (lambda k: F(-1, 2 * k + 1))
+    for n in range(3):
+        for l in range(3):
+            for r in range(3):
+                assert _double_sum(n, l, r, range(1, 5), u, v) == (r + 1) * sum(
+                    math.comb(n + r, j) * math.comb(l + r, r + 1 - j) * u(k) ** (l + j - 1) * v(k) ** (n + r - j)
+                    for k in range(1, 5)
+                    for j in range(r + 2)
+                )
+
+
+def _q_term(k, m, r, n, corrected):
+    """The folded closed-form term for odd r, as displayed: the leading
+    piece plus (r+1) times the tail j <= (r-1)/2."""
+    base = F(k * (k - m)) if corrected else F(k * (m - k))
+    lead = F(r + 1, 2) * math.comb(n + r, (r + 1) // 2) ** 2 * base ** (n + (r - 1) // 2)
+    return lead + (r + 1) * sum(
+        math.comb(n + r, j) * math.comb(n + r, r + 1 - j) * F(k) ** (j + n - 1) * F(k - m) ** (n + r - j)
+        for j in range((r - 1) // 2 + 1)
+    )
+
+
+def test_q_block_and_chen_sun_against_literal_evaluator():
+    for n in range(4):
+        for m in range(1, 6):
+            for corrected in (True, False):
+                for r in (1, 3, 5):
+                    assert q_block_sum(n, r, m, corrected) == sum(
+                        (_q_term(k, m, r, n, corrected) for k in range(1, m)), F(0)
+                    )
+                for k in range(1, m):
+                    extra = math.comb(n + 3, 3) * (3 * n + 11) * (
+                        F(k) ** (n + 2) * F(k - m) ** n - F(k) ** n * F(k - m) ** (n + 2)
+                    )
+                    assert chen_sun_term(k, m, n, corrected) == _q_term(k, m, 3, n, corrected) + extra
+
+
+def _block_reference(p, q, r, w, term, stop=None, scale=1, total=F(0)):
+    """The Fraction loop the rational block replaced: one Fraction product
+    and add per term with a nonzero coefficient."""
+    top = p + r
+    for k in range(top + 1 if stop is None else stop):
+        c = scale * binomial(top, k) * binomial(q + k + r, r) * F(w) ** (top - k)
+        if c:
+            total = total + term(q + k) * c
+    return total
+
+
+# rationals entered with negative and 30-digit denominators, and zero
+rationals = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 3).map(F),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.builds(F, st.integers(-(10**30), 10**30), st.one_of(st.integers(-(10**30), -1), st.integers(1, 10**30))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    rationals,
+    st.lists(rationals, min_size=10, max_size=10),
+    st.one_of(st.none(), st.integers(0, 6)),
+    st.sampled_from([1, -1]),
+    rationals,
+)
+def test_rational_block_matches_fraction_loop(p, q, r, w, values, stop, scale, total):
+    stop = None if stop is None else min(stop, p + r)  # below top + 1
+    got = _block(p, q, r, w, values.__getitem__, stop=stop, scale=scale, total=total)
+    assert got == _block_reference(p, q, r, w, values.__getitem__, stop=stop, scale=scale, total=total)
+    assert type(got) is F
+
+
+def test_difference_short_circuit_matches_lincomb():
+    lhs = main_identity_lhs(2, 1, 1, 1, F(1, 2))
+    pairs = [
+        (lhs, lhs),  # one object
+        (lhs, main_identity_lhs(2, 1, 1, 1, F(1, 2)) + Poly("x")),  # equal storage, built twice
+        (lhs, lhs + X),  # unequal
+        (X * ALPHA + 3, X * ALPHA + F(5, 2)),  # unequal constant, same kinds
+        # equal polynomials whose rows differ only in kind (int v against [v])
+        (from_rows("x", 2, [1, [0, 1]]), from_rows("x", 2, [[1], [0, 1]])),
+        (from_rows("x", 3, [[2], 5]), from_rows("x", 3, [2, [5]])),
+    ]
+    for a, b in pairs:
+        via_lincomb = lincomb("x", [(1, a), (-1, b)])
+        got = _difference(a, b)
+        assert (got.var, got.den, got.rows) == (via_lincomb.var, via_lincomb.den, via_lincomb.rows)
+        assert got.is_zero() == (a == b)
+    assert main_identity_residual(2, 1, 1, 1, F(1, 2)).is_zero()
