@@ -35,9 +35,11 @@ classical B_n(x) per n and its value B_n(x) per (n, x), and in each
 B_n^(a)(a + c - x) per (n, c) for odd n, B_n^(alpha)(x) per (n, alpha),
 the value B_n^(alpha)(x) per (n, alpha, x) and B_n^(a + offset)(x) per
 (n, offset), a rational in a key standing as its numerator and denominator
-so that a hit builds no Fraction.  The caches are never evicted; the
-default sweep asks for 99 (n, c), 44 odd-n reflections, 27 (n, alpha) and
-234 (n, alpha, x).  Every entry is built on integers: B_n^(a)(x + c) is
+so that a hit builds no Fraction; :meth:`GenBernTable.memo` holds the main
+identity's two closed-form sides per ("lhs" | "rhs", n, l, r, s, lam).  The
+caches are never evicted; the default sweep asks for 99 (n, c), 44 odd-n
+reflections, 27 (n, alpha), 234 (n, alpha, x) and 576 keys per side (900 on
+the symbolic sweep).  Every entry is built on integers: B_n^(a)(x + c) is
 one :func:`genbern.poly.lincomb` call, the order maps are integer Horner
 passes and Taylor shifts.
 """
@@ -147,7 +149,9 @@ class GenBernTable:
     :meth:`poly_at` by ``(n, alpha)``, :meth:`offset_poly` by ``(n, offset)``
     and the values of :meth:`value_at` by ``(n, alpha, x)``, where a rational
     stands as ``numerator, denominator``: an int meets the equal Fraction,
-    and a str or a float goes through ``Fraction`` first.
+    and a str or a float goes through ``Fraction`` first.  :meth:`memo` holds
+    the polynomials the identity catalog derives from the table, the main
+    identity's sides by ``("lhs" | "rhs", n, l, r, s, lam)``.
     They are built outside the lock and published whole, one dict
     operation each; a race at worst builds an entry twice and keeps one.
     Nothing is evicted, so each cache grows with the distinct keys the
@@ -168,6 +172,7 @@ class GenBernTable:
         self._alpha_cache: dict[tuple[int, int, int], Poly] = {}
         self._value_cache: dict[tuple[int, int, int, int, int], Fraction] = {}
         self._offset_cache: dict[tuple[int, int], Poly] = {}
+        self._derived: dict[tuple, Poly] = {}
 
     def grow(self, n_max: int) -> None:
         """Make the numbers B_0^(a) .. B_n_max^(a) available."""
@@ -287,6 +292,11 @@ class GenBernTable:
             hit = alpha_shifted(self.poly(n), offset)
             self._offset_cache[key] = hit
         return hit
+
+    def memo(self, key: tuple, build) -> Poly:
+        """The polynomial ``build()`` derives from this table, built once per key."""
+        hit = self._derived.get(key)
+        return self._derived.setdefault(key, build()) if hit is None else hit
 
 
 DEFAULT_TABLE = GenBernTable()

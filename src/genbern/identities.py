@@ -167,13 +167,17 @@ def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable |
 
     The second block's argument a+s-lam-x is realized through the
     reflection rule, which turns it into (-1)^(n+k) B_{n+k}^(a)(x+lam-s).
+    Built once per table it reads (:meth:`GenBernTable.memo`).
     """
     t = table or DEFAULT_TABLE
     lam = Fraction(lam)
+    return t.memo(("lhs", n, l, r, s, lam.numerator, lam.denominator), lambda: _main_identity_lhs(n, l, r, s, lam, t))
+
+
+def _main_identity_lhs(n: int, l: int, r: int, s: int, lam: Fraction, t: GenBernTable) -> Poly:
     first = _block(n, l, r, lam, t.poly, total=Poly("x"))
-    return _block(
-        l, n, r, lam, lambda idx: t.poly_reflected(idx, s - lam), scale=_sign(l + n + r + 1), total=first
-    )
+    offset = s - lam
+    return _block(l, n, r, lam, lambda idx: t.poly_reflected(idx, offset), scale=_sign(l + n + r + 1), total=first)
 
 
 def _window_core(n: int, l: int, r: int, ks, u, v) -> Poly:
@@ -205,9 +209,15 @@ def telescoping_core(n: int, l: int, r: int, s: int, lam) -> Poly:
 
 def main_identity_rhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None = None) -> Poly:
     """Right side: the order-lowered umbral image of D^(r+1)/r! of the
-    windowed product sum."""
+    windowed product sum; built once per table it reads, like the left side."""
+    t = table or DEFAULT_TABLE
+    lam = Fraction(lam)
+    return t.memo(("rhs", n, l, r, s, lam.numerator, lam.denominator), lambda: _main_identity_rhs(n, l, r, s, lam, t))
+
+
+def _main_identity_rhs(n: int, l: int, r: int, s: int, lam: Fraction, t: GenBernTable) -> Poly:
     core = _window_core(n, l, r, range(1, s + 1), 0, lam).derive(r + 1) * Fraction(1, math.factorial(r))
-    return OmegaOperator(-1, table)(core)
+    return OmegaOperator(-1, t)(core)
 
 
 def main_identity_residual(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None = None) -> Poly:
@@ -243,6 +253,8 @@ def replay_proof(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None
       of the operator commutation lemma;
     * ``lhs_match``: Omega_a(Delta P) against the expanded left side;
     * ``rhs_match``: Omega_(a-1)(D P) against the closed right side.
+    Both routes are built from P on every call; only the closed-form
+    sides they are matched against come from the table's memo.
     """
     t = table or DEFAULT_TABLE
     p = telescoping_core(n, l, r, s, lam)
@@ -426,22 +438,32 @@ def order_shift_pair_residual(
     ``as_printed`` builds the second block with its displayed per-term
     sign -(-1)^(r+l+k); ``from_main_identity`` rebuilds it from the global
     sign (-1)^(l+n+r+1) and the reflection realization.  Both readings
-    describe the same polynomial, which the adjudication confirms.
+    describe the same polynomial, which the adjudication confirms.  The
+    first block and the Omega_(a-1) side do not depend on the reading;
+    ``nielsen_f10`` builds them once for both readings.
     """
+    return _order_shift_pair_residuals(n, l, r, m, beta, (reading,), table)[reading]
+
+
+def _order_shift_pair_residuals(n, l, r, m, beta, readings, table=None) -> dict[str, Poly]:
+    """reading -> residual, with the parts the readings share built once."""
     t = table or DEFAULT_TABLE
     beta = Fraction(beta)
     lam = Fraction(m) - 2 * beta
-    out = _block(n, l, r, lam, lambda idx: t.poly_shifted(idx, beta), total=Poly("x"))
-    if reading == "as_printed":
-        # the per-term sign goes into the weight: -(-1)^(r+l+k) lam^(l+r-k) = -(-lam)^(l+r-k)
-        out = _block(l, n, r, -lam, lambda idx: t.poly_shifted(idx, m - 1 - beta), scale=-1, total=out)
-    else:
-        # B_{n+k}^(a)(a + (1-lam-beta) - x) under the global sign
-        out = _block(
-            l, n, r, lam, lambda idx: t.poly_reflected(idx, 1 - lam - beta), scale=_sign(l + n + r + 1), total=out
-        )
-    core = _window_core(n, l, r, (0,), beta - 1, m - 1 - beta).derive(r + 1) * Fraction(1, math.factorial(r))
-    return _difference(out, OmegaOperator(-1, t)(core))
+    first = _block(n, l, r, lam, lambda idx: t.poly_shifted(idx, beta), total=Poly("x"))
+    right, mirror, sign = m - 1 - beta, 1 - lam - beta, _sign(l + n + r + 1)
+    core = _window_core(n, l, r, (0,), beta - 1, right).derive(r + 1) * Fraction(1, math.factorial(r))
+    rhs = OmegaOperator(-1, t)(core)
+    out = {}
+    for reading in readings:
+        if reading == "as_printed":
+            # the per-term sign goes into the weight: -(-1)^(r+l+k) lam^(l+r-k) = -(-lam)^(l+r-k)
+            lhs = _block(l, n, r, -lam, lambda idx: t.poly_shifted(idx, right), scale=-1, total=first)
+        else:
+            # B_{n+k}^(a)(a + (1-lam-beta) - x) under the global sign
+            lhs = _block(l, n, r, lam, lambda idx: t.poly_reflected(idx, mirror), scale=sign, total=first)
+        out[reading] = _difference(lhs, rhs)
+    return out
 
 
 def product_rule_split_residual(n: int, l: int, r: int) -> Poly:
@@ -478,7 +500,8 @@ def balanced_triple_residual_folded(n, l, r, alpha, x, y, table=None) -> Fractio
     t = table or DEFAULT_TABLE
     alpha, x, y = Fraction(alpha), Fraction(x), Fraction(y)
     lhs = _block(n, l, r, x, lambda idx: t.value_at(idx, alpha, y))
-    return _block(l, n, r, -x, lambda idx: t.value_at(idx, alpha, x + y), scale=-1, total=lhs)
+    xy = x + y
+    return _block(l, n, r, -x, lambda idx: t.value_at(idx, alpha, xy), scale=-1, total=lhs)
 
 
 def reflection_route_residuals(n, l, r, alpha, x, y, table=None) -> list[Fraction]:
@@ -787,10 +810,7 @@ def _verify_app1(p: SumSpec):
 
 
 def _verify_f10(p: SumSpec):
-    residuals = {
-        "as_printed": order_shift_pair_residual(p.n, p.l, p.r, p.m, p.beta, "as_printed"),
-        "from_main_identity": order_shift_pair_residual(p.n, p.l, p.r, p.m, p.beta, "from_main_identity"),
-    }
+    residuals = _order_shift_pair_residuals(p.n, p.l, p.r, p.m, p.beta, ("as_printed", "from_main_identity"))
     note = (
         "the displayed per-term sign -(-1)^(r+l+k) and the global sign "
         "(-1)^(l+n+r+1) with reflection give the same polynomial; both verify"

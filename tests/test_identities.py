@@ -1,13 +1,21 @@
 """Identity catalog: spec'd instances, frozen values, and adjudications."""
 
 import math
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbern.bernoulli import OmegaOperator, bernoulli_numbers_binomial_solve, classical_bernoulli_numbers
+from genbern.bernoulli import (
+    DEFAULT_TABLE,
+    GenBernTable,
+    OmegaOperator,
+    bernoulli_numbers_binomial_solve,
+    classical_bernoulli_numbers,
+)
 from genbern.identities import (
     CASE_DEFS,
     CASE_IDS,
@@ -17,7 +25,10 @@ from genbern.identities import (
     _block,
     _difference,
     _double_sum,
+    _main_identity_lhs,
+    _main_identity_rhs,
     _monomial_value,
+    _order_shift_pair_residuals,
     alternating_power_sum,
     certify_lambda,
     chen_sun_term,
@@ -174,6 +185,93 @@ def test_proof_replay_checks():
         assert set(checks) == {"operator_link", "lhs_match", "rhs_match"}
         for name, residual in checks.items():
             assert residual.is_zero(), (params, name)
+
+
+SIDE_LAMBDAS = (F(0), 1, F(-2), F(1, 2), F(-2, 3), F(5, 7))
+
+
+def test_memoized_sides_match_builders_on_a_fresh_table():
+    # the builders run on their own table, so no memo entry can stand in for them
+    fresh = GenBernTable()
+    for n in range(4):
+        for l in range(4):
+            for r in range(3):
+                for s in range(3):
+                    for lam in SIDE_LAMBDAS:
+                        lhs = main_identity_lhs(n, l, r, s, lam)
+                        rhs = main_identity_rhs(n, l, r, s, lam)
+                        key = (n, l, r, s, lam)
+                        assert lhs == _main_identity_lhs(n, l, r, s, F(lam), fresh), key
+                        assert rhs == _main_identity_rhs(n, l, r, s, F(lam), fresh), key
+                        assert main_identity_lhs(n, l, r, s, lam) is lhs
+                        assert main_identity_rhs(n, l, r, s, lam) is rhs
+                        assert DEFAULT_TABLE._derived[("rhs", n, l, r, s, F(lam).numerator, F(lam).denominator)] is rhs
+    table = GenBernTable()
+    assert main_identity_lhs(2, 1, 1, 2, 1, table) is main_identity_lhs(2, 1, 1, 2, F(1), table)
+    assert main_identity_rhs(2, 1, 1, 2, F(1), table) is main_identity_rhs(2, 1, 1, 2, 1, table)
+    assert sorted(table._derived) == [("lhs", 2, 1, 1, 2, 1, 1), ("rhs", 2, 1, 1, 2, 1, 1)]
+
+
+def test_memo_cannot_hide_a_wrong_table():
+    key = (2, 1, 1, 2, F(1, 2))
+    assert main_identity_residual(*key).is_zero()  # memoizes both sides on the default table
+    assert all(res.is_zero() for res in replay_proof(*key).values())
+    wrong = GenBernTable()
+    wrong.grow(8)
+    wrong._polys[1] = wrong.poly(1) + 1  # B_1^(a)(x) + 1
+    assert not main_identity_residual(*key, wrong).is_zero()
+    assert not all(res.is_zero() for res in replay_proof(*key, wrong).values())
+    assert main_identity_residual(*key).is_zero()
+
+
+def test_replay_builds_both_operator_routes_on_every_call(monkeypatch):
+    key = (2, 1, 1, 2, F(-2, 3))
+    replay_proof(*key)  # memoizes the closed-form sides
+    calls = []
+    call = OmegaOperator.__call__
+
+    def counted(self, p):
+        calls.append(self.offset)
+        return call(self, p)
+
+    monkeypatch.setattr(OmegaOperator, "__call__", counted)
+    for _ in range(2):
+        calls.clear()
+        assert all(res.is_zero() for res in replay_proof(*key).values())
+        assert sorted(calls) == [-1, 0]
+
+
+def test_two_threads_share_one_memo_entry_per_key():
+    grid = ((n, l, r, s) for n in range(3) for l in range(3) for r in range(2) for s in range(3))
+    keys = [(n, l, r, s, F(lam)) for n, l, r, s in grid for lam in (0, 1)]
+    oracle = GenBernTable()
+    expected = [(_main_identity_lhs(*k, oracle), _main_identity_rhs(*k, oracle)) for k in keys]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            table = GenBernTable()
+            start = threading.Barrier(2)
+            seen = [None, None]
+
+            def read(slot):
+                start.wait(timeout=60)
+                cast = F if slot else int  # one thread passes each lam as an int
+                seen[slot] = [
+                    (main_identity_lhs(n, l, r, s, cast(lam), table), main_identity_rhs(n, l, r, s, cast(lam), table))
+                    for n, l, r, s, lam in keys
+                ]
+
+            threads = [threading.Thread(target=read, args=(slot,)) for slot in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert seen[0] == seen[1] == expected
+            assert len(table._derived) == 2 * len(keys)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_telescoping_collapse():
@@ -377,6 +475,23 @@ def test_f10_adjudication_both_readings_verify():
     res = run("nielsen_f10", n=1, l=2, r=1, m=2, beta=F(1, 2))
     assert res.status == "verified"
     assert res.readings == {"as_printed": "verified", "from_main_identity": "verified"}
+
+
+def test_f10_shared_parts_match_standalone_readings():
+    wrong = GenBernTable()
+    wrong.grow(12)
+    wrong._polys[1] = wrong.poly(1) + 1  # nonzero residuals, so equality is not 0 == 0
+    readings = ("as_printed", "from_main_identity")
+    for n, l, r, m in ((1, 2, 1, 2), (2, 1, 0, 3), (0, 1, 2, 1), (2, 2, 1, 2)):
+        for beta in (F(0), F(1, 2), F(-2, 3)):
+            res = run("nielsen_f10", n=n, l=l, r=r, m=m, beta=beta)
+            alone = {name: order_shift_pair_residual(n, l, r, m, beta, name) for name in readings}
+            assert res.readings == {name: "verified" for name in readings}
+            assert res.residual == alone[res.reading]
+            assert _order_shift_pair_residuals(n, l, r, m, beta, readings) == alone
+            shared = _order_shift_pair_residuals(n, l, r, m, beta, readings, wrong)
+            assert shared == {name: order_shift_pair_residual(n, l, r, m, beta, name, wrong) for name in readings}
+    assert not all(res.is_zero() for res in shared.values())
 
 
 # -- applications ---------------------------------------------------------------------
