@@ -31,17 +31,15 @@ multiplication for integer orders) are provided as oracles.
 
 Every derived polynomial is built once per process and memoized: the
 classical B_n(x) per n and its value B_n(x) per (n, x), and in each
-:class:`GenBernTable` B_n^(a)(x) per n, B_n^(a)(x + c) per (n, c),
-B_n^(a)(a + c - x) per (n, c) for odd n, B_n^(alpha)(x) per (n, alpha),
-the value B_n^(alpha)(x) per (n, alpha, x) and B_n^(a + offset)(x) per
-(n, offset), a rational in a key standing as its numerator and denominator
-so that a hit builds no Fraction; :meth:`GenBernTable.memo` holds the main
-identity's two closed-form sides per ("lhs" | "rhs", n, l, r, s, lam).  The
-caches are never evicted; the default sweep asks for 99 (n, c), 44 odd-n
-reflections, 27 (n, alpha), 234 (n, alpha, x) and 576 keys per side (900 on
-the symbolic sweep).  Every entry is built on integers: B_n^(a)(x + c) is
-one :func:`genbern.poly.lincomb` call, the order maps are integer Horner
-passes and Taylor shifts.
+:class:`GenBernTable` B_n^(a)(x) per n and every entry derived from it in
+one memo, :meth:`GenBernTable.memo`, keyed by a tag ("shifted",
+"reflected", "at", "value", "offset", "lhs" or "rhs") and integers, a
+rational standing as its numerator and denominator so that a hit builds
+no Fraction.  Nothing is evicted; the default sweep asks for 99 shifted,
+44 reflected, 27 at-order and 234 value keys and 576 keys per side (900
+on the symbolic sweep).  Every entry is built on integers: B_n^(a)(x + c)
+is one :func:`genbern.poly.lincomb` call, the order maps are integer
+Horner passes and Taylor shifts.
 """
 
 from __future__ import annotations
@@ -143,18 +141,19 @@ class GenBernTable:
     same lock, and memoized.  Both are integer numerators over one
     denominator (``Poly.den``, ``Poly.rows``), built without a Fraction.
 
-    The polynomials derived from B_n^(a)(x) are memoized too, each in its
-    own dict: :meth:`poly_shifted` and :meth:`poly_reflected` (odd n only;
-    an even n returns the :meth:`poly_shifted` entry) by ``(n, c)``,
-    :meth:`poly_at` by ``(n, alpha)``, :meth:`offset_poly` by ``(n, offset)``
-    and the values of :meth:`value_at` by ``(n, alpha, x)``, where a rational
-    stands as ``numerator, denominator``: an int meets the equal Fraction,
-    and a str or a float goes through ``Fraction`` first.  :meth:`memo` holds
-    the polynomials the identity catalog derives from the table, the main
-    identity's sides by ``("lhs" | "rhs", n, l, r, s, lam)``.
-    They are built outside the lock and published whole, one dict
+    Every entry derived from the polynomials lives in one memo,
+    :meth:`memo`, keyed by a tag and integers: :meth:`poly_shifted` by
+    ``("shifted", n, c)``, :meth:`poly_reflected` (odd n only; an even n
+    returns the :meth:`poly_shifted` entry) by ``("reflected", n, c)``,
+    :meth:`poly_at` by ``("at", n, alpha)``, the values of :meth:`value_at`
+    by ``("value", n, alpha, x)``, :meth:`offset_poly` by
+    ``("offset", n, offset)``, and the main identity's sides, which the
+    identity catalog derives, by ``("lhs" | "rhs", n, l, r, s, lam)``.  A
+    rational stands as ``numerator, denominator``: an int meets the equal
+    Fraction, and a str or a float goes through ``Fraction`` first.
+    Entries are built outside the lock and published whole, one dict
     operation each; a race at worst builds an entry twice and keeps one.
-    Nothing is evicted, so each cache grows with the distinct keys the
+    Nothing is evicted, so the memo grows with the distinct keys the
     process asks for.
 
     An entry is published only once it is fully built and never changes
@@ -167,12 +166,7 @@ class GenBernTable:
         self._coeffs: list[tuple[list[int], int]] = [([1], 1)]
         self._numbers: list[Poly] = [Poly("a", (1,))]
         self._polys: dict[int, Poly] = {}
-        self._shifted_cache: dict[tuple[int, int, int], Poly] = {}
-        self._reflected_cache: dict[tuple[int, int, int], Poly] = {}
-        self._alpha_cache: dict[tuple[int, int, int], Poly] = {}
-        self._value_cache: dict[tuple[int, int, int, int, int], Fraction] = {}
-        self._offset_cache: dict[tuple[int, int], Poly] = {}
-        self._derived: dict[tuple, Poly] = {}
+        self._derived: dict[tuple, Poly | Fraction] = {}
 
     def grow(self, n_max: int) -> None:
         """Make the numbers B_0^(a) .. B_n_max^(a) available."""
@@ -236,65 +230,49 @@ class GenBernTable:
         return self.number(n).eval(Fraction(alpha))
 
     def poly_at(self, n: int, alpha) -> Poly:
-        """B_n^(alpha)(x) over QQ for a fixed rational order, cached per (n, alpha)."""
+        """B_n^(alpha)(x) over QQ for a fixed rational order."""
         alpha = _rational(alpha)
-        key = (n, alpha.numerator, alpha.denominator)
-        hit = self._alpha_cache.get(key)
-        if hit is None:
-            hit = self._alpha_cache.setdefault(key, alpha_substituted(self.poly(n), Fraction(alpha)))
-        return hit
+        key = ("at", n, alpha.numerator, alpha.denominator)
+        return self.memo(key, lambda: alpha_substituted(self.poly(n), Fraction(alpha)))
 
     def value_at(self, n: int, alpha, x) -> Fraction:
-        """B_n^(alpha)(x) fully evaluated at rational order and argument,
-        cached per (n, alpha, x)."""
+        """B_n^(alpha)(x) fully evaluated at rational order and argument."""
         alpha, x = _rational(alpha), _rational(x)
-        key = (n, alpha.numerator, alpha.denominator, x.numerator, x.denominator)
-        hit = self._value_cache.get(key)
-        if hit is None:
-            hit = self._value_cache.setdefault(key, self.poly_at(n, alpha).eval(Fraction(x)))
-        return hit
+        key = ("value", n, alpha.numerator, alpha.denominator, x.numerator, x.denominator)
+        return self.memo(key, lambda: self.poly_at(n, alpha).eval(Fraction(x)))
 
     def poly_shifted(self, n: int, c) -> Poly:
-        """B_n^(a)(x + c) via the binomial addition formula, cached per (n, c)."""
+        """B_n^(a)(x + c) via the binomial addition formula."""
         c = _rational(c)
-        key = (n, c.numerator, c.denominator)
-        hit = self._shifted_cache.get(key)
-        if hit is None:
+        p, q = c.numerator, c.denominator
+
+        def build():
             # sum_k C(n,k) p^(n-k) q^k B_k^(a)(x) / q^n for c = p/q
-            p, q = c.numerator, c.denominator
             pairs = [(binomial(n, k) * p ** (n - k) * q**k, self.poly(k)) for k in range(n + 1)]
-            hit = self._shifted_cache.setdefault(key, lincomb("x", pairs, q**n))
-        return hit
+            return lincomb("x", pairs, q**n)
+
+        return self.memo(("shifted", n, p, q), build)
 
     def poly_reflected(self, n: int, c) -> Poly:
         """B_n^(a)(a + c - x) represented inside QQ[a][x].
 
         The reflection rule B_n^(a)(a - u) = (-1)^n B_n^(a)(u) with
         u = x - c turns the a-dependent argument into the plain shift
-        (-1)^n * B_n^(a)(x - c).  Odd n is cached per (n, c).
+        (-1)^n * B_n^(a)(x - c); an even n is the :meth:`poly_shifted` entry.
         """
         c = _rational(c)
         if n % 2 == 0:
             return self.poly_shifted(n, -c)
-        key = (n, c.numerator, c.denominator)
-        hit = self._reflected_cache.get(key)
-        if hit is None:
-            hit = self._reflected_cache.setdefault(key, -self.poly_shifted(n, -c))
-        return hit
+        return self.memo(("reflected", n, c.numerator, c.denominator), lambda: -self.poly_shifted(n, -c))
 
     def offset_poly(self, n: int, offset: int) -> Poly:
-        """B_n^(a + offset)(x), cached per (n, offset)."""
+        """B_n^(a + offset)(x)."""
         if offset == 0:
             return self.poly(n)
-        key = (n, offset)
-        hit = self._offset_cache.get(key)
-        if hit is None:
-            hit = alpha_shifted(self.poly(n), offset)
-            self._offset_cache[key] = hit
-        return hit
+        return self.memo(("offset", n, offset), lambda: alpha_shifted(self.poly(n), offset))
 
-    def memo(self, key: tuple, build) -> Poly:
-        """The polynomial ``build()`` derives from this table, built once per key."""
+    def memo(self, key: tuple, build) -> Poly | Fraction:
+        """The entry ``build()`` derives from this table, built once per key."""
         hit = self._derived.get(key)
         return self._derived.setdefault(key, build()) if hit is None else hit
 

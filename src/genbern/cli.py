@@ -32,7 +32,9 @@ import traceback
 from fractions import Fraction
 
 from .harness import (
+    BOUNDS,
     CASE_FIELDS,
+    POINT_SETS,
     SweepConfig,
     UsageError,
     check_input_size,
@@ -122,15 +124,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_suite = add_parser("suite", "run a parameter-grid sweep")
     p_suite.add_argument("--config", metavar="FILE.json", help="JSON sweep configuration")
-    p_suite.add_argument("--max-n", type=int, default=None)
-    p_suite.add_argument("--max-l", type=int, default=None)
-    p_suite.add_argument("--max-r", type=int, default=None)
-    p_suite.add_argument("--max-s", type=int, default=None)
-    p_suite.add_argument("--max-m", type=int, default=None)
-    p_suite.add_argument("--lambda-points", metavar="p/q,...", default=None)
-    p_suite.add_argument("--alpha-points", metavar="p/q,...", default=None)
-    p_suite.add_argument("--cases", metavar="a,b,c", default=None)
-    p_suite.add_argument("--jobs", type=int, default=None, metavar="J")
+    for name in BOUNDS:
+        p_suite.add_argument("--" + name.replace("_", "-"), type=int)
+    for name in POINT_SETS:
+        p_suite.add_argument("--" + name.replace("_", "-"), metavar="p/q,...")
+    p_suite.add_argument("--cases", metavar="a,b,c")
     return parser
 
 
@@ -234,27 +232,16 @@ def _cmd_suite(args) -> int:
         cfg = SweepConfig.from_dict(data)
     else:
         cfg = SweepConfig()
-    overrides = {}
-    for attr, value in (
-        ("max_n", args.max_n),
-        ("max_l", args.max_l),
-        ("max_r", args.max_r),
-        ("max_s", args.max_s),
-        ("max_m", args.max_m),
-        ("parallelism", args.jobs),
-    ):
-        if value is not None:
-            overrides[attr] = value
-    if args.lambda_points is not None:
-        overrides["lambda_points"] = _split_points(args.lambda_points)
-    if args.alpha_points is not None:
-        overrides["alpha_points"] = _split_points(args.alpha_points)
+    overrides = {name: getattr(args, name) for name in BOUNDS if getattr(args, name) is not None}
+    for name in POINT_SETS:
+        if getattr(args, name) is not None:
+            overrides[name] = _split_points(getattr(args, name))
     if args.cases is not None:
         overrides["cases"] = tuple(c.strip() for c in args.cases.split(",") if c.strip())
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
-    unread = [key for key in ("lambda_points", "alpha_points") if key in data and not sweeps(cfg.cases, key)]
+    unread = [key for key in POINT_SETS if key in data and not sweeps(cfg.cases, key)]
     if unread:
         raise UsageError(f"config {args.config!r} sets {' and '.join(unread)}, which no selected case reads")
     report = run_suite(cfg)

@@ -4,8 +4,8 @@ A sweep enumerates a Cartesian parameter grid per case (points outside a
 case's validity domain are reported ``not_applicable`` rather than
 skipped), verifies every instance, and aggregates into a :class:`Report`
 with a machine-readable JSON form and CSV/JSON table exports.  Identical
-configurations produce identical result sets at any parallelism level:
-results are canonically ordered by case id and parameters.
+configurations produce identical result sets: results are canonically
+ordered by case id and parameters.
 
 The grid is data.  ``CaseDef.axes`` names a case's axes, and :data:`AXES`
 maps each name to the ``SumSpec`` fields it sets and to its sample points.
@@ -21,8 +21,7 @@ import hashlib
 import json
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bernoulli import DEFAULT_TABLE, classical_bernoulli_numbers, gen_bernoulli_numbers_symbolic
@@ -57,8 +56,22 @@ TABLE_LIMITS = {"classical": 2000, "generalized": 200}
 MAX_M = 1000
 
 
+# The integer bounds and the rational point sets of a SweepConfig, in the
+# order of its fields, its JSON form and the ``suite`` flags.
+BOUNDS = ("max_n", "max_l", "max_r", "max_s", "max_m")
+POINT_SETS = ("lambda_points", "alpha_points")
+
+
 class UsageError(ValueError):
     """Invalid configuration or command usage."""
+
+
+def _json_value(data: dict, name: str, kind: type):
+    """``data[name]``, which must be a JSON ``kind`` (a bool is no int)."""
+    value = data[name]
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be a JSON {'integer' if kind is int else 'list'}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -71,52 +84,49 @@ class SweepConfig:
     lambda_points: tuple[Fraction, ...] = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2))
     alpha_points: tuple[Fraction, ...] = (Fraction(1), Fraction(2), Fraction(1, 2))
     cases: tuple[str, ...] = CASE_IDS
-    parallelism: int = 1
 
     def validate(self) -> None:
-        for name in ("max_n", "max_l", "max_r", "max_s", "max_m"):
+        for name in BOUNDS:
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be >= 0")
-        check_input_size(self.max_n, self.max_l, self.max_r, self.max_s, self.max_m)
-        if self.parallelism < 1:
-            raise UsageError("parallelism must be >= 1")
+        check_input_size(*(getattr(self, name) for name in BOUNDS))
         unknown = [c for c in self.cases if c not in CASE_DEFS]
         if unknown:
             raise UsageError(f"unknown case ids: {', '.join(unknown)}")
-        for source in ("lambda_points", "alpha_points"):
+        for source in POINT_SETS:
             if sweeps(self.cases, source) and not getattr(self, source):
                 raise UsageError(f"{source} must be non-empty for the selected cases")
 
     def to_dict(self) -> dict:
-        return {
-            "max_n": self.max_n,
-            "max_l": self.max_l,
-            "max_r": self.max_r,
-            "max_s": self.max_s,
-            "max_m": self.max_m,
-            "lambda_points": [format_fraction(v) for v in self.lambda_points],
-            "alpha_points": [format_fraction(v) for v in self.alpha_points],
-            "cases": list(self.cases),
-            "parallelism": self.parallelism,
-        }
+        out = {name: getattr(self, name) for name in BOUNDS}
+        for name in POINT_SETS:
+            out[name] = [format_fraction(v) for v in getattr(self, name)]
+        out["cases"] = list(self.cases)
+        # Sweeps run serially.  The constant key keeps stored reports, and
+        # the digests pinned over them, valid.
+        out["parallelism"] = 1
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        cfg = cls()
+        """The config ``data`` sets: bounds are JSON integers, ``cases`` a
+        JSON list of strings and the point sets JSON lists.  A
+        ``parallelism`` key is ignored."""
+        kwargs = {}
         try:
-            kwargs = {}
-            for name in ("max_n", "max_l", "max_r", "max_s", "max_m", "parallelism"):
+            for name in BOUNDS:
                 if name in data:
-                    kwargs[name] = int(data[name])
-            if "lambda_points" in data:
-                kwargs["lambda_points"] = tuple(parse_fraction(str(v)) for v in data["lambda_points"])
-            if "alpha_points" in data:
-                kwargs["alpha_points"] = tuple(parse_fraction(str(v)) for v in data["alpha_points"])
+                    kwargs[name] = _json_value(data, name, int)
+            for name in POINT_SETS:
+                if name in data:
+                    kwargs[name] = tuple(parse_fraction(str(v)) for v in _json_value(data, name, list))
             if "cases" in data:
-                kwargs["cases"] = tuple(data["cases"])
-            cfg = replace(cfg, **kwargs)
+                kwargs["cases"] = tuple(_json_value(data, "cases", list))
+                if not all(isinstance(c, str) for c in kwargs["cases"]):
+                    raise TypeError(f"cases must be a JSON list of strings, got {data['cases']!r}")
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad sweep config: {exc}") from exc
+        cfg = cls(**kwargs)
         cfg.validate()
         return cfg
 
@@ -340,21 +350,16 @@ def check_input_size(n: int, l: int, r: int, s: int, m: int = 1) -> None:
 
 
 def run_suite(cfg: SweepConfig) -> Report:
-    """Enumerate, verify and aggregate; deterministic at any parallelism."""
+    """Enumerate, verify and aggregate, one case after another."""
     cfg.validate()
     cases = enumerate_cases(cfg)
     start = time.perf_counter()
-    # Pre-grow the shared number tables before any worker starts; workers
-    # then only read them, and build each polynomial they need on first
-    # use (see GenBernTable).
+    # Pre-grow the shared number tables; the cases then only read them,
+    # and build each polynomial they need on first use (see GenBernTable).
     size = required_table_size(cfg)
     classical_bernoulli_numbers(2 * size)
     DEFAULT_TABLE.grow(size)
-    if cfg.parallelism > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(verify_case, cases))
-    else:
-        results = [verify_case(c) for c in cases]
+    results = [verify_case(c) for c in cases]
     results.sort(key=_sort_key)
     return Report(config=cfg, results=results, elapsed=time.perf_counter() - start)
 

@@ -441,8 +441,9 @@ def test_cache_keys_from_any_rational_form(monkeypatch):
         assert table.poly_shifted(n, -1) is table.poly_shifted(n, F(-1))
         assert table.poly_reflected(n, F(1, 3)) is table.poly_reflected(n, "1/3")
     # equal rationals meet in one entry whatever form they came in
-    assert len(table._value_cache) == 1
-    assert len(table._alpha_cache) == 7 + 1  # order 2 for each n, order 1/2 behind the value
+    tags = [key[0] for key in table._derived]
+    assert tags.count("value") == 1
+    assert tags.count("at") == 7 + 1  # order 2 for each n, order 1/2 behind the value
     assert len(bernoulli._classical_values) == 2
 
 

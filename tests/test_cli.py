@@ -142,13 +142,38 @@ def test_theorem_symbolic_numeric_cli_agreement(capsys):
 
 
 def test_suite_flags_and_report(capsys):
-    code, out, err = run_cli(capsys, "suite", "--cases", "t3", "--max-n", "1", "--max-l", "1",
-                             "--max-r", "0", "--jobs", "2")
+    code, out, err = run_cli(capsys, "suite", "--cases", "t3", "--max-n", "1", "--max-l", "1", "--max-r", "0")
     assert code == 0
     report = json.loads(out)
     assert report["summary"]["verified"] == 4
-    assert report["config"]["parallelism"] == 2
+    assert report["config"]["parallelism"] == 1
     assert "suite:" in err
+
+
+def test_suite_jobs_flag_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "suite", "--cases", "t3", "--jobs", "2")
+    assert (code, out) == (2, "")
+    assert "--jobs" in err
+
+
+@pytest.mark.parametrize("bad", [
+    {"max_n": 1.9},
+    {"max_l": True},
+    {"max_r": "0"},
+    {"cases": "t3"},
+    {"cases": ["t3", 1]},
+    {"lambda_points": "0,1"},
+])
+def test_suite_config_rejects_values_of_the_wrong_json_type(tmp_path, capsys, bad):
+    # int() would truncate a float and take a bool or a numeric string, a
+    # bare string would split into characters, and a case id that is no
+    # string would stop the run with an internal error
+    cfg = {"max_n": 1, "max_l": 1, "max_r": 0, "cases": ["t3"], **bad}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "suite", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad sweep config: ") and f"{next(iter(bad))} must be a JSON " in err
 
 
 def test_suite_config_file(tmp_path, capsys):

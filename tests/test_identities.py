@@ -209,7 +209,8 @@ def test_memoized_sides_match_builders_on_a_fresh_table():
     table = GenBernTable()
     assert main_identity_lhs(2, 1, 1, 2, 1, table) is main_identity_lhs(2, 1, 1, 2, F(1), table)
     assert main_identity_rhs(2, 1, 1, 2, F(1), table) is main_identity_rhs(2, 1, 1, 2, 1, table)
-    assert sorted(table._derived) == [("lhs", 2, 1, 1, 2, 1, 1), ("rhs", 2, 1, 1, 2, 1, 1)]
+    sides = sorted(key for key in table._derived if key[0] in ("lhs", "rhs"))
+    assert sides == [("lhs", 2, 1, 1, 2, 1, 1), ("rhs", 2, 1, 1, 2, 1, 1)]
 
 
 def test_memo_cannot_hide_a_wrong_table():
@@ -269,7 +270,7 @@ def test_two_threads_share_one_memo_entry_per_key():
                 thread.join(timeout=120)
                 assert not thread.is_alive()
             assert seen[0] == seen[1] == expected
-            assert len(table._derived) == 2 * len(keys)
+            assert sum(key[0] in ("lhs", "rhs") for key in table._derived) == 2 * len(keys)
     finally:
         sys.setswitchinterval(interval)
 
