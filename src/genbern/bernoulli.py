@@ -304,9 +304,10 @@ class OmegaOperator:
     """Linear operator on QQ[a][x] sending x^n to B_n^(a + offset)(x).
 
     ``offset`` selects the symbolic order: offset 0 applies the operator
-    at order a, offset -1 at order a - 1, and so on.  Coefficients of the
-    input (rational or in QQ[a]) multiply through linearly, in one integer
-    sum (:func:`genbern.poly.linear_image`).  The backing table grows
+    at order a, offset -1 at order a - 1, and so on.  The input is an
+    x-polynomial (anything else is a ``TypeError``); its coefficients
+    (rational or in QQ[a]) multiply through linearly, in one integer sum
+    (:func:`genbern.poly.linear_image`).  The backing table grows
     automatically to cover the input degree.
     """
 
@@ -314,9 +315,9 @@ class OmegaOperator:
         self.offset = offset
         self.table = table or DEFAULT_TABLE
 
-    def __call__(self, p) -> Poly:
-        if not isinstance(p, Poly) or p.var == "a":
-            return Poly("x", (p,))
+    def __call__(self, p: Poly) -> Poly:
+        if not isinstance(p, Poly) or p.var != "x":
+            raise TypeError("Omega applies to an x-polynomial")
         return linear_image(p, lambda k: self.table.offset_poly(k, self.offset))
 
     def __repr__(self) -> str:

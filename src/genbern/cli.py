@@ -49,6 +49,8 @@ from .harness import (
 from .identities import (
     CASE_DEFS,
     CASE_IDS,
+    INDEXES,
+    PARAMS,
     STATUS_COUNTEREXAMPLE,
     STATUS_VERIFIED,
     IdentityCase,
@@ -70,6 +72,19 @@ def _alpha(text: str):
     if text == "symbolic":
         return "symbolic"
     return _rational(text)
+
+
+# The argparse type and metavar of each kind of SumSpec field.
+_FLAG_FORMS = {"index": (int, None), "rational": (_rational, "p/q"), "order": (_alpha, "p/q|symbolic")}
+
+# The indices of the main identity, which verify-theorem reads.
+_THEOREM_INDEXES = [p for p in INDEXES if p.name in CASE_FIELDS["theorem_le1"]]
+
+
+def _add_flag(parser, param, **kwargs) -> None:
+    """The flag of one SumSpec field, named by its report key."""
+    type_, metavar = _FLAG_FORMS[param.kind]
+    parser.add_argument("--" + param.key, dest=param.name, type=type_, metavar=metavar, **kwargs)
 
 
 # lets argparse accept negative rationals (-3/2) and point lists (-3/2,1)
@@ -102,18 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = add_parser(name, help_text)
         p.add_argument("--case", required=True, choices=CASE_IDS, metavar="ID")
         # None marks a flag not given; a given flag must be one the case reads
-        for name in ("n", "l", "r", "s", "m"):
-            p.add_argument(f"--{name}", type=int)
-        p.add_argument("--lambda", dest="lam", type=_rational, metavar="p/q")
-        for name in ("x", "y", "z", "t", "beta"):
-            p.add_argument(f"--{name}", type=_rational, metavar="p/q")
-        p.add_argument("--alpha", type=_alpha, metavar="p/q|symbolic")
+        for param in PARAMS:
+            _add_flag(p, param)
 
     p_thm = add_parser("verify-theorem", "verify the main identity")
-    p_thm.add_argument("--n", type=int, default=0)
-    p_thm.add_argument("--l", type=int, default=0)
-    p_thm.add_argument("--r", type=int, default=0)
-    p_thm.add_argument("--s", type=int, default=0)
+    for param in _THEOREM_INDEXES:
+        _add_flag(p_thm, param, default=param.default)
     group = p_thm.add_mutually_exclusive_group()
     group.add_argument("--lambda", dest="lam", type=_rational, default=None, metavar="p/q")
     group.add_argument(
@@ -141,27 +150,27 @@ def _resolve_alpha(case_id: str, raw):
     return raw
 
 
-def _flag(field: str) -> str:
-    return "--lambda" if field == "lam" else f"--{field}"
-
-
-def _build_case(args) -> IdentityCase:
-    reads = CASE_FIELDS[args.case]
-    given = [f.name for f in dataclasses.fields(SumSpec) if getattr(args, f.name) is not None]
-    foreign = [name for name in given if name not in reads]
-    if foreign:
-        own = ", ".join(_flag(f.name) for f in dataclasses.fields(SumSpec) if f.name in reads)
-        raise UsageError(f"case {args.case} does not read {', '.join(map(_flag, foreign))} (it reads {own})")
-    fields = {f.name: getattr(args, f.name) if f.name in given else f.default for f in dataclasses.fields(SumSpec)}
-    fields["alpha"] = _resolve_alpha(args.case, args.alpha)
-    if args.z is None:
-        fields["z"] = derived_z(args.case, fields)
+def _spec(fields: dict) -> SumSpec:
+    """The SumSpec of ``fields``, whose indices must respect the input limits."""
     try:
         spec = SumSpec(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     check_input_size(spec.n, spec.l, spec.r, spec.s, spec.m)
-    return IdentityCase(args.case, spec)
+    return spec
+
+
+def _build_case(args) -> IdentityCase:
+    reads = CASE_FIELDS[args.case]
+    foreign = [p for p in PARAMS if getattr(args, p.name) is not None and p.name not in reads]
+    if foreign:
+        own = ", ".join("--" + p.key for p in PARAMS if p.name in reads)
+        raise UsageError(f"case {args.case} does not read {', '.join('--' + p.key for p in foreign)} (it reads {own})")
+    fields = {p.name: p.default if getattr(args, p.name) is None else getattr(args, p.name) for p in PARAMS}
+    fields["alpha"] = _resolve_alpha(args.case, args.alpha)
+    if args.z is None:
+        fields["z"] = derived_z(args.case, fields)
+    return IdentityCase(args.case, _spec(fields))
 
 
 def _status_exit(status: str) -> int:
@@ -189,9 +198,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    if min(args.n, args.l, args.r, args.s) < 0:
-        raise UsageError("indices n, l, r, s must be >= 0")
-    check_input_size(args.n, args.l, args.r, args.s)
+    _spec({p.name: getattr(args, p.name) for p in _THEOREM_INDEXES})
     if args.certify_lambda:
         residuals = certify_lambda(args.n, args.l, args.r, args.s)
         ok = all(res.is_zero() for _, res in residuals)

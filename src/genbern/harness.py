@@ -9,10 +9,11 @@ ordered by case id and parameters.
 
 The grid is data.  ``CaseDef.axes`` names a case's axes, and :data:`AXES`
 maps each name to the ``SumSpec`` fields it sets and to its sample points.
-The same table gives the report's ``params`` keys, the point sets that
-``SweepConfig.validate`` requires to be non-empty, and the ``z`` that the
-CLI derives when ``--z`` is not given.  Input sizes are bounded by
-:func:`check_input_size`.
+The same table gives the fields a report's ``params`` shows, the point
+sets that ``SweepConfig.validate`` requires to be non-empty, and the ``z``
+that the CLI derives when ``--z`` is not given.  ``identities.PARAMS``
+gives the index axes, the bounds and the report keys.  Input sizes are
+bounded by :func:`check_input_size`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .bernoulli import DEFAULT_TABLE, classical_bernoulli_numbers, gen_bernoulli
 from .identities import (
     CASE_DEFS,
     CASE_IDS,
+    INDEXES,
+    PARAMS,
     ZERO,
     IdentityCase,
     SumSpec,
@@ -56,9 +59,9 @@ TABLE_LIMITS = {"classical": 2000, "generalized": 200}
 MAX_M = 1000
 
 
-# The integer bounds and the rational point sets of a SweepConfig, in the
-# order of its fields, its JSON form and the ``suite`` flags.
-BOUNDS = ("max_n", "max_l", "max_r", "max_s", "max_m")
+# A SweepConfig's integer bounds, one per SumSpec index, and rational point
+# sets, in the order of its fields, its JSON form and the ``suite`` flags.
+BOUNDS = tuple("max_" + p.name for p in INDEXES)
 POINT_SETS = ("lambda_points", "alpha_points")
 
 
@@ -93,6 +96,9 @@ class SweepConfig:
         unknown = [c for c in self.cases if c not in CASE_DEFS]
         if unknown:
             raise UsageError(f"unknown case ids: {', '.join(unknown)}")
+        repeated = sorted({c for c in self.cases if self.cases.count(c) > 1})
+        if repeated:
+            raise UsageError(f"repeated case ids: {', '.join(repeated)}")
         for source in POINT_SETS:
             if sweeps(self.cases, source) and not getattr(self, source):
                 raise UsageError(f"{source} must be non-empty for the selected cases")
@@ -142,7 +148,7 @@ class Axis:
     source: str | None = None  # the SweepConfig point set it sweeps
 
 
-def _bound(name: str, first: int = 0) -> Axis:
+def _bound(name: str, first: int) -> Axis:
     return Axis((name,), lambda cfg, chosen: [(v,) for v in range(first, getattr(cfg, "max_" + name) + 1)])
 
 
@@ -155,11 +161,8 @@ def _fixed(name: str, points) -> Axis:
 
 
 AXES: dict[str, Axis] = {
-    "n": _bound("n"),
-    "l": _bound("l"),
-    "r": _bound("r"),
-    "s": _bound("s"),
-    "m": _bound("m", 1),
+    # each index runs from its least value up to its bound
+    **{p.name: _bound(p.name, p.default) for p in INDEXES},
     "lam": _swept("lam", "lambda_points"),
     "alpha": _swept("alpha", "alpha_points"),
     "symbolic_alpha": _fixed("alpha", (None,)),
@@ -209,51 +212,30 @@ def derived_z(case_id: str, chosen: dict) -> Fraction:
     return ZERO
 
 
-_PARAM_KEYS = (
-    ("n", "n"),
-    ("l", "l"),
-    ("r", "r"),
-    ("s", "s"),
-    ("m", "m"),
-    ("lam", "lambda"),
-    ("x", "x"),
-    ("y", "y"),
-    ("z", "z"),
-    ("t", "t"),
-    ("beta", "beta"),
-    ("alpha", "alpha"),
-)
+# The schema rows of the fields each case reads, in field order.
+_CASE_PARAMS = {case_id: [p for p in PARAMS if p.name in reads] for case_id, reads in CASE_FIELDS.items()}
 
 
 def params_to_dict(case: IdentityCase) -> dict:
-    """Stable JSON encoding restricted to the fields of the case's axes."""
-    fields = CASE_FIELDS[case.id]
+    """Stable JSON encoding restricted to the fields of the case's axes,
+    under their report keys; a symbolic order is "symbolic"."""
     out = {}
-    for attr, key in _PARAM_KEYS:
-        if attr not in fields:
-            continue
-        value = getattr(case.params, attr)
-        if attr in ("n", "l", "r", "s", "m"):
-            out[key] = value
-        elif attr == "alpha":
-            out[key] = "symbolic" if value is None else format_fraction(value)
-        else:
-            out[key] = format_fraction(value)
+    for p in _CASE_PARAMS[case.id]:
+        value = getattr(case.params, p.name)
+        out[p.key] = value if p.kind == "index" else "symbolic" if value is None else format_fraction(value)
     return out
 
 
-def params_from_dict(case_id: str, data: dict) -> SumSpec:
+def params_from_dict(data: dict) -> SumSpec:
+    """Inverse of :func:`params_to_dict`; a field without a key keeps its default."""
     kwargs = {}
-    for attr, key in _PARAM_KEYS:
-        if key not in data:
-            continue
-        value = data[key]
-        if attr in ("n", "l", "r", "s", "m"):
-            kwargs[attr] = int(value)
-        elif attr == "alpha":
-            kwargs[attr] = None if value == "symbolic" else parse_fraction(str(value))
-        else:
-            kwargs[attr] = parse_fraction(str(value))
+    for p in PARAMS:
+        if p.key in data:
+            value = data[p.key]
+            if p.kind == "index":
+                kwargs[p.name] = int(value)
+            else:
+                kwargs[p.name] = None if p.kind == "order" and value == "symbolic" else parse_fraction(str(value))
     return SumSpec(**kwargs)
 
 
@@ -288,7 +270,7 @@ def result_to_dict(res: VerificationResult) -> dict:
 
 
 def result_from_dict(data: dict) -> VerificationResult:
-    case = IdentityCase(data["case"], params_from_dict(data["case"], data["params"]))
+    case = IdentityCase(data["case"], params_from_dict(data["params"]))
     return VerificationResult(
         case=case,
         status=data["status"],
@@ -390,12 +372,12 @@ def emit_tables(kind: str, n_max: int, fmt: str = "csv") -> str:
         raise UsageError("table size must be >= 0")
     if n_max > TABLE_LIMITS[kind]:
         raise UsageError(f"{kind} table size must be <= {TABLE_LIMITS[kind]}, got {n_max}")
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"unknown table format {fmt!r}; expected csv or json")
     if kind == "classical":
         values = [format_fraction(b) for b in classical_bernoulli_numbers(n_max)]
     else:
         values = [format_poly(b) for b in gen_bernoulli_numbers_symbolic(n_max)]
     if fmt == "csv":
         return "".join(f"{n},{v}\n" for n, v in enumerate(values))
-    if fmt == "json":
-        return json.dumps([{"n": n, "value": v} for n, v in enumerate(values)], indent=2)
-    raise UsageError(f"unknown table format {fmt!r}; expected csv or json")
+    return json.dumps([{"n": n, "value": v} for n, v in enumerate(values)], indent=2)

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bernoulli import (
     DEFAULT_TABLE,
@@ -47,20 +48,6 @@ STATUS_NOT_APPLICABLE = "not_applicable"
 
 class NegativePowerError(ValueError):
     """A negative exponent survived a nonzero coefficient in an explicit sum."""
-
-
-def _monomial_value(coeff, base: Fraction, exp: int) -> Fraction:
-    """coeff * base**exp with the 0**0 = 1 convention.
-
-    Explicit sums in the catalog contain formally negative exponents that
-    are always paired with a vanishing binomial coefficient; this helper
-    asserts that pairing instead of inventing a value for base**-1.
-    """
-    if not coeff:
-        return ZERO
-    if exp < 0:
-        raise NegativePowerError(f"exponent {exp} with nonzero coefficient {coeff}")
-    return coeff * base**exp
 
 
 def _is_odd(v: int) -> bool:
@@ -255,6 +242,14 @@ def replay_proof(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None
     * ``rhs_match``: Omega_(a-1)(D P) against the closed right side.
     Both routes are built from P on every call; only the closed-form
     sides they are matched against come from the table's memo.
+
+    The three do not check equally.  P = D^r/r! W for the windowed product
+    sum W, so D P is the very polynomial the closed right side maps, and
+    ``rhs_match`` can turn nonzero only through a fault of the memo.
+    ``operator_link`` is the residual that catches a wrong table entry:
+    with B_1^(a)(x) + 1 in place of B_1^(a)(x), at (n, l, r, s, lam) =
+    (1, 1, 1, 1, 1/2), (2, 1, 1, 2, 1/2) and (2, 2, 1, 2, -2/3), it alone
+    is nonzero.
     """
     t = table or DEFAULT_TABLE
     p = telescoping_core(n, l, r, s, lam)
@@ -374,31 +369,26 @@ def stern_recurrence_sum(n: int) -> Fraction:
 def linear_weight_double_sum(n: int, l: int, m: int) -> Fraction:
     """sum_{k<m} ((n+l)k - mn) k^(n-1) (k-m)^(l-1).
 
-    The formally negative exponents always cancel: at l = 0 the linear
-    weight factors as n(k-m) and absorbs (k-m)^(-1); at n = 0 the k^(-1)
-    piece carries the zero coefficient mn.  Both cancellations are carried
-    out symbolically here rather than defining negative powers.
+    The formally negative exponents always cancel, and the sum is written
+    out without them, over integers: at l = 0 the linear weight factors as
+    n(k-m) and absorbs (k-m)^(-1), leaving n k^(n-1) (nothing at n = 0
+    too); at n = 0 the k^(-1) piece carries the zero coefficient mn,
+    leaving l (k-m)^(l-1).
     """
-    total = ZERO
-    for k in range(1, m):
-        if l == 0:
-            # ((n+0)k - mn) = n(k-m); one factor cancels (k-m)^(-1)
-            if n:
-                total += _monomial_value(Fraction(n), Fraction(k), n - 1)
-            continue
-        total += _monomial_value(Fraction(n + l), Fraction(k), n) * Fraction(k - m) ** (l - 1)
-        piece = _monomial_value(Fraction(-m * n), Fraction(k), n - 1)
-        if piece:
-            total += piece * Fraction(k - m) ** (l - 1)
-    return total
+    if l == 0:
+        return Fraction(n * sum(k ** (n - 1) for k in range(1, m))) if n else ZERO
+    if n == 0:
+        return Fraction(l * sum((k - m) ** (l - 1) for k in range(1, m)))
+    return Fraction(sum(((n + l) * k - m * n) * k ** (n - 1) * (k - m) ** (l - 1) for k in range(1, m)))
 
 
 def kaneko_weighted_term(k: int, m: int, n: int) -> Fraction:
-    """p_k(m, 1, n) = (n+1)^2 k^n (k-m)^n + n(n+1) k^(n+1) (k-m)^(n-1)."""
-    first = Fraction((n + 1) ** 2) * Fraction(k) ** n * Fraction(k - m) ** n
-    second = _monomial_value(Fraction(n * (n + 1)), Fraction(k), n + 1)
-    second = _monomial_value(second, Fraction(k - m), n - 1) if second else second
-    return first + second
+    """p_k(m, 1, n) = (n+1)^2 k^n (k-m)^n + n(n+1) k^(n+1) (k-m)^(n-1).
+
+    At n = 0 the second term carries the zero coefficient n(n+1), so the
+    formal (k-m)^(-1) is never raised."""
+    second = n * (n + 1) * k ** (n + 1) * (k - m) ** (n - 1) if n else 0
+    return Fraction((n + 1) ** 2 * k**n * (k - m) ** n + second)
 
 
 def chen_sun_term(k: int, m: int, n: int, corrected: bool = True) -> Fraction:
@@ -614,7 +604,8 @@ def symbolic_weight_pair_residual(n: int, l: int, table: GenBernTable | None = N
 
 @dataclass(frozen=True)
 class SumSpec:
-    """Parameter record selecting one identity instance."""
+    """Parameter record selecting one identity instance; :data:`PARAMS`
+    is its schema."""
 
     n: int = 0
     l: int = 0
@@ -630,11 +621,27 @@ class SumSpec:
     alpha: Fraction | None = None
 
     def __post_init__(self):
-        for name in ("n", "l", "r", "s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        for p in INDEXES:
+            if getattr(self, p.name) < p.default:
+                raise ValueError(f"{p.name} must be >= {p.default}")
+
+
+class Param(NamedTuple):
+    """One SumSpec field.  ``kind`` is "index" for an integer whose least
+    value is its default, "rational", or "order" for a rational or None (a
+    symbolic order); ``key`` names the field in a report and as a flag."""
+
+    name: str
+    kind: str
+    default: object
+    key: str
+
+
+# The schema of SumSpec in field order, kinds read from its annotations;
+# each key is the field's own name, except that lam is "lambda".
+_KINDS = {"int": "index", "Fraction": "rational", "Fraction | None": "order"}
+PARAMS = tuple(Param(f.name, _KINDS[f.type], f.default, "lambda" if f.name == "lam" else f.name) for f in fields(SumSpec))
+INDEXES = tuple(p for p in PARAMS if p.kind == "index")
 
 
 @dataclass(frozen=True)

@@ -214,13 +214,11 @@ class Poly:
     # -- evaluation and coefficient maps -----------------------------------
 
     def eval(self, value):
-        """Evaluation at ``value`` (scalar or lower/equal-rank Poly); at a
-        scalar p/q, one integer Horner pass per column, over den * q^deg."""
+        """Evaluation at a rational p/q: one integer Horner pass per column,
+        over den * q^deg.  An x-polynomial gives an a-polynomial or, when
+        its coefficients are rational, a Fraction."""
         if not _is_scalar(value):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * value + c
-            return acc
+            raise TypeError("eval point must be rational")
         rows = self.rows
         if not rows:
             return Fraction(0)

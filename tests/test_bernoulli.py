@@ -300,6 +300,13 @@ def test_omega_linearity():
     assert om(p * ALPHA) == om(p) * ALPHA
 
 
+def test_omega_rejects_input_other_than_an_x_polynomial():
+    om = OmegaOperator(0)
+    for p in (F(1), 2, ALPHA, poly_a(1, F(1, 2))):
+        with pytest.raises(TypeError, match="x-polynomial"):
+            om(p)
+
+
 def test_operator_commutation_laws():
     om = OmegaOperator(0)
     om_down = OmegaOperator(-1)

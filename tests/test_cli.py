@@ -213,6 +213,19 @@ def test_suite_bad_config_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_suite_repeated_case_id_is_usage_error(tmp_path, capsys, route):
+    if route == "flag":
+        argv = ["--cases", "t3,e1,t3", "--max-n", "0", "--max-l", "0", "--max-r", "0"]
+    else:
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"max_n": 0, "max_l": 0, "max_r": 0, "cases": ["t3", "e1", "t3"]}))
+        argv = ["--config", str(path)]
+    code, out, err = run_cli(capsys, "suite", *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("repeated case ids: t3\n") and err.count("\n") == 1
+
+
 def test_suite_unknown_case_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "suite", "--cases", "bogus")
     assert code == 2

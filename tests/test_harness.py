@@ -1,5 +1,6 @@
 """Sweep harness: grids, reports, serialization, determinism."""
 
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -7,9 +8,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from genbern import harness
 from genbern.bernoulli import gen_bernoulli_numbers_symbolic
 from genbern.harness import (
     AXES,
+    TABLE_LIMITS,
     SweepConfig,
     UsageError,
     emit_json,
@@ -22,7 +25,7 @@ from genbern.harness import (
     run_suite,
     table_size,
 )
-from genbern.identities import CASE_DEFS, IdentityCase, SumSpec, VerificationResult
+from genbern.identities import CASE_DEFS, INDEXES, PARAMS, IdentityCase, SumSpec, VerificationResult
 from genbern.textform import format_poly
 
 
@@ -70,7 +73,8 @@ def test_summary_counts_match_results():
 
 
 def test_json_round_trip():
-    cfg = SweepConfig(max_n=1, max_l=1, max_r=1, max_s=1, max_m=2, cases=("t3", "ges1", "theorem_le1"))
+    # every case, so that each SumSpec field is read back from its report key
+    cfg = SweepConfig(max_n=1, max_l=1, max_r=1, max_s=1, max_m=2, lambda_points=(F(-1, 2),), alpha_points=(F(2, 3),))
     report = run_suite(cfg)
     text = emit_json(report)
     again = emit_json(parse_report(text))
@@ -158,6 +162,19 @@ def test_tables_csv_and_json():
         emit_tables("classical", -1, "csv")
 
 
+@pytest.mark.parametrize("kind, builder", [
+    ("classical", "classical_bernoulli_numbers"),
+    ("generalized", "gen_bernoulli_numbers_symbolic"),
+])
+def test_table_format_is_checked_before_a_table_is_built(monkeypatch, kind, builder):
+    def fail(n_max):
+        raise AssertionError(f"table built before the format was checked (n_max={n_max})")
+
+    monkeypatch.setattr(harness, builder, fail)
+    with pytest.raises(UsageError, match="unknown table format 'xml'"):
+        emit_tables(kind, TABLE_LIMITS[kind], "xml")
+
+
 def test_adjudicated_report_records_readings():
     cfg = SweepConfig(max_n=1, max_m=2, cases=("t24",))
     entries = json.loads(emit_json(run_suite(cfg)))["results"]
@@ -220,6 +237,19 @@ def test_params_keys_and_first_grid_point():
 
 def test_every_case_axis_is_in_the_axis_table():
     assert {name for d in CASE_DEFS.values() for name in d.axes} <= set(AXES)
+
+
+def test_param_schema_follows_sumspec():
+    assert [p.name for p in PARAMS] == [f.name for f in dataclasses.fields(SumSpec)]
+    assert [(p.name, p.default) for p in INDEXES] == [("n", 0), ("l", 0), ("r", 0), ("s", 0), ("m", 1)]
+    assert {p.name: p.kind for p in PARAMS if p.kind != "index"} == {
+        "lam": "rational", "x": "rational", "y": "rational", "z": "rational",
+        "t": "rational", "beta": "rational", "alpha": "order",
+    }
+    assert [p.key for p in PARAMS if p.key != p.name] == ["lambda"]
+    for name, least in (("n", 0), ("s", 0), ("m", 1)):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}$"):
+            SumSpec(**{name: least - 1})
 
 
 # Every case, with r up to 3 so that the blocks and double sums reach past

@@ -20,14 +20,12 @@ from genbern.identities import (
     CASE_DEFS,
     CASE_IDS,
     IdentityCase,
-    NegativePowerError,
     SumSpec,
     _block,
     _difference,
     _double_sum,
     _main_identity_lhs,
     _main_identity_rhs,
-    _monomial_value,
     _order_shift_pair_residuals,
     alternating_power_sum,
     certify_lambda,
@@ -350,12 +348,6 @@ def test_alternating_power_sum():
     assert alternating_power_sum(1, 3, 3) == 0
     assert alternating_power_sum(7, 0, 6) == 0
     assert alternating_power_sum(4, 1, 2) != 0  # odd total degree need not vanish
-
-
-def test_negative_power_guard():
-    with pytest.raises(NegativePowerError):
-        _monomial_value(F(1), F(2), -1)
-    assert _monomial_value(F(0), F(2), -1) == 0
 
 
 # -- classical catalog -------------------------------------------------------------

@@ -155,6 +155,15 @@ def test_eval_bipoly_levels():
     assert alpha_substituted(p, 1).eval(0) == F(1, 6)
 
 
+def test_eval_rejects_a_polynomial_point():
+    # like shift, eval takes only a rational point
+    for point in (X, ALPHA, poly_a(1, 2)):
+        with pytest.raises(TypeError, match="eval point must be rational"):
+            poly_x(1, 2).eval(point)
+    with pytest.raises(TypeError, match="eval point must be rational"):
+        poly_a(1, 2).eval(ALPHA)
+
+
 def test_zero_power_zero_convention():
     assert F(0) ** 0 == 1
     assert poly_x().eval(0) == 0
