@@ -18,7 +18,8 @@ ever parsed as a float.  Exit codes: 0 success / all verified, 1 a
 counterexample was found, 2 usage or configuration error, 3 internal
 error.  Indices and grid bounds have limits (``harness.check_input_size``):
 2*(n+l+r)+s+6 may not exceed the generalized table limit (200), and m
-may not exceed ``harness.MAX_M`` (1000).
+may not exceed ``harness.MAX_M`` (1000).  A ``suite`` may not have more
+than ``harness.MAX_GRID_POINTS`` (50,000) results.
 """
 
 from __future__ import annotations

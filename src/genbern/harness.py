@@ -13,13 +13,16 @@ The same table gives the fields a report's ``params`` shows, the point
 sets that ``SweepConfig.validate`` requires to be non-empty, and the ``z``
 that the CLI derives when ``--z`` is not given.  ``identities.PARAMS``
 gives the index axes, the bounds and the report keys.  Input sizes are
-bounded by :func:`check_input_size`.
+bounded by :func:`check_input_size`, and ``SweepConfig.validate`` counts
+a sweep's results from the axis lengths (:func:`grid_size`) and rejects
+more than :data:`MAX_GRID_POINTS` before any grid is built.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -57,6 +60,11 @@ RATIO_X_POINTS = (Fraction(0), Fraction(1, 3), Fraction(-1, 2))
 TABLE_LIMITS = {"classical": 2000, "generalized": 200}
 # Largest m an input may name; the closed forms loop over k < m.
 MAX_M = 1000
+# Most results one sweep may have.  A result costs about 0.1 ms on the
+# default sweep, about 0.4 ms on the symbolic cases at n, l <= 8, and
+# 4-6 KB of memory until the report is written, so the largest sweep
+# admitted finishes in 5-20 s within about 300 MB.
+MAX_GRID_POINTS = 50_000
 
 
 # A SweepConfig's integer bounds, one per SumSpec index, and rational point
@@ -73,7 +81,7 @@ def _json_value(data: dict, name: str, kind: type):
     """``data[name]``, which must be a JSON ``kind`` (a bool is no int)."""
     value = data[name]
     if type(value) is not kind:
-        raise TypeError(f"{name} must be a JSON {'integer' if kind is int else 'list'}, got {value!r}")
+        raise UsageError(f"{name} must be a JSON {'integer' if kind is int else 'list'}, got {value!r}")
     return value
 
 
@@ -102,6 +110,9 @@ class SweepConfig:
         for source in POINT_SETS:
             if sweeps(self.cases, source) and not getattr(self, source):
                 raise UsageError(f"{source} must be non-empty for the selected cases")
+        total = sum(grid_size(c, self) for c in self.cases)
+        if total > MAX_GRID_POINTS:
+            raise UsageError(f"the sweep has {total} grid points, more than the limit of {MAX_GRID_POINTS}")
 
     def to_dict(self) -> dict:
         out = {name: getattr(self, name) for name in BOUNDS}
@@ -188,9 +199,16 @@ def sweeps(cases, source: str) -> bool:
 CASE_FIELDS = {case_id: {f for name in d.axes for f in AXES[name].fields} for case_id, d in CASE_DEFS.items()}
 
 
+def grid_size(case_id: str, cfg: SweepConfig) -> int:
+    """The number of points in one case's grid, counted without building
+    it: the product of its axis lengths, where a derived axis (``z``) has
+    one point for each choice of the fields before it."""
+    return math.prod(1 if AXES[name].fields == ("z",) else len(AXES[name].points(cfg, {})) for name in CASE_DEFS[case_id].axes)
+
+
 def _case_grid(case_id: str, cfg: SweepConfig) -> list[SumSpec]:
-    """The raw parameter grid of one case, its first axis outermost (domain
-    filtering happens inside the verifier, which reports not_applicable)."""
+    """The raw parameter grid of one case, its first axis outermost (the
+    domain guards run in ``verify_case``, which reports not_applicable)."""
     grid = [{}]
     for name in CASE_DEFS[case_id].axes:
         axis = AXES[name]
@@ -227,13 +245,14 @@ def params_to_dict(case: IdentityCase) -> dict:
 
 
 def params_from_dict(data: dict) -> SumSpec:
-    """Inverse of :func:`params_to_dict`; a field without a key keeps its default."""
+    """Inverse of :func:`params_to_dict`; a field without a key keeps its
+    default, and an index must be a JSON integer."""
     kwargs = {}
     for p in PARAMS:
         if p.key in data:
             value = data[p.key]
             if p.kind == "index":
-                kwargs[p.name] = int(value)
+                kwargs[p.name] = _json_value(data, p.key, int)
             else:
                 kwargs[p.name] = None if p.kind == "order" and value == "symbolic" else parse_fraction(str(value))
     return SumSpec(**kwargs)

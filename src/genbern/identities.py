@@ -20,12 +20,17 @@ u_k^(l+j-1) v_k^(n+r-j) through another, ``_double_sum``.  A handful of
 catalog entries circulate in print with typographical slips; those run in
 "adjudication" mode, where every candidate reading is evaluated and the
 result records which one verifies.
+
+Each case is a :class:`CaseDef` record: its sweep axes, its domain guards,
+its residual (one, or one per reading), the order in which its readings
+are preferred, and its note.  One :func:`verify_case` runs every record.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
@@ -48,10 +53,6 @@ STATUS_NOT_APPLICABLE = "not_applicable"
 
 class NegativePowerError(ValueError):
     """A negative exponent survived a nonzero coefficient in an explicit sum."""
-
-
-def _is_odd(v: int) -> bool:
-    return v % 2 == 1
 
 
 def _sign(e: int) -> int:
@@ -598,7 +599,7 @@ def symbolic_weight_pair_residual(n: int, l: int, table: GenBernTable | None = N
 
 
 # ---------------------------------------------------------------------------
-# Case registry: parameters, domains, verifiers
+# Case registry: parameters, domains, records
 # ---------------------------------------------------------------------------
 
 
@@ -665,304 +666,221 @@ class VerificationResult:
         return self.status == STATUS_VERIFIED
 
 
-def _residual_is_zero(res) -> bool:
-    if isinstance(res, Poly):
-        return res.is_zero()
-    return res == 0
+def _status(residual) -> str:
+    zero = residual.is_zero() if isinstance(residual, Poly) else residual == 0
+    return STATUS_VERIFIED if zero else STATUS_COUNTEREXAMPLE
 
 
-def _outcome(residual, readings=None, reading=None, note=None):
-    status = STATUS_VERIFIED if _residual_is_zero(residual) else STATUS_COUNTEREXAMPLE
-    return status, residual, readings, reading, note
+class Guard(NamedTuple):
+    """A condition on a case's domain, and the note a result outside it reports."""
 
+    holds: Callable[[SumSpec], bool]
+    note: str
 
-def _not_applicable(note):
-    return STATUS_NOT_APPLICABLE, ZERO, None, None, note
 
-
-def _adjudicate(residuals: dict[str, object], prefer: tuple[str, ...], note: str):
-    """Pick the first verifying reading; fall back to the first reading's
-    residual when none verifies."""
-    readings = {name: (STATUS_VERIFIED if _residual_is_zero(res) else STATUS_COUNTEREXAMPLE) for name, res in residuals.items()}
-    for name in prefer:
-        if readings[name] == STATUS_VERIFIED:
-            return STATUS_VERIFIED, residuals[name], readings, name, note
-    first = prefer[0]
-    return STATUS_COUNTEREXAMPLE, residuals[first], readings, first, note
-
-
-def _verify_t3(p: SumSpec):
-    return _outcome(paired_sum(p.n, p.l, p.r, 1, 0, 0, alpha=1))
-
-
-def _verify_t4(p: SumSpec):
-    lhs = paired_sum(p.n, p.l, p.r, p.m, 0, 0, alpha=1)
-    return _outcome(lhs - gessel_double_sum(p.n, p.l, p.r, p.m))
-
-
-def _verify_tg4(p: SumSpec):
-    lhs = paired_sum(p.n, p.l, p.r, p.m, 0, 0, alpha=1)
-    return _outcome(lhs - gessel_double_sum_reindexed(p.n, p.l, p.r, p.m))
-
-
-def _verify_t5(p: SumSpec):
-    if not _is_odd(p.r):
-        return _not_applicable("needs odd r")
-    lhs = symmetric_block_sum(p.n, p.r, p.m)
-    return _outcome(lhs - gessel_halved_double_sum(p.n, p.r, p.m))
-
-
-def _verify_ges1(p: SumSpec):
-    if not _is_odd(p.r):
-        return _not_applicable("needs odd r")
-    lhs = symmetric_block_sum(p.n, p.r, p.m)
-    residuals = {
-        "sign_corrected": lhs - q_block_sum(p.n, p.r, p.m, corrected=True),
-        "as_printed": lhs - q_block_sum(p.n, p.r, p.m, corrected=False),
-    }
-    note = (
-        "left side is the single Bernoulli block; the leading q-term base "
-        "k*(m-k) verifies only after the correction to k*(k-m), i.e. a "
-        "factor (-1)^(n+(r-1)/2)"
-    )
-    return _adjudicate(residuals, ("as_printed", "sign_corrected"), note)
-
-
-def _verify_rem1(p: SumSpec):
-    if (p.r + p.s) % 2:
-        return _not_applicable("needs r+s even")
-    return _outcome(alternating_power_sum(p.m, p.r, p.s))
-
-
-def _verify_p1(p: SumSpec):
-    return _outcome(autoduality_residual(p.n))
-
-
-def _verify_e1(p: SumSpec):
-    return _outcome(lucas_pair_sum(p.n, p.l))
-
-
-def _verify_e2(p: SumSpec):
-    return _outcome(paired_sum(p.n, p.l, 0, 1, 0, 0, alpha=1))
-
-
-def _verify_k5(p: SumSpec):
-    total = weighted_lucas_sum(p.n, 1)
-    pair = paired_sum(p.n, p.n + 1, 0, 1, 0, 0, alpha=1)
-    block = symmetric_block_sum(p.n, 1, 1)
-    residuals = {
-        "literal": abs(total - (p.n + 1) * pair) + abs(total),
-        "first_block": abs(total - block) + abs(total),
-    }
-    note = "the weighted sum vanishes and matches both the (n+1)-scaled pair sum and the single block at m=1"
-    return _adjudicate(residuals, ("literal", "first_block"), note)
-
-
-def _verify_k3(p: SumSpec):
-    if p.n < 1:
-        return _not_applicable("needs n >= 1")
-    return _outcome(stern_recurrence_sum(p.n))
-
-
-def _verify_t230(p: SumSpec):
-    lhs = paired_sum(p.n, p.l, 0, p.m, 0, 0, alpha=1)
-    return _outcome(lhs - linear_weight_double_sum(p.n, p.l, p.m))
-
-
-def _verify_t24(p: SumSpec):
-    total = weighted_lucas_sum(p.n, p.m)
-    closed = sum((kaneko_weighted_term(k, p.m, p.n) for k in range(1, p.m)), ZERO)
-    pair = paired_sum(p.n, p.n + 1, 1, p.m, 0, 0, alpha=1)
-    block = symmetric_block_sum(p.n, 1, p.m)
-    residuals = {
-        "literal": abs(total - (p.n + 1) * pair) + abs(total - closed),
-        "first_block": abs(total - block) + abs(total - closed),
-    }
-    note = (
-        "the displayed sum equals the closed form and the single block of "
-        "the symmetric pair sum; its identification with (n+1) times the "
-        "shifted pair sum fails"
-    )
-    return _adjudicate(residuals, ("literal", "first_block"), note)
-
-
-def _verify_c1(p: SumSpec):
-    lhs = symmetric_block_sum(p.n, 3, p.m)
-    residuals = {
-        "sign_corrected": lhs - sum((chen_sun_term(k, p.m, p.n, True) for k in range(1, p.m)), ZERO),
-        "as_printed": lhs - sum((chen_sun_term(k, p.m, p.n, False) for k in range(1, p.m)), ZERO),
-    }
-    note = "inherits the leading q-term base correction (k*(k-m) for k*(m-k))"
-    return _adjudicate(residuals, ("as_printed", "sign_corrected"), note)
-
-
-def _verify_theorem(p: SumSpec):
-    if p.alpha is None:
-        return _outcome(main_identity_residual(p.n, p.l, p.r, p.s, p.lam))
-    return _outcome(main_identity_residual_at(p.n, p.l, p.r, p.s, p.lam, p.alpha))
-
-
-def _verify_replay(p: SumSpec):
-    checks = replay_proof(p.n, p.l, p.r, p.s, p.lam)
-    residual = Poly("x")
-    for res in checks.values():
-        if not res.is_zero():
-            residual = res
-            break
-    return _outcome(residual, note="operator link, lhs expansion and rhs closed form all replayed")
-
-
-def _verify_app1(p: SumSpec):
-    return _outcome(classical_pair_residual(p.n, p.l, p.r, p.s, p.lam, p.x))
-
-
-def _verify_f10(p: SumSpec):
-    residuals = _order_shift_pair_residuals(p.n, p.l, p.r, p.m, p.beta, ("as_printed", "from_main_identity"))
-    note = (
-        "the displayed per-term sign -(-1)^(r+l+k) and the global sign "
-        "(-1)^(l+n+r+1) with reflection give the same polynomial; both verify"
-    )
-    return _adjudicate(residuals, ("as_printed", "from_main_identity"), note)
-
-
-def _verify_agoh_leibniz(p: SumSpec):
-    return _outcome(product_rule_split_residual(p.n, p.l, p.r))
-
-
-def _verify_s1(p: SumSpec):
-    if p.alpha is None:
-        return _not_applicable("needs a rational order (the balance constraint ties x+y+z to it)")
-    if Fraction(p.x) + p.y + p.z != Fraction(p.alpha):
-        return _not_applicable("needs x + y + z equal to the order")
-    return _outcome(balanced_triple_residual_antisym(p.n, p.l, p.r, p.alpha, p.x, p.y))
-
-
-def _verify_s2(p: SumSpec):
-    if p.alpha is None:
-        return _not_applicable("needs a rational order")
-    return _outcome(balanced_triple_residual_folded(p.n, p.l, p.r, p.alpha, p.x, p.y))
-
-
-def _verify_s4(p: SumSpec):
-    if Fraction(p.x) + p.y + p.z != p.s + 1:
-        return _not_applicable("needs x + y + z = s + 1")
-    return _outcome(integer_balance_residual(p.n, p.l, p.r, p.s, p.x, p.y))
-
-
-def _verify_cor3a(p: SumSpec):
-    if p.r < 1:
-        return _not_applicable("needs r >= 1")
-    if p.alpha is None:
-        return _not_applicable("needs a rational order")
-    if Fraction(p.x) + p.y + p.z != Fraction(p.alpha):
-        return _not_applicable("needs x + y + z equal to the order")
-    residuals = {
-        "corrected": truncated_balanced_residual(p.n, p.l, p.r, p.alpha, p.x, p.y, corrected=True),
-        "as_printed": truncated_balanced_residual(p.n, p.l, p.r, p.alpha, p.x, p.y, corrected=False),
-    }
-    note = "right-side difference index reads n+l+1 in print but must be n+l+r (identical at r=1)"
-    return _adjudicate(residuals, ("as_printed", "corrected"), note)
-
-
-def _verify_cor3b(p: SumSpec):
-    if p.r < 1:
-        return _not_applicable("needs r >= 1")
-    residuals = {
-        "corrected": truncated_power_residual(p.n, p.l, p.r, p.t, corrected=True),
-        "as_printed": truncated_power_residual(p.n, p.l, p.r, p.t, corrected=False),
-    }
-    note = "monomial right side reads (n+l+1) t^(n+l) in print but must be (n+l+r) t^(n+l+r-1)"
-    return _adjudicate(residuals, ("as_printed", "corrected"), note)
-
-
-def _verify_s20(p: SumSpec):
-    if not _is_odd(p.r):
-        return _not_applicable("needs odd r")
-    residual = odd_order_tail_residual(p.n, p.r, p.t)
-    if p.alpha is not None:
-        residual = residual.eval(Fraction(p.alpha))
-    return _outcome(residual)
-
-
-def _verify_cor1(p: SumSpec):
-    if not _is_odd(p.r):
-        return _not_applicable("needs odd r")
-    if Fraction(p.x) == 1:
-        return _not_applicable("x = 1 divides by zero in the weight")
-    residuals = {
-        "corrected": scaled_ratio_sum_residual(p.n, p.r, p.x, corrected=True),
-        "as_printed": scaled_ratio_sum_residual(p.n, p.r, p.x, corrected=False),
-    }
-    note = (
-        "right side verifies as (-1)^(n+(r-1)/2) (r+1)/2^(n+r+1) C(n+r,(r+1)/2); "
-        "the printed sign exponent and power of two are off by one"
-    )
-    return _adjudicate(residuals, ("as_printed", "corrected"), note)
-
-
-def _verify_fi2(p: SumSpec):
-    if not _is_odd(p.r):
-        return _not_applicable("needs odd r")
-    return _outcome(halved_tail_sum_residual(p.n, p.r))
-
-
-def _verify_neto(p: SumSpec):
-    residual = symbolic_weight_pair_residual(p.n, p.l)
-    if p.alpha is not None:
-        residual = residual.eval(Fraction(p.alpha))
-    return _outcome(residual)
-
-
-def _verify_vassilev(p: SumSpec):
-    if p.n < 1 or p.l < 1:
-        return _not_applicable("needs n >= 1 and l >= 1")
-    return _outcome(truncated_pair_sum(p.n, p.l))
+# Guards that several cases share.
+ODD_R = Guard(lambda p: p.r % 2 == 1, "needs odd r")
+POSITIVE_R = Guard(lambda p: p.r >= 1, "needs r >= 1")
+RATIONAL_ORDER = Guard(lambda p: p.alpha is not None, "needs a rational order")
+BALANCED = Guard(lambda p: p.x + p.y + p.z == p.alpha, "needs x + y + z equal to the order")
 
 
 @dataclass(frozen=True)
 class CaseDef:
-    """One catalog entry.  ``axes`` names its sweep axes, outermost first;
-    ``genbern.harness.AXES`` gives each name's fields and sample points."""
+    """One catalog entry, as the data that :func:`verify_case` runs.
+
+    ``axes`` names its sweep axes, outermost first; ``genbern.harness.AXES``
+    gives each name's fields and sample points.  ``domain`` holds its guards
+    in the order they are checked.  ``residual`` maps a SumSpec to the exact
+    residual or, for a case read in several ways, to a dict reading ->
+    residual in report order.  ``prefer`` names those readings in order of
+    preference and is empty for a case with one reading.  ``note`` goes into
+    every result inside the domain.
+    """
 
     id: str
     axes: tuple[str, ...]
-    verify: object
-    adjudicated: bool = False
+    residual: Callable[[SumSpec], object]
+    domain: tuple[Guard, ...] = ()
+    prefer: tuple[str, ...] = ()
+    note: str | None = None
 
+
+def _pair(n: int, l: int, r: int, m) -> Fraction:
+    """S(n, l, r; m, 0, 0) at order one."""
+    return paired_sum(n, l, r, m, 0, 0, alpha=1)
+
+
+def _at_order(residual: Poly, alpha):
+    """A residual in QQ[a], or its value at the order when that is rational."""
+    return residual if alpha is None else residual.eval(Fraction(alpha))
+
+
+def _against_block(n: int, r: int, m: int, closed) -> dict[str, Fraction]:
+    """The single block at (n, r, m) minus ``closed(corrected)`` in the
+    sign-corrected and the printed reading; the block is built once."""
+    lhs = symmetric_block_sum(n, r, m)
+    return {"sign_corrected": lhs - closed(True), "as_printed": lhs - closed(False)}
+
+
+def _weighted_readings(n: int, r: int, m: int, closed) -> dict[str, Fraction]:
+    """The weighted sum sum_k m^(n+1-k) C(n+1,k) (n+k+1) B_{n+k}, built once,
+    against ``closed`` and either (n+1) S(n, n+1, r; m, 0, 0) (``literal``)
+    or the single block at r = 1 (``first_block``)."""
+    total = weighted_lucas_sum(n, m)
+    return {
+        "literal": abs(total - (n + 1) * _pair(n, n + 1, r, m)) + abs(total - closed),
+        "first_block": abs(total - symmetric_block_sum(n, 1, m)) + abs(total - closed),
+    }
+
+
+def _corrected(residual):
+    """The readings of ``residual(p, corrected)``: the corrected one first."""
+    return lambda p: {"corrected": residual(p, True), "as_printed": residual(p, False)}
+
+
+_F10_READINGS = ("as_printed", "from_main_identity")
 
 CASE_DEFS: dict[str, CaseDef] = {
     d.id: d
     for d in (
-        CaseDef("t3", ("n", "l", "r"), _verify_t3),
-        CaseDef("t4", ("n", "l", "r", "m"), _verify_t4),
-        CaseDef("tg4", ("n", "l", "r", "m"), _verify_tg4),
-        CaseDef("t5", ("n", "r", "m"), _verify_t5),
-        CaseDef("ges1", ("n", "r", "m"), _verify_ges1, adjudicated=True),
-        CaseDef("rem1", ("m", "r", "s"), _verify_rem1),
-        CaseDef("p1", ("n",), _verify_p1),
-        CaseDef("e1", ("n", "l"), _verify_e1),
-        CaseDef("e2", ("n", "l"), _verify_e2),
-        CaseDef("k5", ("n",), _verify_k5, adjudicated=True),
-        CaseDef("k3", ("n",), _verify_k3),
-        CaseDef("s3", ("n", "l", "r"), _verify_t3),
-        CaseDef("t230", ("n", "l", "m"), _verify_t230),
-        CaseDef("t24", ("n", "m"), _verify_t24, adjudicated=True),
-        CaseDef("c1", ("n", "m"), _verify_c1, adjudicated=True),
-        CaseDef("theorem_le1", ("n", "l", "r", "s", "lam", "symbolic_alpha"), _verify_theorem),
-        CaseDef("proof_replay", ("n", "l", "r", "s", "lam"), _verify_replay),
-        CaseDef("app1", ("n", "l", "r", "s", "lam", "x"), _verify_app1),
-        CaseDef("nielsen_f10", ("n", "l", "r", "m", "beta"), _verify_f10, adjudicated=True),
-        CaseDef("agoh_leibniz", ("n", "l", "r"), _verify_agoh_leibniz),
-        CaseDef("s1", ("n", "l", "r", "alpha", "xy", "z=alpha-x-y"), _verify_s1),
-        CaseDef("s2", ("n", "l", "r", "alpha", "xy"), _verify_s2),
-        CaseDef("s4", ("n", "l", "r", "s", "xy", "z=s+1-x-y"), _verify_s4),
-        CaseDef("cor3a", ("n", "l", "r", "alpha", "xy", "z=alpha-x-y"), _verify_cor3a, adjudicated=True),
-        CaseDef("cor3b", ("n", "l", "r", "t"), _verify_cor3b, adjudicated=True),
-        CaseDef("s20", ("n", "r", "t", "symbolic_alpha"), _verify_s20),
-        CaseDef("cor1", ("n", "r", "ratio_x"), _verify_cor1, adjudicated=True),
-        CaseDef("fi2", ("n", "r"), _verify_fi2),
-        CaseDef("neto_corrected", ("n", "l", "symbolic_alpha"), _verify_neto),
-        CaseDef("vassilev", ("n", "l"), _verify_vassilev),
+        CaseDef("t3", ("n", "l", "r"), lambda p: _pair(p.n, p.l, p.r, 1)),
+        CaseDef("t4", ("n", "l", "r", "m"), lambda p: _pair(p.n, p.l, p.r, p.m) - gessel_double_sum(p.n, p.l, p.r, p.m)),
+        CaseDef(
+            "tg4", ("n", "l", "r", "m"), lambda p: _pair(p.n, p.l, p.r, p.m) - gessel_double_sum_reindexed(p.n, p.l, p.r, p.m)
+        ),
+        CaseDef(
+            "t5",
+            ("n", "r", "m"),
+            lambda p: symmetric_block_sum(p.n, p.r, p.m) - gessel_halved_double_sum(p.n, p.r, p.m),
+            domain=(ODD_R,),
+        ),
+        CaseDef(
+            "ges1",
+            ("n", "r", "m"),
+            lambda p: _against_block(p.n, p.r, p.m, lambda c: q_block_sum(p.n, p.r, p.m, corrected=c)),
+            domain=(ODD_R,),
+            prefer=("as_printed", "sign_corrected"),
+            note="left side is the single Bernoulli block; the leading q-term base k*(m-k) verifies only after the "
+            "correction to k*(k-m), i.e. a factor (-1)^(n+(r-1)/2)",
+        ),
+        CaseDef(
+            "rem1",
+            ("m", "r", "s"),
+            lambda p: alternating_power_sum(p.m, p.r, p.s),
+            domain=(Guard(lambda p: (p.r + p.s) % 2 == 0, "needs r+s even"),),
+        ),
+        CaseDef("p1", ("n",), lambda p: autoduality_residual(p.n)),
+        CaseDef("e1", ("n", "l"), lambda p: lucas_pair_sum(p.n, p.l)),
+        CaseDef("e2", ("n", "l"), lambda p: _pair(p.n, p.l, 0, 1)),
+        CaseDef(
+            "k5",
+            ("n",),
+            lambda p: _weighted_readings(p.n, 0, 1, ZERO),
+            prefer=("literal", "first_block"),
+            note="the weighted sum vanishes and matches both the (n+1)-scaled pair sum and the single block at m=1",
+        ),
+        CaseDef("k3", ("n",), lambda p: stern_recurrence_sum(p.n), domain=(Guard(lambda p: p.n >= 1, "needs n >= 1"),)),
+        CaseDef("s3", ("n", "l", "r"), lambda p: _pair(p.n, p.l, p.r, 1)),
+        CaseDef("t230", ("n", "l", "m"), lambda p: _pair(p.n, p.l, 0, p.m) - linear_weight_double_sum(p.n, p.l, p.m)),
+        CaseDef(
+            "t24",
+            ("n", "m"),
+            lambda p: _weighted_readings(p.n, 1, p.m, sum((kaneko_weighted_term(k, p.m, p.n) for k in range(1, p.m)), ZERO)),
+            prefer=("literal", "first_block"),
+            note="the displayed sum equals the closed form and the single block of the symmetric pair sum; its "
+            "identification with (n+1) times the shifted pair sum fails",
+        ),
+        CaseDef(
+            "c1",
+            ("n", "m"),
+            lambda p: _against_block(p.n, 3, p.m, lambda c: sum((chen_sun_term(k, p.m, p.n, c) for k in range(1, p.m)), ZERO)),
+            prefer=("as_printed", "sign_corrected"),
+            note="inherits the leading q-term base correction (k*(k-m) for k*(m-k))",
+        ),
+        CaseDef(
+            "theorem_le1",
+            ("n", "l", "r", "s", "lam", "symbolic_alpha"),
+            lambda p: main_identity_residual(p.n, p.l, p.r, p.s, p.lam)
+            if p.alpha is None
+            else main_identity_residual_at(p.n, p.l, p.r, p.s, p.lam, p.alpha),
+        ),
+        CaseDef(
+            "proof_replay",
+            ("n", "l", "r", "s", "lam"),
+            # the first nonzero of operator_link, lhs_match and rhs_match
+            lambda p: next((res for res in replay_proof(p.n, p.l, p.r, p.s, p.lam).values() if not res.is_zero()), Poly("x")),
+            note="operator link, lhs expansion and rhs closed form all replayed",
+        ),
+        CaseDef("app1", ("n", "l", "r", "s", "lam", "x"), lambda p: classical_pair_residual(p.n, p.l, p.r, p.s, p.lam, p.x)),
+        CaseDef(
+            "nielsen_f10",
+            ("n", "l", "r", "m", "beta"),
+            lambda p: _order_shift_pair_residuals(p.n, p.l, p.r, p.m, p.beta, _F10_READINGS),
+            prefer=_F10_READINGS,
+            note="the displayed per-term sign -(-1)^(r+l+k) and the global sign (-1)^(l+n+r+1) with reflection give "
+            "the same polynomial; both verify",
+        ),
+        CaseDef("agoh_leibniz", ("n", "l", "r"), lambda p: product_rule_split_residual(p.n, p.l, p.r)),
+        CaseDef(
+            "s1",
+            ("n", "l", "r", "alpha", "xy", "z=alpha-x-y"),
+            lambda p: balanced_triple_residual_antisym(p.n, p.l, p.r, p.alpha, p.x, p.y),
+            domain=(Guard(RATIONAL_ORDER.holds, "needs a rational order (the balance constraint ties x+y+z to it)"), BALANCED),
+        ),
+        CaseDef(
+            "s2",
+            ("n", "l", "r", "alpha", "xy"),
+            lambda p: balanced_triple_residual_folded(p.n, p.l, p.r, p.alpha, p.x, p.y),
+            domain=(RATIONAL_ORDER,),
+        ),
+        CaseDef(
+            "s4",
+            ("n", "l", "r", "s", "xy", "z=s+1-x-y"),
+            lambda p: integer_balance_residual(p.n, p.l, p.r, p.s, p.x, p.y),
+            domain=(Guard(lambda p: p.x + p.y + p.z == p.s + 1, "needs x + y + z = s + 1"),),
+        ),
+        CaseDef(
+            "cor3a",
+            ("n", "l", "r", "alpha", "xy", "z=alpha-x-y"),
+            _corrected(lambda p, c: truncated_balanced_residual(p.n, p.l, p.r, p.alpha, p.x, p.y, corrected=c)),
+            domain=(POSITIVE_R, RATIONAL_ORDER, BALANCED),
+            prefer=("as_printed", "corrected"),
+            note="right-side difference index reads n+l+1 in print but must be n+l+r (identical at r=1)",
+        ),
+        CaseDef(
+            "cor3b",
+            ("n", "l", "r", "t"),
+            _corrected(lambda p, c: truncated_power_residual(p.n, p.l, p.r, p.t, corrected=c)),
+            domain=(POSITIVE_R,),
+            prefer=("as_printed", "corrected"),
+            note="monomial right side reads (n+l+1) t^(n+l) in print but must be (n+l+r) t^(n+l+r-1)",
+        ),
+        CaseDef(
+            "s20",
+            ("n", "r", "t", "symbolic_alpha"),
+            lambda p: _at_order(odd_order_tail_residual(p.n, p.r, p.t), p.alpha),
+            domain=(ODD_R,),
+        ),
+        CaseDef(
+            "cor1",
+            ("n", "r", "ratio_x"),
+            _corrected(lambda p, c: scaled_ratio_sum_residual(p.n, p.r, p.x, corrected=c)),
+            domain=(ODD_R, Guard(lambda p: p.x != 1, "x = 1 divides by zero in the weight")),
+            prefer=("as_printed", "corrected"),
+            note="right side verifies as (-1)^(n+(r-1)/2) (r+1)/2^(n+r+1) C(n+r,(r+1)/2); the printed sign exponent "
+            "and power of two are off by one",
+        ),
+        CaseDef("fi2", ("n", "r"), lambda p: halved_tail_sum_residual(p.n, p.r), domain=(ODD_R,)),
+        CaseDef(
+            "neto_corrected", ("n", "l", "symbolic_alpha"), lambda p: _at_order(symbolic_weight_pair_residual(p.n, p.l), p.alpha)
+        ),
+        CaseDef(
+            "vassilev",
+            ("n", "l"),
+            lambda p: truncated_pair_sum(p.n, p.l),
+            domain=(Guard(lambda p: p.n >= 1 and p.l >= 1, "needs n >= 1 and l >= 1"),),
+        ),
     )
 }
 
@@ -970,18 +888,27 @@ CASE_IDS = tuple(CASE_DEFS)
 
 
 def verify_case(case: IdentityCase) -> VerificationResult:
-    """Evaluate one catalog instance and time it."""
+    """Run one catalog instance through its record, and time it.
+
+    The first guard of ``domain`` that fails makes the result not
+    applicable, with that guard's note.  Otherwise the residual decides.  A
+    case with readings records each reading's status and takes the first
+    verifying reading in ``prefer`` order, or the first preferred reading
+    when none verifies.
+    """
     if case.id not in CASE_DEFS:
         raise KeyError(f"unknown identity case {case.id!r}")
+    d, p = CASE_DEFS[case.id], case.params
     start = time.perf_counter()
-    status, residual, readings, reading, note = CASE_DEFS[case.id].verify(case.params)
+    for holds, note in d.domain:
+        if not holds(p):
+            return VerificationResult(case, STATUS_NOT_APPLICABLE, elapsed=time.perf_counter() - start, note=note)
+    residual = d.residual(p)
+    if not d.prefer:
+        return VerificationResult(case, _status(residual), residual, time.perf_counter() - start, note=d.note)
+    readings = {name: _status(res) for name, res in residual.items()}
+    reading = next((name for name in d.prefer if readings[name] == STATUS_VERIFIED), d.prefer[0])
     elapsed = time.perf_counter() - start
     return VerificationResult(
-        case=case,
-        status=status,
-        residual=residual,
-        elapsed=elapsed,
-        readings=readings,
-        reading=reading,
-        note=note,
+        case, readings[reading], residual[reading], elapsed, readings=readings, reading=reading, note=d.note
     )

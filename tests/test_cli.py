@@ -308,6 +308,14 @@ def test_m_bound(capsys):
     assert (code, out, err) == (2, "", f"error: m must be <= {limit}, got {limit + 1}\n")
 
 
+def test_suite_grid_limit(capsys):
+    limit = harness.MAX_GRID_POINTS
+    # rem1 has 1000 * 5 * 10 = 50,000 points and p1 one more
+    argv = ("suite", "--max-n", "0", "--max-r", "4", "--max-s", "9", "--max-m", "1000")
+    code, out, err = run_cli(capsys, *argv, "--cases", "rem1,p1")
+    assert (code, out, err) == (2, "", f"error: the sweep has {limit + 1} grid points, more than the limit of {limit}\n")
+
+
 # A value for each eval/verify flag, keyed by the SumSpec field it sets.
 FLAG_VALUES = {
     "n": ("--n", "1"), "l": ("--l", "1"), "r": ("--r", "1"), "s": ("--s", "1"), "m": ("--m", "2"),

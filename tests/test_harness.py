@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -18,6 +19,7 @@ from genbern.harness import (
     emit_json,
     emit_tables,
     enumerate_cases,
+    grid_size,
     params_to_dict,
     parse_report,
     required_table_size,
@@ -79,6 +81,17 @@ def test_json_round_trip():
     text = emit_json(report)
     again = emit_json(parse_report(text))
     assert _stripped(text) == _stripped(again)
+
+
+@pytest.mark.parametrize("key, value", [("n", 1.9), ("l", True), ("m", "3")])
+def test_report_indices_must_be_json_integers(key, value):
+    # int() would read these back as 1, 1 and 3
+    text = emit_json(run_suite(SweepConfig(max_n=1, max_l=1, max_m=2, cases=("t230",))))
+    assert _stripped(emit_json(parse_report(text))) == _stripped(text)
+    data = json.loads(text)
+    data["results"][0]["params"][key] = value
+    with pytest.raises(UsageError, match=f"^{key} must be a JSON integer, got {value!r}$"):
+        parse_report(json.dumps(data))
 
 
 def test_result_schema_fields():
@@ -193,7 +206,7 @@ def test_adjudicated_flag_matches_reading_output():
     cfg = SweepConfig(max_n=2, max_l=2, max_r=2, max_s=1, max_m=2)
     report = run_suite(cfg)
     with_readings = {r.case.id for r in report.results if r.readings is not None}
-    flagged = {d.id for d in CASE_DEFS.values() if d.adjudicated}
+    flagged = {d.id for d in CASE_DEFS.values() if d.prefer}
     assert with_readings == flagged
     # adjudication only decorates in-domain rows
     for res in report.results:
@@ -267,6 +280,32 @@ def test_golden_report_digest():
     assert len(report.results) == 2358
     text = json.dumps(_stripped(emit_json(report)), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST
+
+
+def test_grid_size_counts_the_grid_of_each_case():
+    # test_default_grid_counts_per_case pins the default grid's enumeration
+    assert {c: grid_size(c, SweepConfig()) for c in CASE_DEFS} == DEFAULT_GRID_COUNTS
+    # least bounds, one lambda point and no alpha points
+    least = SweepConfig(max_n=0, max_l=0, max_r=0, max_s=0, max_m=1, lambda_points=(F(1, 2),), alpha_points=())
+    for cfg in (GOLDEN_CONFIG, least):
+        counts = Counter(case.id for case in enumerate_cases(cfg))
+        assert {c: grid_size(c, cfg) for c in CASE_DEFS} == {c: counts[c] for c in CASE_DEFS}
+
+
+def test_sweep_over_the_grid_limit_is_rejected_before_any_grid_is_built(monkeypatch):
+    def fail(case_id, cfg):
+        raise AssertionError(f"the grid of {case_id} was built")
+
+    monkeypatch.setattr(harness, "_case_grid", fail)
+    start = time.perf_counter()
+    with pytest.raises(UsageError, match="^the sweep has 42855666 grid points, more than the limit of 50000$"):
+        SweepConfig(max_n=20, max_l=20, max_r=20, max_s=20, max_m=1000).validate()
+    assert time.perf_counter() - start < 0.5
+    # rem1 has max_m * (max_r+1) * (max_s+1) points and p1 max_n+1
+    assert harness.MAX_GRID_POINTS == 50_000
+    SweepConfig(max_r=4, max_s=9, max_m=1000, cases=("rem1",)).validate()
+    with pytest.raises(UsageError, match="^the sweep has 50001 grid points"):
+        SweepConfig(max_n=0, max_r=4, max_s=9, max_m=1000, cases=("rem1", "p1")).validate()
 
 
 def test_pre_grow_counts_only_the_axes_a_case_reads():

@@ -591,6 +591,42 @@ def test_symbolic_weight_pair():
     assert symbolic_weight_pair_residual(2, 3).eval(1) == lucas_pair_sum(2, 3)
 
 
+# -- case records ---------------------------------------------------------------
+
+# One in-domain point for each case read in several ways.
+READING_POINTS = {
+    "ges1": SumSpec(n=1, r=1, m=2),
+    "k5": SumSpec(n=1),
+    "t24": SumSpec(n=1, m=2),
+    "c1": SumSpec(m=2),
+    "nielsen_f10": SumSpec(n=1, l=2, r=1, m=2, beta=F(1, 2)),
+    "cor3a": SumSpec(n=1, l=1, r=2, alpha=F(1), x=F(1), y=F(1, 2), z=F(-1, 2)),
+    "cor3b": SumSpec(n=1, l=1, r=3, t=F(1, 2)),
+    "cor1": SumSpec(n=1, r=1),
+}
+
+
+def test_residual_returns_exactly_the_preferred_readings():
+    assert set(READING_POINTS) == {d.id for d in CASE_DEFS.values() if d.prefer}
+    for case_id, p in READING_POINTS.items():
+        d = CASE_DEFS[case_id]
+        assert all(g.holds(p) for g in d.domain), case_id
+        assert sorted(d.residual(p)) == sorted(d.prefer), case_id
+
+
+@pytest.mark.parametrize("case_id, params, note", [
+    ("cor1", SumSpec(r=2, x=F(1)), "needs odd r"),
+    ("cor3a", SumSpec(r=0, x=F(1)), "needs r >= 1"),
+    ("s1", SumSpec(x=F(1)), "needs a rational order (the balance constraint ties x+y+z to it)"),
+])
+def test_first_failing_guard_gives_the_note(case_id, params, note):
+    # at least two guards fail at each point, and the first one's note is reported
+    failing = [g.note for g in CASE_DEFS[case_id].domain if not g.holds(params)]
+    assert len(failing) >= 2 and failing[0] == note
+    res = verify_case(IdentityCase(case_id, params))
+    assert (res.status, res.residual, res.readings, res.reading, res.note) == ("not_applicable", 0, None, None, note)
+
+
 def test_every_case_id_has_verifier():
     assert set(CASE_IDS) == set(CASE_DEFS)
     expected = {
