@@ -31,15 +31,15 @@ multiplication for integer orders) are provided as oracles.
 
 Every derived polynomial is built once per process and memoized: the
 classical B_n(x) per n and its value B_n(x) per (n, x), and in each
-:class:`GenBernTable` B_n^(a)(x) per n and every entry derived from it in
-one memo, :meth:`GenBernTable.memo`, keyed by a tag ("shifted",
+:class:`GenBernTable` B_n^(a)(x) and every entry derived from it in one
+memo, :meth:`GenBernTable.memo`, keyed by a tag ("poly", "shifted",
 "reflected", "at", "value", "offset", "lhs" or "rhs") and integers, a
 rational standing as its numerator and denominator so that a hit builds
-no Fraction.  Nothing is evicted; the default sweep asks for 99 shifted,
-44 reflected, 27 at-order and 234 value keys and 576 keys per side (900
-on the symbolic sweep).  Every entry is built on integers: B_n^(a)(x + c)
-is one :func:`genbern.poly.lincomb` call, the order maps are integer
-Horner passes and Taylor shifts.
+no Fraction.  Nothing is evicted; the default sweep asks for 9 poly, 99
+shifted, 44 reflected, 27 at-order and 234 value keys and 576 keys per
+side (900 on the symbolic sweep).  Every entry is built on integers:
+B_n^(a)(x + c) is one :func:`genbern.poly.lincomb` call, the order maps
+are integer Horner passes and Taylor shifts.
 """
 
 from __future__ import annotations
@@ -137,14 +137,15 @@ class GenBernTable:
     Entry n holds the number B_n^(a) (a polynomial in ``a``) and the
     polynomial B_n^(a)(x) (monic of degree n in ``x``).  One table serves
     every order because entries are symbolic.  Numbers are grown under a
-    lock; each polynomial is built from them on first request, under the
-    same lock, and memoized.  Both are integer numerators over one
+    lock, the only one the table takes; each polynomial is built from them
+    on first request and memoized.  Both are integer numerators over one
     denominator (``Poly.den``, ``Poly.rows``), built without a Fraction.
 
-    Every entry derived from the polynomials lives in one memo,
-    :meth:`memo`, keyed by a tag and integers: :meth:`poly_shifted` by
-    ``("shifted", n, c)``, :meth:`poly_reflected` (odd n only; an even n
-    returns the :meth:`poly_shifted` entry) by ``("reflected", n, c)``,
+    The polynomials and every entry derived from them live in one memo,
+    :meth:`memo`, keyed by a tag and integers: :meth:`poly` by
+    ``("poly", n)``, :meth:`poly_shifted` by ``("shifted", n, c)``,
+    :meth:`poly_reflected` (odd n only; an even n returns the
+    :meth:`poly_shifted` entry) by ``("reflected", n, c)``,
     :meth:`poly_at` by ``("at", n, alpha)``, the values of :meth:`value_at`
     by ``("value", n, alpha, x)``, :meth:`offset_poly` by
     ``("offset", n, offset)``, and the main identity's sides, which the
@@ -165,7 +166,6 @@ class GenBernTable:
         # c_n as (integer numerators in ascending powers of a, denominator)
         self._coeffs: list[tuple[list[int], int]] = [([1], 1)]
         self._numbers: list[Poly] = [Poly("a", (1,))]
-        self._polys: dict[int, Poly] = {}
         self._derived: dict[tuple, Poly | Fraction] = {}
 
     def grow(self, n_max: int) -> None:
@@ -206,21 +206,17 @@ class GenBernTable:
 
     def poly(self, n: int) -> Poly:
         """B_n^(a)(x) as an element of QQ[a][x]."""
-        hit = self._polys.get(n)
-        if hit is None:
-            self.grow(n)
-            with self._lock:
-                hit = self._polys.get(n)
-                if hit is None:
-                    numbers = self._numbers[n::-1]  # B_n^(a) .. B_0^(a)
-                    den = math.lcm(*(b.den for b in numbers))
-                    rows = []
-                    for j, b in enumerate(numbers):
-                        scale = binomial(n, j) * (den // b.den)
-                        rows.append([v * scale for v in b.rows])
-                    hit = from_rows("x", den, rows)
-                    self._polys[n] = hit
-        return hit
+
+        def build():
+            numbers = self.numbers(n)[::-1]  # B_n^(a) .. B_0^(a)
+            den = math.lcm(*(b.den for b in numbers))
+            rows = []
+            for j, b in enumerate(numbers):
+                scale = binomial(n, j) * (den // b.den)
+                rows.append([v * scale for v in b.rows])
+            return from_rows("x", den, rows)
+
+        return self.memo(("poly", n), build)
 
     def numbers(self, n_max: int) -> list[Poly]:
         self.grow(n_max)

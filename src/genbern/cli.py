@@ -11,7 +11,7 @@ Subcommands:
 * ``verify-theorem`` check the main identity at one shift value, or
                      certify it for every shift value at once;
 * ``suite``          run a parameter-grid sweep and print the JSON report
-                     (a ``--config`` file sets only points a case reads).
+                     (a flag overrides its key of the ``--config`` file).
 
 Every numeric flag is an exact string (``p/q`` or an integer); nothing is
 ever parsed as a float.  Exit codes: 0 success / all verified, 1 a
@@ -25,7 +25,6 @@ than ``harness.MAX_GRID_POINTS`` (50,000) results.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -88,6 +87,11 @@ def _add_flag(parser, param, **kwargs) -> None:
     parser.add_argument("--" + param.key, dest=param.name, type=type_, metavar=metavar, **kwargs)
 
 
+def _comma_list(text: str) -> list[str]:
+    """A ``suite`` flag's value as the JSON list a config file would hold."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 # lets argparse accept negative rationals (-3/2) and point lists (-3/2,1)
 # as option values rather than mistaking them for option names
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(?:/\d+)?(?:,\S*)?$")
@@ -137,8 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in BOUNDS:
         p_suite.add_argument("--" + name.replace("_", "-"), type=int)
     for name in POINT_SETS:
-        p_suite.add_argument("--" + name.replace("_", "-"), metavar="p/q,...")
-    p_suite.add_argument("--cases", metavar="a,b,c")
+        p_suite.add_argument("--" + name.replace("_", "-"), type=_comma_list, metavar="p/q,...")
+    p_suite.add_argument("--cases", type=_comma_list, metavar="a,b,c")
     return parser
 
 
@@ -223,35 +227,21 @@ def _cmd_verify_theorem(args) -> int:
     return _status_exit(status)
 
 
-def _split_points(text: str) -> tuple[Fraction, ...]:
-    if not text.strip():
-        return ()
-    return tuple(parse_fraction(part.strip()) for part in text.split(","))
-
-
 def _cmd_suite(args) -> int:
     data = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
-        cfg = SweepConfig.from_dict(data)
-    else:
-        cfg = SweepConfig()
-    overrides = {name: getattr(args, name) for name in BOUNDS if getattr(args, name) is not None}
-    for name in POINT_SETS:
-        if getattr(args, name) is not None:
-            overrides[name] = _split_points(getattr(args, name))
-    if args.cases is not None:
-        overrides["cases"] = tuple(c.strip() for c in args.cases.split(",") if c.strip())
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    cfg.validate()
+    if isinstance(data, dict):  # from_dict rejects any other JSON value
+        flags = {key: getattr(args, key) for key in (*BOUNDS, *POINT_SETS, "cases")}
+        data.update({key: value for key, value in flags.items() if value is not None})
+    cfg = SweepConfig.from_dict(data)
     unread = [key for key in POINT_SETS if key in data and not sweeps(cfg.cases, key)]
     if unread:
-        raise UsageError(f"config {args.config!r} sets {' and '.join(unread)}, which no selected case reads")
+        raise UsageError(f"the sweep config sets {' and '.join(unread)}, which no selected case reads")
     report = run_suite(cfg)
     print(emit_json(report))
     counts = report.summary

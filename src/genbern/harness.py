@@ -126,9 +126,15 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        """The config ``data`` sets: bounds are JSON integers, ``cases`` a
-        JSON list of strings and the point sets JSON lists.  A
-        ``parallelism`` key is ignored."""
+        """The config ``data`` sets, which must be a JSON object: bounds are
+        JSON integers, ``cases`` a JSON list of strings and the point sets
+        JSON lists.  A ``parallelism`` key, which stored reports carry, is
+        ignored; any other key is an error."""
+        if not isinstance(data, dict):
+            raise UsageError(f"bad sweep config: must be a JSON object, got {type(data).__name__}")
+        unknown = [key for key in data if key not in (*BOUNDS, *POINT_SETS, "cases", "parallelism")]
+        if unknown:
+            raise UsageError(f"bad sweep config: unknown keys {', '.join(map(repr, unknown))}")
         kwargs = {}
         try:
             for name in BOUNDS:

@@ -357,11 +357,6 @@ def autoduality_residual(n: int) -> Fraction:
     return sum(binomial(n, k) * nums[k] for k in range(n + 1)) - _sign(n) * nums[n]
 
 
-def weighted_lucas_sum(n: int, m: int = 1) -> Fraction:
-    """sum_{k=0}^{n+1} m^(n+1-k) C(n+1,k) (n+k+1) B_{n+k}."""
-    return _block(n, n, 1, m, classical_bernoulli_numbers(2 * n + 2).__getitem__)
-
-
 def stern_recurrence_sum(n: int) -> Fraction:
     """sum_{k=0}^{n} C(n+1,k) (n+k+1) B_{n+k}; zero for n >= 1."""
     return _block(n, n, 1, 1, classical_bernoulli_numbers(2 * n).__getitem__, stop=n + 1)
@@ -461,18 +456,14 @@ def product_rule_split_residual(n: int, l: int, r: int) -> Poly:
     """D^(r+1)/r! ((x-1)^(l+r) x^(n+r)) minus its two-block product-rule
     expansion; a pure polynomial identity over QQ[x]."""
     lhs = ((X - 1) ** (l + r) * X ** (n + r)).derive(r + 1) * Fraction(1, math.factorial(r))
-    rhs = Poly("x")
-    if n + r > 0:
-        for k in range(r + 1):
-            c = binomial(n + r - 1, k) * binomial(l + r, r - k)
-            if c:
-                rhs = rhs + X ** (n + r - k - 1) * (X - 1) ** (l + k) * Fraction((n + r) * c)
-    if l + r > 0:
-        for k in range(r + 1):
-            c = binomial(l + r - 1, k) * binomial(n + r, r - k)
-            if c:
-                rhs = rhs + X ** (n + k) * (X - 1) ** (l + r - k - 1) * Fraction((l + r) * c)
-    return lhs - rhs
+    # the two blocks; the second mirrors the first under n <-> l, x <-> x - 1
+    pairs = [
+        ((p + r) * c, u ** (p + r - k - 1) * v ** (q + k))
+        for p, q, u, v in ((n, l, X, X - 1), (l, n, X - 1, X))
+        for k in range(r + 1)
+        if p + r and (c := binomial(p + r - 1, k) * binomial(q + r, r - k))
+    ]
+    return lhs - lincomb("x", pairs)
 
 
 def balanced_triple_residual_antisym(n, l, r, alpha, x, y, table=None) -> Fraction:
@@ -724,13 +715,14 @@ def _against_block(n: int, r: int, m: int, closed) -> dict[str, Fraction]:
 
 
 def _weighted_readings(n: int, r: int, m: int, closed) -> dict[str, Fraction]:
-    """The weighted sum sum_k m^(n+1-k) C(n+1,k) (n+k+1) B_{n+k}, built once,
-    against ``closed`` and either (n+1) S(n, n+1, r; m, 0, 0) (``literal``)
-    or the single block at r = 1 (``first_block``)."""
-    total = weighted_lucas_sum(n, m)
+    """The weighted sum sum_k m^(n+1-k) C(n+1,k) (n+k+1) B_{n+k}, which is
+    the single block at r = 1, built once: against ``closed`` alone
+    (``first_block``) and also against (n+1) S(n, n+1, r; m, 0, 0)
+    (``literal``)."""
+    total = symmetric_block_sum(n, 1, m)
     return {
         "literal": abs(total - (n + 1) * _pair(n, n + 1, r, m)) + abs(total - closed),
-        "first_block": abs(total - symmetric_block_sum(n, 1, m)) + abs(total - closed),
+        "first_block": abs(total - closed),
     }
 
 

@@ -16,9 +16,7 @@ mutated once held, so Polys share them.  Every operation (``+ - * **``,
 Gerhard, ISSAC 1997, ``eval`` as integer Horner, :func:`lincomb` and the
 a-coefficient maps) works on rows and ends in one gcd.  Fractions exist
 only at the boundary: ``Poly(var, coeffs)`` validates and flattens them,
-and the read-only ``coeffs`` builds them on first read and publishes the
-tuple with one slot store (concurrent first readers at worst build equal
-tuples twice).
+and the read-only ``coeffs`` builds them from the rows on each read.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ class Poly:
     factor, so QQ[a][x] expressions need no explicit lifting.
     """
 
-    __slots__ = ("var", "den", "rows", "_coeffs")
+    __slots__ = ("var", "den", "rows")
 
     def __init__(self, var: str, coeffs=()):
         if var not in _VAR_RANK:
@@ -73,23 +71,19 @@ class Poly:
         den = math.lcm(*(c.den if isinstance(c, Poly) else c.denominator for c in fixed))
         rows = [c.numerator * (den // c.denominator) if isinstance(c, Fraction) else [v * den // c.den for v in c.rows]
                 for c in fixed]
-        _poly(var, den, rows, self, tuple(fixed))
+        _poly(var, den, rows, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as Fractions and ``"a"`` Polys, built on first read."""
-        out = self._coeffs
-        if out is None:
-            den = self.den
-            out = tuple(
-                from_rows("a", den, row) if type(row) is list else Fraction(row, den) if row else _ZERO
-                for row in self.rows
-            )
-            _set_coeffs(self, out)
-        return out
+        """The coefficients as Fractions and ``"a"`` Polys, built on each read."""
+        den = self.den
+        return tuple(
+            from_rows("a", den, row) if type(row) is list else Fraction(row, den) if row else _ZERO
+            for row in self.rows
+        )
 
     # -- basic structure ------------------------------------------------
 
@@ -230,17 +224,16 @@ class Poly:
 
 
 # Slot setters for the internal constructor, which skips __init__ and __setattr__.
-_set_var, _set_den, _set_rows, _set_coeffs = (s.__set__ for s in (Poly.var, Poly.den, Poly.rows, Poly._coeffs))
+_set_var, _set_den, _set_rows = (s.__set__ for s in (Poly.var, Poly.den, Poly.rows))
 
 
-def _poly(var: str, den: int, rows: list, p: Poly | None = None, coeffs=None) -> Poly:
+def _poly(var: str, den: int, rows: list, p: Poly | None = None) -> Poly:
     """Poly over storage that is already canonical, checking nothing; a
     given ``p`` is filled in instead of a new instance."""
     p = object.__new__(Poly) if p is None else p
     _set_var(p, var)
     _set_den(p, den)
     _set_rows(p, rows)
-    _set_coeffs(p, coeffs)
     return p
 
 

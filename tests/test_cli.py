@@ -213,6 +213,43 @@ def test_suite_bad_config_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[1, 2]", "bad sweep config: must be a JSON object, got list"),
+    (b'"hello"', "bad sweep config: must be a JSON object, got str"),
+    (b'{"max-n": 0, "cases": ["t3"]}', "bad sweep config: unknown keys 'max-n'"),
+    (b'{"max_n": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    (b'{"cases": ["t3\xff"]}', "can't decode byte 0xff"),
+], ids=["list", "string", "unknown-key", "long-int", "not-utf8"])
+def test_suite_config_must_be_a_json_object_of_known_keys(tmp_path, capsys, content, message):
+    path = tmp_path / "sweep.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "suite", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--cases", "t3", "--lambda-points", "1/2"), "the sweep config sets lambda_points, which no selected case reads"),
+    (("--cases", "theorem_le1", "--max-s", "1", "--lambda-points", "1" + "0" * 5000), "Exceeds the limit (4300 digits)"),
+], ids=["unread-points", "long-int"])
+def test_suite_flags_obey_the_config_rules(capsys, argv, message):
+    code, out, err = run_cli(capsys, "suite", "--max-n", "0", "--max-l", "0", "--max-r", "0", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_suite_flag_overrides_the_config_file(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"max_n": 3, "max_l": 0, "max_r": 0, "cases": ["t3", "s2"], "alpha_points": ["2"]}))
+    code, out, _ = run_cli(capsys, "suite", "--config", str(path), "--max-n", "1", "--alpha-points", "1/2")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["max_n"], config["cases"], config["alpha_points"]) == (1, ["t3", "s2"], ["1/2"])
+    # alpha_points, set by the file, is read by no case the flag selects
+    code, out, err = run_cli(capsys, "suite", "--config", str(path), "--cases", "t3")
+    assert (code, out) == (2, "") and "sets alpha_points, which no selected case reads" in err
+
+
 @pytest.mark.parametrize("route", ["flag", "config"])
 def test_suite_repeated_case_id_is_usage_error(tmp_path, capsys, route):
     if route == "flag":

@@ -56,7 +56,6 @@ from genbern.identities import (
     telescoping_core,
     truncated_pair_sum,
     verify_case,
-    weighted_lucas_sum,
     _window_core,
 )
 from genbern.poly import ALPHA, Poly, X, alpha_substituted, binomial, from_rows, lincomb, poly_a
@@ -217,7 +216,7 @@ def test_memo_cannot_hide_a_wrong_table():
     assert all(res.is_zero() for res in replay_proof(*key).values())
     wrong = GenBernTable()
     wrong.grow(8)
-    wrong._polys[1] = wrong.poly(1) + 1  # B_1^(a)(x) + 1
+    wrong._derived[("poly", 1)] = wrong.poly(1) + 1  # B_1^(a)(x) + 1
     assert not main_identity_residual(*key, wrong).is_zero()
     assert not all(res.is_zero() for res in replay_proof(*key, wrong).values())
     assert main_identity_residual(*key).is_zero()
@@ -376,8 +375,8 @@ def test_stern_recurrence_hand_instance():
 
 def test_weighted_lucas_values():
     # m=2, n=1: 4*2*B_1 + 2*3*B_2 + 4*B_3 = -4 + 1 + 0 = ... computed exactly
-    assert weighted_lucas_sum(1, 2) == -2
-    assert weighted_lucas_sum(1, 1) == 0
+    assert symmetric_block_sum(1, 1, 2) == -2
+    assert symmetric_block_sum(1, 1, 1) == 0
 
 
 def test_linear_weight_double_sum_example():
@@ -395,8 +394,7 @@ def test_kaneko_weighted_term_against_block():
     for n in range(5):
         for m in range(1, 6):
             closed = sum((kaneko_weighted_term(k, m, n) for k in range(1, m)), F(0))
-            assert weighted_lucas_sum(n, m) == closed
-            assert weighted_lucas_sum(n, m) == symmetric_block_sum(n, 1, m)
+            assert symmetric_block_sum(n, 1, m) == closed
 
 
 def test_chen_sun_extra_term_telescopes():
@@ -417,7 +415,7 @@ def test_t24_adjudication():
     assert res.readings == {"literal": "counterexample", "first_block": "verified"}
     # the literal prefactor claim really is off: (n+1)S = 8 vs sum = -2
     assert (1 + 1) * paired_sum(1, 2, 1, 2, 0, 0, alpha=1) == 8
-    assert weighted_lucas_sum(1, 2) == -2
+    assert symmetric_block_sum(1, 1, 2) == -2
 
 
 def test_k5_adjudication():
@@ -473,7 +471,7 @@ def test_f10_adjudication_both_readings_verify():
 def test_f10_shared_parts_match_standalone_readings():
     wrong = GenBernTable()
     wrong.grow(12)
-    wrong._polys[1] = wrong.poly(1) + 1  # nonzero residuals, so equality is not 0 == 0
+    wrong._derived[("poly", 1)] = wrong.poly(1) + 1  # nonzero residuals, so equality is not 0 == 0
     readings = ("as_printed", "from_main_identity")
     for n, l, r, m in ((1, 2, 1, 2), (2, 1, 0, 3), (0, 1, 2, 1), (2, 2, 1, 2)):
         for beta in (F(0), F(1, 2), F(-2, 3)):
