@@ -33,13 +33,21 @@ Every derived polynomial is built once per process and memoized: the
 classical B_n(x) per n and its value B_n(x) per (n, x), and in each
 :class:`GenBernTable` B_n^(a)(x) and every entry derived from it in one
 memo, :meth:`GenBernTable.memo`, keyed by a tag ("poly", "shifted",
-"reflected", "at", "value", "offset", "lhs" or "rhs") and integers, a
-rational standing as its numerator and denominator so that a hit builds
-no Fraction.  Nothing is evicted; the default sweep asks for 9 poly, 99
-shifted, 44 reflected, 27 at-order and 234 value keys and 576 keys per
-side (900 on the symbolic sweep).  Every entry is built on integers:
-B_n^(a)(x + c) is one :func:`genbern.poly.lincomb` call, the order maps
-are integer Horner passes and Taylor shifts.
+"reflected", "at", "value", "row", "offset", "lhs" or "rhs") and integers,
+a rational standing as its numerator and denominator so that a hit builds
+no Fraction.  Every entry is built on integers: B_n^(a)(x + c) is one
+:func:`genbern.poly.lincomb` call, the order maps are integer Horner
+passes and Taylor shifts.
+
+A row holds B_0 .. B_n at one rational point as integer numerators over
+one denominator, so that a scalar block of the identity catalog is one
+integer sum.  Value rows, B_k^(alpha)(x) at a rational order
+(:meth:`GenBernTable.value_row`), are keyed ``("row", n, alpha, x)``;
+classical rows, B_k(x) and at x = 0 the numbers (:func:`classical_row`),
+are keyed ``("row", n, x)`` in ``DEFAULT_TABLE``'s memo.  Nothing is
+evicted; the default sweep asks for 9 poly, 99 shifted, 44 reflected,
+27 at-order, 234 value, 234 value-row and 162 classical-row keys and 576
+keys per side (900 on the symbolic sweep, which reads no row).
 """
 
 from __future__ import annotations
@@ -131,6 +139,25 @@ def classical_bernoulli_value(n: int, x) -> Fraction:
     return hit
 
 
+def _row(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def classical_row(n: int, x=0) -> tuple[tuple[int, ...], int]:
+    """B_0(x) .. B_n(x) as integer numerators over one denominator; at x = 0
+    the numbers B_0 .. B_n.  Memoized in ``DEFAULT_TABLE``'s memo under
+    ``("row", n, x numerator, x denominator)``; a value row's key also holds
+    its order, so an order-one value row is a separate entry."""
+    x = _rational(x)
+
+    def build():
+        return _row(classical_bernoulli_numbers(n) if x == 0 else [classical_bernoulli_value(k, x) for k in range(n + 1)])
+
+    return DEFAULT_TABLE.memo(("row", n, x.numerator, x.denominator), build)
+
+
 class GenBernTable:
     """Grow-on-demand cache of symbolic generalized Bernoulli data.
 
@@ -147,7 +174,9 @@ class GenBernTable:
     :meth:`poly_reflected` (odd n only; an even n returns the
     :meth:`poly_shifted` entry) by ``("reflected", n, c)``,
     :meth:`poly_at` by ``("at", n, alpha)``, the values of :meth:`value_at`
-    by ``("value", n, alpha, x)``, :meth:`offset_poly` by
+    by ``("value", n, alpha, x)``, the rows of :meth:`value_row` by
+    ``("row", n, alpha, x)`` (the default table also holds the classical
+    rows, by ``("row", n, x)``), :meth:`offset_poly` by
     ``("offset", n, offset)``, and the main identity's sides, which the
     identity catalog derives, by ``("lhs" | "rhs", n, l, r, s, lam)``.  A
     rational stands as ``numerator, denominator``: an int meets the equal
@@ -158,7 +187,8 @@ class GenBernTable:
     process asks for.
 
     An entry is published only once it is fully built and never changes
-    after, so readers need no coordination.
+    after, so readers need no coordination; a row's key holds its length
+    n, so a longer row is a new entry, not a grown one.
     """
 
     def __init__(self):
@@ -166,7 +196,7 @@ class GenBernTable:
         # c_n as (integer numerators in ascending powers of a, denominator)
         self._coeffs: list[tuple[list[int], int]] = [([1], 1)]
         self._numbers: list[Poly] = [Poly("a", (1,))]
-        self._derived: dict[tuple, Poly | Fraction] = {}
+        self._derived: dict[tuple, object] = {}
 
     def grow(self, n_max: int) -> None:
         """Make the numbers B_0^(a) .. B_n_max^(a) available."""
@@ -237,6 +267,13 @@ class GenBernTable:
         key = ("value", n, alpha.numerator, alpha.denominator, x.numerator, x.denominator)
         return self.memo(key, lambda: self.poly_at(n, alpha).eval(Fraction(x)))
 
+    def value_row(self, n: int, alpha, x) -> tuple[tuple[int, ...], int]:
+        """B_0^(alpha)(x) .. B_n^(alpha)(x) as integer numerators over one
+        denominator, built from the :meth:`value_at` entries."""
+        alpha, x = _rational(alpha), _rational(x)
+        key = ("row", n, alpha.numerator, alpha.denominator, x.numerator, x.denominator)
+        return self.memo(key, lambda: _row([self.value_at(k, alpha, x) for k in range(n + 1)]))
+
     def poly_shifted(self, n: int, c) -> Poly:
         """B_n^(a)(x + c) via the binomial addition formula."""
         c = _rational(c)
@@ -267,7 +304,7 @@ class GenBernTable:
             return self.poly(n)
         return self.memo(("offset", n, offset), lambda: alpha_shifted(self.poly(n), offset))
 
-    def memo(self, key: tuple, build) -> Poly | Fraction:
+    def memo(self, key: tuple, build):
         """The entry ``build()`` derives from this table, built once per key."""
         hit = self._derived.get(key)
         return self._derived.setdefault(key, build()) if hit is None else hit

@@ -108,8 +108,12 @@ class SweepConfig:
         if repeated:
             raise UsageError(f"repeated case ids: {', '.join(repeated)}")
         for source in POINT_SETS:
-            if sweeps(self.cases, source) and not getattr(self, source):
+            points = getattr(self, source)
+            if sweeps(self.cases, source) and not points:
                 raise UsageError(f"{source} must be non-empty for the selected cases")
+            repeated = sorted({v for v in points if points.count(v) > 1})
+            if repeated:
+                raise UsageError(f"repeated {source}: {', '.join(map(format_fraction, repeated))}")
         total = sum(grid_size(c, self) for c in self.cases)
         if total > MAX_GRID_POINTS:
             raise UsageError(f"the sweep has {total} grid points, more than the limit of {MAX_GRID_POINTS}")

@@ -28,6 +28,7 @@ are preferred, and its note.  One :func:`verify_case` runs every record.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections.abc import Callable
@@ -35,13 +36,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bernoulli import (
-    DEFAULT_TABLE,
-    GenBernTable,
-    OmegaOperator,
-    classical_bernoulli_numbers,
-    classical_bernoulli_value,
-)
+from .bernoulli import DEFAULT_TABLE, GenBernTable, OmegaOperator, _rational, classical_bernoulli_numbers, classical_row
 from .poly import ALPHA, Poly, X, binomial, from_rows, lincomb, linear_image, poly_a
 
 ZERO = Fraction(0)
@@ -67,59 +62,82 @@ def _difference(lhs: Poly, rhs: Poly) -> Poly:
     return lincomb("x", [(1, lhs), (-1, rhs)])
 
 
-def _block(p: int, q: int, r: int, w, term, stop: int | None = None, scale=1, total=ZERO):
-    """total + scale * sum_{k<stop} C(p+r,k) C(q+k+r,r) w^(p+r-k) term(q+k).
+@functools.cache
+def _block_coefficients(p: int, q: int, r: int) -> tuple[int, ...]:
+    """C(p+r,k) C(q+k+r,r) for k = 0..p+r, the integer coefficients of a block."""
+    return tuple(binomial(p + r, k) * binomial(q + k + r, r) for k in range(p + r + 1))
+
+
+def _block(p: int, q: int, r: int, w, values, stop: int | None = None, scale=1, total=ZERO):
+    """total + scale * sum_{k<stop} C(p+r,k) C(q+k+r,r) w^(p+r-k) B_{q+k}.
 
     One block of the two-block sum; ``stop`` defaults to p+r+1, the whole
-    block.  Terms with a zero coefficient are skipped without calling
-    ``term``.  Every sign rides in ``scale``, which multiplies the integer
+    block.  Every sign rides in ``scale``, which multiplies the integer
     coefficient, so a signed block costs no extra product; a second block
     accumulates into the first through ``total``.  A rational weight w = u/v
-    enters as the integer weights C C u^(p+r-k) v^k over v^(p+r).  With a
-    polynomial ``total`` the block is one ``lincomb``; with a rational one,
-    the numerators of ``total`` and the terms are summed over the lcm L of
-    their denominators into one Fraction over L v^(p+r).
+    enters as the integer weights C C u^(p+r-k) v^k over v^(p+r).
+
+    With a rational ``total``, ``values`` is a row ``(nums, den)`` holding
+    B_i = nums[i] / den (:meth:`GenBernTable.value_row`,
+    :func:`classical_row`): the block is one integer Horner pass over the
+    row and the cached coefficients, and ``total`` joins it in one Fraction
+    over den v^(p+r) times its denominator.  With a polynomial ``total``,
+    ``values(i)`` gives B_i, terms with a zero coefficient are skipped
+    without calling it, and the block is one ``lincomb``.
     """
     top = p + r
+    if not isinstance(total, Poly):
+        nums, den = values
+        u, v = w.numerator, w.denominator
+        coefficients = _block_coefficients(p, q, r)[:stop]
+        # Horner in u: acc = sum_k c_k nums[q+k] u^(K-1-k) v^k over the K coefficients kept
+        acc, vk = 0, 1
+        for c, b in zip(coefficients, nums[q : q + len(coefficients)], strict=True):
+            acc = acc * u + c * b * vk
+            vk *= v
+        acc *= scale * u ** (top + 1 - len(coefficients))
+        den *= v**top
+        return Fraction(total.numerator * den + acc * total.denominator, total.denominator * den)
     u, v = (w, 1) if isinstance(w, Poly) else (w.numerator, w.denominator)
     pairs = [(v**top, total)] + [
-        (c, term(q + k))
+        (c, values(q + k))
         for k in range(top + 1 if stop is None else stop)
         if (c := scale * binomial(top, k) * binomial(q + k + r, r) * u ** (top - k) * v**k)
     ]
-    if isinstance(total, Poly):
-        return lincomb(total.var, pairs, v**top)
-    lcm = math.lcm(*(t.denominator for _, t in pairs))
-    return Fraction(sum(c * t.numerator * (lcm // t.denominator) for c, t in pairs), lcm * v**top)
+    return lincomb(total.var, pairs, v**top)
+
+
+@functools.cache
+def _double_sum_coefficients(n: int, l: int, r: int, stop: int) -> tuple[tuple[int, int], ...]:
+    """The (C(n+r,j) C(l+r,r+1-j), j) with j < stop and a nonzero coefficient."""
+    coeffs = tuple((c, j) for j in range(stop) if (c := binomial(n + r, j) * binomial(l + r, r + 1 - j)))
+    if any(min(l + j - 1, n + r - j) < 0 for _, j in coeffs):
+        raise NegativePowerError(f"a negative exponent meets a nonzero coefficient at n={n}, l={l}, r={r}")
+    return coeffs
 
 
 def _double_sum(n: int, l: int, r: int, ks, u, v, stop: int | None = None) -> Fraction:
-    """(r+1) sum_{k in ks} sum_{j<stop} C(n+r,j) C(l+r,r+1-j) u(k)^(l+j-1) v(k)^(n+r-j).
+    """(r+1) sum_{k in ks} sum_{j<stop} C(n+r,j) C(l+r,r+1-j) u_k^(l+j-1) v_k^(n+r-j).
 
     The shape of every order-one closed double sum; ``stop`` defaults to
-    r+2.  With u(k) = a/b and v(k) = c/d the k-th inner sum is the integer
-    sum_j C C a^(l+j-1) b^(r+1-j) c^(n+r-j) d^j over b^(l+r) d^(n+r); one
-    Fraction is built over the lcm of those.  The exponent l+j-1 is
-    negative only at j = 0 with l = 0, where C(r, r+1) vanishes; a negative
-    exponent on a nonzero coefficient raises ``NegativePowerError``.
+    r+2.  The bases are affine in k with slope 1 or -1: ``u`` = (c, e)
+    stands for u_k = c + e*k with a rational c = a/b, so u_k is the integer
+    a + e*b*k over the fixed b, and likewise ``v`` over d.  The whole sum is
+    then one integer sum over b^(l+r) d^(n+r), and one Fraction.  The
+    exponent l+j-1 is negative only at j = 0 with l = 0, where C(r, r+1)
+    vanishes; a negative exponent on a nonzero coefficient raises
+    ``NegativePowerError``.
     """
-    js = range(r + 2 if stop is None else stop)
-    coeffs = [(j, c) for j in js if (c := binomial(n + r, j) * binomial(l + r, r + 1 - j))]
-    if any(min(l + j - 1, n + r - j) < 0 for j, _ in coeffs):
-        raise NegativePowerError(f"a negative exponent meets a nonzero coefficient at n={n}, l={l}, r={r}")
-    parts = []
+    coeffs = _double_sum_coefficients(n, l, r, r + 2 if stop is None else stop)
+    (cu, eu), (cv, ev) = u, v
+    a, b, c, d = cu.numerator, cu.denominator, cv.numerator, cv.denominator
+    # the j-th term over b^(l+r) d^(n+r): C C b^(r+1-j) d^j (a + eu*b*k)^(l+j-1) (c + ev*d*k)^(n+r-j)
+    terms = [(cj * b ** (r + 1 - j) * d**j, l + j - 1, n + r - j) for cj, j in coeffs]
+    num = 0
     for k in ks:
-        uk, vk = u(k), v(k)
-        a, b, c, d = uk.numerator, uk.denominator, vk.numerator, vk.denominator
-        num = sum(cj * a ** (l + j - 1) * b ** (r + 1 - j) * c ** (n + r - j) * d**j for j, cj in coeffs)
-        parts.append((num, b ** (l + r) * d ** (n + r)))
-    lcm = math.lcm(*(den for _, den in parts))
-    return Fraction((r + 1) * sum(num * (lcm // den) for num, den in parts), lcm)
-
-
-def _classical_values(arg):
-    """idx -> B_idx(arg) over QQ."""
-    return lambda idx: classical_bernoulli_value(idx, arg)
+        uk, vk = a + eu * b * k, c + ev * d * k
+        num += sum(w * uk**i * vk**j for w, i, j in terms)
+    return Fraction((r + 1) * num, b ** (l + r) * d ** (n + r))
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +153,14 @@ def paired_sum(n: int, l: int, r: int, x, y, z, alpha=None, table: GenBernTable 
     Fraction.
     """
     t = table or DEFAULT_TABLE
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = _rational(x), _rational(y), _rational(z)
     total = Poly("a") if alpha is None else ZERO
     if alpha is None:
         def values(arg):
             return lambda idx: t.poly(idx).eval(arg)
     else:
-        order = Fraction(alpha)
-
         def values(arg):
-            return lambda idx: t.value_at(idx, order, arg)
+            return t.value_row(n + l + r, alpha, arg)
 
     first = _block(n, l, r, x, values(y), total=total)
     return _block(l, n, r, x, values(z), scale=_sign(l + n + r + 1), total=first)
@@ -288,25 +304,25 @@ def certify_lambda(n: int, l: int, r: int, s: int, table: GenBernTable | None = 
 def gessel_double_sum(n: int, l: int, r: int, m: int) -> Fraction:
     """(r+1) sum_{k<m} sum_{j<=r+1} (-1)^(l+j-1) C(n+r,j) C(l+r,r+1-j)
     k^(l+j-1) (m-k)^(n+r-j)."""
-    return _double_sum(n, l, r, range(1, m), lambda k: -k, lambda k: m - k)
+    return _double_sum(n, l, r, range(1, m), (0, -1), (m, -1))
 
 
 def gessel_double_sum_reindexed(n: int, l: int, r: int, m: int) -> Fraction:
     """Equivalent form after reindexing k -> m-k: the summand becomes
     C(n+r,j) C(l+r,r+1-j) k^(n+r-j) (k-m)^(l+j-1)."""
-    return _double_sum(n, l, r, range(1, m), lambda k: k - m, lambda k: k)
+    return _double_sum(n, l, r, range(1, m), (-m, 1), (0, 1))
 
 
 def symmetric_block_sum(n: int, r: int, m: int) -> Fraction:
     """The single Bernoulli block sum_{k=0}^{n+r} m^(n+r-k) C(n+r,k)
     C(n+k+r,r) B_{n+k}; for odd r it is half of S(n, n, r; m, 0, 0)."""
-    return _block(n, n, r, m, classical_bernoulli_numbers(2 * n + r).__getitem__)
+    return _block(n, n, r, m, classical_row(2 * n + r))
 
 
 def gessel_halved_double_sum(n: int, r: int, m: int) -> Fraction:
     """(1/2)(r+1) sum_{k<m} sum_{j<=r+1} C(n+r,j) C(n+r,r+1-j)
     k^(j+n-1) (k-m)^(n+r-j), the closed form of the single block for odd r."""
-    return _double_sum(n, n, r, range(1, m), lambda k: k, lambda k: k - m) / 2
+    return _double_sum(n, n, r, range(1, m), (0, 1), (-m, 1)) / 2
 
 
 def q_block_term(k: int, m: int, r: int, n: int, corrected: bool = True) -> Fraction:
@@ -318,15 +334,24 @@ def q_block_term(k: int, m: int, r: int, n: int, corrected: bool = True) -> Frac
     (-1)^(n+(r-1)/2)), which is what direct evaluation confirms.  The tail
     j <= (r-1)/2 is the double sum at the single point k.
     """
+    lead, tail = _q_block_parts(n, r, (k,), m)
+    return tail + (lead if corrected else _sign(n + (r - 1) // 2) * lead)
+
+
+def _q_block_parts(n: int, r: int, ks, m: int) -> tuple[Fraction, Fraction]:
+    """The folded closed form summed over ``ks``, as its leading piece in the
+    corrected reading and its tail.  The tail does not depend on the
+    reading, and the printed base k(m-k) makes the leading piece
+    (-1)^(n+(r-1)/2) times the corrected one."""
     half = (r + 1) // 2
     c_mid = binomial(n + r, half)
-    base = Fraction(k * (k - m)) if corrected else Fraction(k * (m - k))
-    total = Fraction(r + 1, 2) * c_mid * c_mid * base ** (n + (r - 1) // 2)
-    return total + _double_sum(n, n, r, (k,), lambda k: k, lambda k: k - m, stop=half)
+    lead = Fraction((r + 1) * c_mid * c_mid * sum((k * (k - m)) ** (n + (r - 1) // 2) for k in ks), 2)
+    return lead, _double_sum(n, n, r, ks, (0, 1), (-m, 1), stop=half)
 
 
 def q_block_sum(n: int, r: int, m: int, corrected: bool = True) -> Fraction:
-    return sum((q_block_term(k, m, r, n, corrected) for k in range(1, m)), ZERO)
+    lead, tail = _q_block_parts(n, r, range(1, m), m)
+    return tail + (lead if corrected else _sign(n + (r - 1) // 2) * lead)
 
 
 def alternating_power_sum(m: int, r_exp: int, s_exp: int) -> Fraction:
@@ -341,13 +366,13 @@ def alternating_power_sum(m: int, r_exp: int, s_exp: int) -> Fraction:
 
 def lucas_pair_sum(n: int, l: int) -> Fraction:
     """sum_k C(n,k) B_{l+k} + (-1)^(l+n+1) sum_k C(l,k) B_{n+k}."""
-    nums = classical_bernoulli_numbers(n + l).__getitem__
+    nums = classical_row(n + l)
     return _block(l, n, 0, 1, nums, scale=_sign(l + n + 1), total=_block(n, l, 0, 1, nums))
 
 
 def truncated_pair_sum(n: int, l: int) -> Fraction:
     """Variant with both top terms dropped (valid for n, l >= 1)."""
-    nums = classical_bernoulli_numbers(n + l).__getitem__
+    nums = classical_row(n + l)
     return _block(l, n, 0, 1, nums, stop=l, scale=_sign(l + n + 1), total=_block(n, l, 0, 1, nums, stop=n))
 
 
@@ -359,7 +384,7 @@ def autoduality_residual(n: int) -> Fraction:
 
 def stern_recurrence_sum(n: int) -> Fraction:
     """sum_{k=0}^{n} C(n+1,k) (n+k+1) B_{n+k}; zero for n >= 1."""
-    return _block(n, n, 1, 1, classical_bernoulli_numbers(2 * n).__getitem__, stop=n + 1)
+    return _block(n, n, 1, 1, classical_row(2 * n), stop=n + 1)
 
 
 def linear_weight_double_sum(n: int, l: int, m: int) -> Fraction:
@@ -390,10 +415,11 @@ def kaneko_weighted_term(k: int, m: int, n: int) -> Fraction:
 def chen_sun_term(k: int, m: int, n: int, corrected: bool = True) -> Fraction:
     """p_k(m, 3, n): the folded closed-form term plus a telescoping extra
     that vanishes under the k-sum."""
-    extra = binomial(n + 3, 3) * (3 * n + 11) * (
-        Fraction(k) ** (n + 2) * Fraction(k - m) ** n - Fraction(k) ** n * Fraction(k - m) ** (n + 2)
-    )
-    return q_block_term(k, m, 3, n, corrected) + extra
+    return q_block_term(k, m, 3, n, corrected) + _chen_sun_extra(k, m, n)
+
+
+def _chen_sun_extra(k: int, m: int, n: int) -> int:
+    return binomial(n + 3, 3) * (3 * n + 11) * (k ** (n + 2) * (k - m) ** n - k**n * (k - m) ** (n + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +430,14 @@ def chen_sun_term(k: int, m: int, n: int, corrected: bool = True) -> Fraction:
 def leibniz_double_sum(n: int, l: int, r: int, s: int, u, v) -> Fraction:
     """(r+1) sum_{k=1..s} sum_{j<=r+1} C(n+r,j) C(l+r,r+1-j)
     (u-k)^(l+j-1) (v-k)^(n+r-j), the order-one closed form at a point."""
-    u, v = Fraction(u), Fraction(v)
-    return _double_sum(n, l, r, range(1, s + 1), lambda k: u - k, lambda k: v - k)
+    return _double_sum(n, l, r, range(1, s + 1), (_rational(u), -1), (_rational(v), -1))
 
 
 def classical_pair_residual(n: int, l: int, r: int, s: int, lam, x0) -> Fraction:
     """Order-one specialization of the main identity at a rational point."""
-    lam, x0 = Fraction(lam), Fraction(x0)
-    lhs = _block(n, l, r, lam, _classical_values(x0))
-    lhs = _block(l, n, r, lam, _classical_values(1 + s - lam - x0), scale=_sign(l + n + r + 1), total=lhs)
+    lam, x0 = _rational(lam), _rational(x0)
+    lhs = _block(n, l, r, lam, classical_row(n + l + r, x0))
+    lhs = _block(l, n, r, lam, classical_row(n + l + r, 1 + s - lam - x0), scale=_sign(l + n + r + 1), total=lhs)
     return lhs - leibniz_double_sum(n, l, r, s, x0, x0 + lam)
 
 
@@ -470,20 +495,19 @@ def balanced_triple_residual_antisym(n, l, r, alpha, x, y, table=None) -> Fracti
     """First balanced-argument form: with x+y+z equal to the order,
     (-1)^n (first block) - (-1)^(l+r) (second block)."""
     t = table or DEFAULT_TABLE
-    alpha, x, y = Fraction(alpha), Fraction(x), Fraction(y)
+    alpha, x, y = _rational(alpha), _rational(x), _rational(y)
     z = alpha - x - y
-    lhs = _block(n, l, r, x, lambda idx: t.value_at(idx, alpha, y), scale=_sign(n))
-    return _block(l, n, r, x, lambda idx: t.value_at(idx, alpha, z), scale=-_sign(l + r), total=lhs)
+    lhs = _block(n, l, r, x, t.value_row(n + l + r, alpha, y), scale=_sign(n))
+    return _block(l, n, r, x, t.value_row(n + l + r, alpha, z), scale=-_sign(l + r), total=lhs)
 
 
 def balanced_triple_residual_folded(n, l, r, alpha, x, y, table=None) -> Fraction:
     """Second balanced-argument form, with the third argument eliminated:
     first block minus sum_k C(l+r,k) C(n+k+r,r) (-x)^(l+r-k) B_{n+k}(x+y)."""
     t = table or DEFAULT_TABLE
-    alpha, x, y = Fraction(alpha), Fraction(x), Fraction(y)
-    lhs = _block(n, l, r, x, lambda idx: t.value_at(idx, alpha, y))
-    xy = x + y
-    return _block(l, n, r, -x, lambda idx: t.value_at(idx, alpha, xy), scale=-1, total=lhs)
+    alpha, x, y = _rational(alpha), _rational(x), _rational(y)
+    lhs = _block(n, l, r, x, t.value_row(n + l + r, alpha, y))
+    return _block(l, n, r, -x, t.value_row(n + l + r, alpha, x + y), scale=-1, total=lhs)
 
 
 def reflection_route_residuals(n, l, r, alpha, x, y, table=None) -> list[Fraction]:
@@ -501,7 +525,7 @@ def reflection_route_residuals(n, l, r, alpha, x, y, table=None) -> list[Fractio
 def integer_balance_residual(n, l, r, s, x, y, table=None) -> Fraction:
     """Order-one form with x+y+z = s+1: the two-block sum against the
     order-one closed double sum."""
-    x, y = Fraction(x), Fraction(y)
+    x, y = _rational(x), _rational(y)
     z = s + 1 - x - y
     lhs = paired_sum(n, l, r, x, y, z, alpha=1, table=table)
     return lhs - leibniz_double_sum(n, l, r, s, y, x + y)
@@ -514,27 +538,44 @@ def truncated_balanced_residual(n, l, r, alpha, x, y, corrected=True, table=None
     As printed the difference carries index n+l+1; direct evaluation shows
     the index must be n+l+r (they agree exactly at r = 1).
     """
+    lhs, rhs = _truncated_balanced_sides(n, l, r, alpha, x, y, table)
+    return lhs - rhs(corrected)
+
+
+def _truncated_balanced_sides(n, l, r, alpha, x, y, table=None):
+    """The left side, and the right side as a function of ``corrected``."""
     t = table or DEFAULT_TABLE
-    alpha, x, y = Fraction(alpha), Fraction(x), Fraction(y)
+    alpha, x, y = _rational(alpha), _rational(x), _rational(y)
     z = alpha - x - y
-    lhs = _block(n, l, r, x, lambda idx: t.value_at(idx, alpha, y), stop=n + r, scale=_sign(n))
-    lhs = _block(l, n, r, x, lambda idx: t.value_at(idx, alpha, z), stop=l + r, scale=_sign(l + r + 1), total=lhs)
-    idx = n + l + r if corrected else n + l + 1
-    rhs = _sign(n) * binomial(n + l + 2 * r, r) * (t.value_at(idx, alpha, x + y) - t.value_at(idx, alpha, y))
-    return lhs - rhs
+    lhs = _block(n, l, r, x, t.value_row(n + l + r, alpha, y), stop=n + r, scale=_sign(n))
+    lhs = _block(l, n, r, x, t.value_row(n + l + r, alpha, z), stop=l + r, scale=_sign(l + r + 1), total=lhs)
+
+    def rhs(corrected):
+        idx = n + l + r if corrected else n + l + 1
+        return _sign(n) * binomial(n + l + 2 * r, r) * (t.value_at(idx, alpha, x + y) - t.value_at(idx, alpha, y))
+
+    return lhs, rhs
 
 
 def truncated_power_residual(n, l, r, t_val, corrected=True) -> Fraction:
     """Order-one specialization of the truncated balanced form at
     (x, y, z) = (1, t, -t); the right side collapses to a monomial."""
+    lhs, rhs = _truncated_power_sides(n, l, r, t_val)
+    return lhs - rhs(corrected)
+
+
+def _truncated_power_sides(n, l, r, t_val):
+    """The left side, and the right side as a function of ``corrected``."""
     t_val = Fraction(t_val)
-    lhs = _block(n, l, r, 1, _classical_values(t_val), stop=n + r, scale=_sign(n))
-    lhs = _block(l, n, r, 1, _classical_values(-t_val), stop=l + r, scale=_sign(l + r + 1), total=lhs)
-    if corrected:
-        rhs = _sign(n) * binomial(n + l + 2 * r, r) * (n + l + r) * t_val ** (n + l + r - 1)
-    else:
-        rhs = _sign(n) * binomial(n + l + 2 * r, r) * (n + l + 1) * t_val ** (n + l)
-    return lhs - rhs
+    lhs = _block(n, l, r, 1, classical_row(n + l + r, t_val), stop=n + r, scale=_sign(n))
+    lhs = _block(l, n, r, 1, classical_row(n + l + r, -t_val), stop=l + r, scale=_sign(l + r + 1), total=lhs)
+
+    def rhs(corrected):
+        if corrected:
+            return _sign(n) * binomial(n + l + 2 * r, r) * (n + l + r) * t_val ** (n + l + r - 1)
+        return _sign(n) * binomial(n + l + 2 * r, r) * (n + l + 1) * t_val ** (n + l)
+
+    return lhs, rhs
 
 
 def odd_order_tail_residual(n: int, r: int, t_val, table: GenBernTable | None = None) -> Poly:
@@ -548,8 +589,10 @@ def odd_order_tail_residual(n: int, r: int, t_val, table: GenBernTable | None = 
 
 def halved_tail_sum_residual(n: int, r: int) -> Fraction:
     """Odd-r closed form for sum_{k=n}^{2n+r} C(n+r,k-n) C(k+r,r) B_k / 2^k."""
-    nums = classical_bernoulli_numbers(2 * n + r)
-    lhs = _block(n, n, r, 1, lambda idx: nums[idx] / Fraction(2) ** idx)
+    top = 2 * n + r
+    nums, den = classical_row(top)
+    # B_i / 2^i over den 2^top
+    lhs = _block(n, n, r, 1, ([b * 2 ** (top - i) for i, b in enumerate(nums)], den * 2**top))
     rhs = (
         Fraction(_sign(n + (r - 1) // 2) * (r + 1), 2 ** (2 * n + r + 1))
         * binomial(n + r, (r + 1) // 2)
@@ -564,20 +607,30 @@ def scaled_ratio_sum_residual(n: int, r: int, x0, corrected: bool = True) -> Fra
     As printed the right side reads (-1)^(n+(r+1)/2) (r+1)/2^(n+r) C;
     direct evaluation confirms (-1)^(n+(r-1)/2) (r+1)/2^(n+r+1) C instead.
     """
+    lhs, rhs = _scaled_ratio_sides(n, r, x0)
+    return lhs - rhs(corrected)
+
+
+def _scaled_ratio_sides(n: int, r: int, x0):
+    """The left side, and the right side as a function of ``corrected``."""
     x0 = Fraction(x0)
     if x0 == 1:
         raise ValueError("the weighted form divides by (1-x); x = 1 is outside its domain")
-
-    def term(idx):
-        return classical_bernoulli_value(idx, x0) / (Fraction(2) ** (idx - n) * (1 - x0) ** (idx - 1))
-
-    lhs = _block(n, n, r, 1, term)
+    top = 2 * n + r
+    nums, den = classical_row(top, x0)
+    # with x = a/b and 1 - x = g/b, B_i(x) / (2^(i-n) (1-x)^(i-1)) over den 2^top g^top b
+    a, b = x0.numerator, x0.denominator
+    g = b - a
+    row = [v * 2 ** (n + top - i) * b**i * g ** (top + 1 - i) for i, v in enumerate(nums)]
+    lhs = _block(n, n, r, 1, (row, den * 2**top * g**top * b))
     c_mid = binomial(n + r, (r + 1) // 2)
-    if corrected:
-        rhs = Fraction(_sign(n + (r - 1) // 2) * (r + 1), 2 ** (n + r + 1)) * c_mid
-    else:
-        rhs = Fraction(_sign(n + (r + 1) // 2) * (r + 1), 2 ** (n + r)) * c_mid
-    return lhs - rhs
+
+    def rhs(corrected):
+        if corrected:
+            return Fraction(_sign(n + (r - 1) // 2) * (r + 1), 2 ** (n + r + 1)) * c_mid
+        return Fraction(_sign(n + (r + 1) // 2) * (r + 1), 2 ** (n + r)) * c_mid
+
+    return lhs, rhs
 
 
 def symbolic_weight_pair_residual(n: int, l: int, table: GenBernTable | None = None) -> Poly:
@@ -707,11 +760,14 @@ def _at_order(residual: Poly, alpha):
     return residual if alpha is None else residual.eval(Fraction(alpha))
 
 
-def _against_block(n: int, r: int, m: int, closed) -> dict[str, Fraction]:
-    """The single block at (n, r, m) minus ``closed(corrected)`` in the
-    sign-corrected and the printed reading; the block is built once."""
-    lhs = symmetric_block_sum(n, r, m)
-    return {"sign_corrected": lhs - closed(True), "as_printed": lhs - closed(False)}
+def _against_block(n: int, r: int, m: int, extra=0) -> dict[str, Fraction]:
+    """The single block at (n, r, m) minus the folded closed form summed
+    over k < m, plus ``extra``, in the sign-corrected and the printed
+    reading.  The block, the closed form's tail and ``extra`` do not depend
+    on the reading and are built once."""
+    lead, tail = _q_block_parts(n, r, range(1, m), m)
+    lhs = symmetric_block_sum(n, r, m) - tail - extra
+    return {"sign_corrected": lhs - lead, "as_printed": lhs - _sign(n + (r - 1) // 2) * lead}
 
 
 def _weighted_readings(n: int, r: int, m: int, closed) -> dict[str, Fraction]:
@@ -726,9 +782,16 @@ def _weighted_readings(n: int, r: int, m: int, closed) -> dict[str, Fraction]:
     }
 
 
-def _corrected(residual):
-    """The readings of ``residual(p, corrected)``: the corrected one first."""
-    return lambda p: {"corrected": residual(p, True), "as_printed": residual(p, False)}
+def _corrected(sides):
+    """The readings of a case whose right side is read two ways, the
+    corrected one first: ``sides(p)`` gives the left side, built once, and
+    the right side as a function of ``corrected``."""
+
+    def readings(p):
+        lhs, rhs = sides(p)
+        return {"corrected": lhs - rhs(True), "as_printed": lhs - rhs(False)}
+
+    return readings
 
 
 _F10_READINGS = ("as_printed", "from_main_identity")
@@ -750,7 +813,7 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "ges1",
             ("n", "r", "m"),
-            lambda p: _against_block(p.n, p.r, p.m, lambda c: q_block_sum(p.n, p.r, p.m, corrected=c)),
+            lambda p: _against_block(p.n, p.r, p.m),
             domain=(ODD_R,),
             prefer=("as_printed", "sign_corrected"),
             note="left side is the single Bernoulli block; the leading q-term base k*(m-k) verifies only after the "
@@ -786,7 +849,7 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "c1",
             ("n", "m"),
-            lambda p: _against_block(p.n, 3, p.m, lambda c: sum((chen_sun_term(k, p.m, p.n, c) for k in range(1, p.m)), ZERO)),
+            lambda p: _against_block(p.n, 3, p.m, sum(_chen_sun_extra(k, p.m, p.n) for k in range(1, p.m))),
             prefer=("as_printed", "sign_corrected"),
             note="inherits the leading q-term base correction (k*(k-m) for k*(m-k))",
         ),
@@ -835,7 +898,7 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "cor3a",
             ("n", "l", "r", "alpha", "xy", "z=alpha-x-y"),
-            _corrected(lambda p, c: truncated_balanced_residual(p.n, p.l, p.r, p.alpha, p.x, p.y, corrected=c)),
+            _corrected(lambda p: _truncated_balanced_sides(p.n, p.l, p.r, p.alpha, p.x, p.y)),
             domain=(POSITIVE_R, RATIONAL_ORDER, BALANCED),
             prefer=("as_printed", "corrected"),
             note="right-side difference index reads n+l+1 in print but must be n+l+r (identical at r=1)",
@@ -843,7 +906,7 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "cor3b",
             ("n", "l", "r", "t"),
-            _corrected(lambda p, c: truncated_power_residual(p.n, p.l, p.r, p.t, corrected=c)),
+            _corrected(lambda p: _truncated_power_sides(p.n, p.l, p.r, p.t)),
             domain=(POSITIVE_R,),
             prefer=("as_printed", "corrected"),
             note="monomial right side reads (n+l+1) t^(n+l) in print but must be (n+l+r) t^(n+l+r-1)",
@@ -857,7 +920,7 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "cor1",
             ("n", "r", "ratio_x"),
-            _corrected(lambda p, c: scaled_ratio_sum_residual(p.n, p.r, p.x, corrected=c)),
+            _corrected(lambda p: _scaled_ratio_sides(p.n, p.r, p.x)),
             domain=(ODD_R, Guard(lambda p: p.x != 1, "x = 1 divides by zero in the weight")),
             prefer=("as_printed", "corrected"),
             note="right side verifies as (-1)^(n+(r-1)/2) (r+1)/2^(n+r+1) C(n+r,(r+1)/2); the printed sign exponent "

@@ -16,6 +16,7 @@ from genbern.bernoulli import (
     classical_bernoulli_numbers,
     classical_bernoulli_poly,
     classical_bernoulli_value,
+    classical_row,
     gen_bern_poly_reflected,
     gen_bern_poly_shifted,
     gen_bernoulli_numbers_symbolic,
@@ -452,6 +453,55 @@ def test_cache_keys_from_any_rational_form(monkeypatch):
     assert tags.count("value") == 1
     assert tags.count("at") == 7 + 1  # order 2 for each n, order 1/2 behind the value
     assert len(bernoulli._classical_values) == 2
+
+
+def test_rows_hold_the_table_values():
+    table = GenBernTable()
+    for n in (0, 1, 4, 9):
+        for alpha in (F(1), F(1, 2), F(-2, 3), F(3)):
+            for x in (F(0), F(1, 2), F(-3), F(5, 7)):
+                nums, den = table.value_row(n, alpha, x)
+                assert len(nums) == n + 1 and den > 0
+                assert [F(v, den) for v in nums] == [table.value_at(k, alpha, x) for k in range(n + 1)]
+                assert table.value_row(n, alpha, x) is table.value_row(n, str(alpha), x)
+                assert ("row", n, alpha.numerator, alpha.denominator, x.numerator, x.denominator) in table._derived
+        for x in (F(0), F(1, 3), F(-2), 5):
+            nums, den = classical_row(n, x)
+            assert [F(v, den) for v in nums] == [classical_bernoulli_value(k, x) for k in range(n + 1)]
+            assert classical_row(n, F(x)) is classical_row(n, x)
+        nums, den = classical_row(n)
+        assert [F(v, den) for v in nums] == classical_bernoulli_numbers(n)
+        # the least common denominator: no factor common to it and every numerator
+        assert math.gcd(den, *nums) == 1
+
+
+def test_rows_for_one_point_agree_on_common_indices():
+    table = GenBernTable()
+    for alpha, x in ((F(1, 2), F(-1, 3)), (F(-3), F(2)), (F(1), F(0))):
+        rows = [table.value_row(n, alpha, x) for n in (7, 2, 11, 0)] + [classical_row(n, x) for n in (5, 9) if alpha == 1]
+        values = [[F(v, den) for v in nums] for nums, den in rows]
+        for a in values:
+            for b in values:
+                common = min(len(a), len(b))
+                assert a[:common] == b[:common]
+
+
+def test_racing_row_builds_see_equal_rows():
+    keys = [(n, alpha, x) for n in (3, 6, 10) for alpha in (F(1, 2), F(-2)) for x in (F(0), F(1, 3), F(-5, 2))]
+    oracle = GenBernTable()
+    expected = [oracle.value_row(*key) for key in keys]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            table = GenBernTable()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                seen = [pool.submit(lambda: [table.value_row(*key) for key in keys]) for _ in range(4)]
+                seen = [future.result(timeout=60) for future in seen]
+            assert all(rows == expected for rows in seen)
+            assert sum(key[0] == "row" for key in table._derived) == len(keys)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_negative_n_rejected():

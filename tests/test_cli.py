@@ -250,6 +250,28 @@ def test_suite_flag_overrides_the_config_file(tmp_path, capsys):
     assert (code, out) == (2, "") and "sets alpha_points, which no selected case reads" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--cases", "s1", "--alpha-points", "1,1,2/2"), "repeated alpha_points: 1"),
+    (("--cases", "theorem_le1", "--max-s", "0", "--lambda-points", "1/2,2/4"), "repeated lambda_points: 1/2"),
+    (("--cases", "theorem_le1,s1", "--lambda-points", "0,-1/3,0", "--alpha-points", "3,-1/3,-2/6,3"),
+     "repeated lambda_points: 0"),
+], ids=["alpha", "lambda", "both"])
+def test_suite_repeated_point_flag_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "suite", "--max-n", "0", "--max-l", "0", "--max-r", "0", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_suite_repeated_point_in_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"lambda_points": ["1", "1"]}))
+    code, out, err = run_cli(capsys, "suite", "--config", str(path))
+    assert (code, out, err) == (2, "", "error: repeated lambda_points: 1\n")
+    path.write_text(json.dumps({"max_n": 0, "max_l": 0, "max_r": 0, "cases": ["s2"], "alpha_points": ["-3/2", "1", "-6/4"]}))
+    code, out, err = run_cli(capsys, "suite", "--config", str(path))
+    assert (code, out, err) == (2, "", "error: repeated alpha_points: -3/2\n")
+
+
 @pytest.mark.parametrize("route", ["flag", "config"])
 def test_suite_repeated_case_id_is_usage_error(tmp_path, capsys, route):
     if route == "flag":

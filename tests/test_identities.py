@@ -13,8 +13,10 @@ from genbern.bernoulli import (
     DEFAULT_TABLE,
     GenBernTable,
     OmegaOperator,
+    _row,
     bernoulli_numbers_binomial_solve,
     classical_bernoulli_numbers,
+    integer_alpha_oracle,
 )
 from genbern.identities import (
     CASE_DEFS,
@@ -28,6 +30,8 @@ from genbern.identities import (
     _main_identity_rhs,
     _order_shift_pair_residuals,
     alternating_power_sum,
+    balanced_triple_residual_antisym,
+    balanced_triple_residual_folded,
     certify_lambda,
     chen_sun_term,
     classical_pair_residual,
@@ -54,7 +58,9 @@ from genbern.identities import (
     symbolic_weight_pair_residual,
     symmetric_block_sum,
     telescoping_core,
+    truncated_balanced_residual,
     truncated_pair_sum,
+    truncated_power_residual,
     verify_case,
     _window_core,
 )
@@ -220,6 +226,10 @@ def test_memo_cannot_hide_a_wrong_table():
     assert not main_identity_residual(*key, wrong).is_zero()
     assert not all(res.is_zero() for res in replay_proof(*key, wrong).values())
     assert main_identity_residual(*key).is_zero()
+    # the scalar blocks read value rows, which the wrong B_1 reaches as well
+    point = (2, 1, 1, F(1, 2), F(1, 3), F(-2, 5))
+    assert balanced_triple_residual_antisym(*point) == 0
+    assert balanced_triple_residual_antisym(*point, table=wrong) != 0
 
 
 def test_replay_builds_both_operator_routes_on_every_call(monkeypatch):
@@ -725,16 +735,21 @@ def test_double_sums_at_rationals_against_literal_evaluator():
                             for k in range(1, s + 1)
                             for j in range(r + 2)
                         )
-    # bases whose denominators change with k, so the k-th sums do not share one
-    u, v = (lambda k: F(k, k + 1)), (lambda k: F(-1, 2 * k + 1))
-    for n in range(3):
-        for l in range(3):
-            for r in range(3):
-                assert _double_sum(n, l, r, range(1, 5), u, v) == (r + 1) * sum(
-                    math.comb(n + r, j) * math.comb(l + r, r + 1 - j) * u(k) ** (l + j - 1) * v(k) ** (n + r - j)
-                    for k in range(1, 5)
-                    for j in range(r + 2)
-                )
+    # bases c + e*k of either slope, with negative, 30-digit and integer offsets, and truncated j ranges
+    for (cu, eu), (cv, ev) in (((F(1, 3), 1), (F(-2, 5), -1)), ((F(-big, 3), -1), (F(7, big), 1)), ((2, 1), (-1, 1))):
+        for n in range(3):
+            for l in range(3):
+                for r in range(3):
+                    for stop in (None, 1, r + 1):
+                        assert _double_sum(n, l, r, range(1, 5), (cu, eu), (cv, ev), stop=stop) == (r + 1) * sum(
+                            math.comb(n + r, j)
+                            * math.comb(l + r, r + 1 - j)
+                            * (cu + eu * k) ** (l + j - 1)
+                            * (cv + ev * k) ** (n + r - j)
+                            for k in range(1, 5)
+                            for j in range(r + 2 if stop is None else stop)
+                            if math.comb(n + r, j) * math.comb(l + r, r + 1 - j)  # a zero base meets only these
+                        )
 
 
 def _q_term(k, m, r, n, corrected):
@@ -761,6 +776,108 @@ def test_q_block_and_chen_sun_against_literal_evaluator():
                         F(k) ** (n + 2) * F(k - m) ** n - F(k) ** n * F(k - m) ** (n + 2)
                     )
                     assert chen_sun_term(k, m, n, corrected) == _q_term(k, m, 3, n, corrected) + extra
+
+
+ORACLE_ORDER_TABLES = [integer_alpha_oracle(10, a) for a in range(11)]
+
+
+def _gnum(n, alpha):
+    """B_n^(alpha) by Lagrange interpolation through the integer orders
+    0..n of the series-power oracle; it has degree n in the order."""
+    total = F(0)
+    for i in range(n + 1):
+        weight = F(1)
+        for j in range(n + 1):
+            if j != i:
+                weight *= F(alpha - j, i - j)
+        total += ORACLE_ORDER_TABLES[i][n] * weight
+    return total
+
+
+def _gb(n, alpha, y):
+    """B_n^(alpha)(y) = sum_j C(n,j) B_(n-j)^(alpha) y^j."""
+    return sum(math.comb(n, j) * _gnum(n - j, alpha) * F(y) ** j for j in range(n + 1))
+
+
+def _literal_block(p, q, r, w, values, stop=None):
+    """sum_{k<stop} w^(p+r-k) C(p+r,k) C(q+k+r,r) values(q+k), as displayed."""
+    return sum(
+        (F(w) ** (p + r - k) * math.comb(p + r, k) * math.comb(q + k + r, r) * values(q + k)
+         for k in range(p + r + 1 if stop is None else stop)),
+        F(0),
+    )
+
+
+def _literal_leibniz(n, l, r, s, u, v):
+    return (r + 1) * sum(
+        math.comb(n + r, j) * math.comb(l + r, r + 1 - j) * (u - k) ** (l + j - 1) * (v - k) ** (n + r - j)
+        for k in range(1, s + 1)
+        for j in range(r + 2)
+    )
+
+
+def test_balanced_forms_against_literal_evaluator():
+    # non-integer orders and points, one order outside the sweep's signs
+    for alpha, x, y in ((F(1, 2), F(2, 3), F(-1, 3)), (F(-5, 3), F(-3, 2), F(1, 4)), (F(2), F(1, 3), F(5, 7))):
+        z = alpha - x - y
+        for n in range(3):
+            for l in range(3):
+                for r in range(3):
+                    first = _literal_block(n, l, r, x, lambda i: _gb(i, alpha, y))
+                    second = _literal_block(l, n, r, x, lambda i: _gb(i, alpha, z))
+                    assert balanced_triple_residual_antisym(n, l, r, alpha, x, y) == (-1) ** n * first - (
+                        -1
+                    ) ** (l + r) * second
+                    folded = _literal_block(l, n, r, -x, lambda i: _gb(i, alpha, x + y))
+                    assert balanced_triple_residual_folded(n, l, r, alpha, x, y) == first - folded
+                    if r == 0:
+                        continue
+                    lhs = (-1) ** n * _literal_block(n, l, r, x, lambda i: _gb(i, alpha, y), stop=n + r) + (-1) ** (
+                        l + r + 1
+                    ) * _literal_block(l, n, r, x, lambda i: _gb(i, alpha, z), stop=l + r)
+                    for corrected, idx in ((True, n + l + r), (False, n + l + 1)):
+                        rhs = (-1) ** n * math.comb(n + l + 2 * r, r) * (_gb(idx, alpha, x + y) - _gb(idx, alpha, y))
+                        assert truncated_balanced_residual(n, l, r, alpha, x, y, corrected) == lhs - rhs
+
+
+def test_order_one_forms_against_literal_evaluator():
+    for lam, x0, t in ((F(1, 2), F(-2, 3), F(1, 3)), (F(-7, 4), F(5, 2), F(-3, 5))):
+        for n in range(3):
+            for l in range(3):
+                for r in range(3):
+                    for s in range(3):
+                        z = 1 + s - lam - x0
+                        lhs = _literal_block(n, l, r, lam, lambda i: _b(i, x0)) + (-1) ** (
+                            l + n + r + 1
+                        ) * _literal_block(l, n, r, lam, lambda i: _b(i, z))
+                        expected = lhs - _literal_leibniz(n, l, r, s, x0, x0 + lam)
+                        assert classical_pair_residual(n, l, r, s, lam, x0) == expected
+                    if r == 0:
+                        continue
+                    lhs = (-1) ** n * _literal_block(n, l, r, 1, lambda i: _b(i, t), stop=n + r) + (-1) ** (
+                        l + r + 1
+                    ) * _literal_block(l, n, r, 1, lambda i: _b(i, -t), stop=l + r)
+                    c = (-1) ** n * math.comb(n + l + 2 * r, r)
+                    assert truncated_power_residual(n, l, r, t, True) == lhs - c * (n + l + r) * t ** (n + l + r - 1)
+                    assert truncated_power_residual(n, l, r, t, False) == lhs - c * (n + l + 1) * t ** (n + l)
+
+
+def test_odd_r_tail_sums_against_literal_evaluator():
+    for n in range(4):
+        for r in (1, 3, 5):
+            c_mid = math.comb(n + r, (r + 1) // 2)
+            lhs = sum(math.comb(n + r, k - n) * math.comb(k + r, r) * _b(k) / F(2) ** k for k in range(n, 2 * n + r + 1))
+            rhs = F((-1) ** (n + (r - 1) // 2) * (r + 1), 2 ** (2 * n + r + 1)) * c_mid
+            assert halved_tail_sum_residual(n, r) == lhs - rhs
+            for x0 in (F(0), F(1, 3), F(-1, 2), F(5, 2), F(-7)):
+                lhs = sum(
+                    math.comb(n + r, k) * math.comb(n + k + r, r) * _b(n + k, x0) / (F(2) ** k * (1 - x0) ** (n + k - 1))
+                    for k in range(n + r + 1)
+                )
+                corrected = F((-1) ** (n + (r - 1) // 2) * (r + 1), 2 ** (n + r + 1)) * c_mid
+                printed = F((-1) ** (n + (r + 1) // 2) * (r + 1), 2 ** (n + r)) * c_mid
+                assert scaled_ratio_sum_residual(n, r, x0, True) == lhs - corrected
+                assert scaled_ratio_sum_residual(n, r, x0, False) == lhs - printed
 
 
 def _block_reference(p, q, r, w, term, stop=None, scale=1, total=F(0)):
@@ -796,9 +913,32 @@ rationals = st.one_of(
 )
 def test_rational_block_matches_fraction_loop(p, q, r, w, values, stop, scale, total):
     stop = None if stop is None else min(stop, p + r)  # below top + 1
-    got = _block(p, q, r, w, values.__getitem__, stop=stop, scale=scale, total=total)
+    got = _block(p, q, r, w, _row(values), stop=stop, scale=scale, total=total)
     assert got == _block_reference(p, q, r, w, values.__getitem__, stop=stop, scale=scale, total=total)
     assert type(got) is F
+
+
+# its own table, so that random orders leave no entries in the default one
+PROPERTY_TABLE = GenBernTable()
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.one_of(st.none(), st.integers(0, 6)),
+    st.sampled_from([1, -1]),
+    rationals,
+    small_rationals,
+    small_rationals,
+)
+def test_row_fed_block_matches_per_term_sum(p, q, r, stop, scale, w, alpha, x):
+    stop = None if stop is None else min(stop, p + r)
+    t = PROPERTY_TABLE
+    got = _block(p, q, r, w, t.value_row(p + q + r, alpha, x), stop=stop, scale=scale)
+    assert got == _block_reference(p, q, r, w, lambda i: t.value_at(i, alpha, x), stop=stop, scale=scale)
 
 
 def test_difference_short_circuit_matches_lincomb():
