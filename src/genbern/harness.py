@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import time
+from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,6 +86,12 @@ def _json_value(data: dict, name: str, kind: type):
     return value
 
 
+def _repeated(items) -> list:
+    """The items that occur more than once, in linear time: a Fraction
+    hashes by value, so 1 and 2/2 are one point."""
+    return [item for item, count in Counter(items).items() if count > 1]
+
+
 @dataclass
 class SweepConfig:
     max_n: int = 3
@@ -104,14 +111,14 @@ class SweepConfig:
         unknown = [c for c in self.cases if c not in CASE_DEFS]
         if unknown:
             raise UsageError(f"unknown case ids: {', '.join(unknown)}")
-        repeated = sorted({c for c in self.cases if self.cases.count(c) > 1})
+        repeated = sorted(_repeated(self.cases))
         if repeated:
             raise UsageError(f"repeated case ids: {', '.join(repeated)}")
         for source in POINT_SETS:
             points = getattr(self, source)
             if sweeps(self.cases, source) and not points:
                 raise UsageError(f"{source} must be non-empty for the selected cases")
-            repeated = sorted({v for v in points if points.count(v) > 1})
+            repeated = sorted(_repeated(points))
             if repeated:
                 raise UsageError(f"repeated {source}: {', '.join(map(format_fraction, repeated))}")
         total = sum(grid_size(c, self) for c in self.cases)

@@ -308,6 +308,26 @@ def test_sweep_over_the_grid_limit_is_rejected_before_any_grid_is_built(monkeypa
         SweepConfig(max_n=0, max_r=4, max_s=9, max_m=1000, cases=("rem1", "p1")).validate()
 
 
+@pytest.mark.parametrize("source", harness.POINT_SETS)
+def test_long_point_set_is_rejected_in_linear_time(source):
+    # one more distinct point than the grid limit, in one case that reads the set
+    points = tuple(F(i, 7) for i in range(harness.MAX_GRID_POINTS + 1))
+    case = next(c for c in CASE_DEFS if harness.sweeps((c,), source))
+    cfg = SweepConfig(**{source: points}, cases=(case,))
+    start = time.perf_counter()
+    with pytest.raises(UsageError, match="^the sweep has"):
+        cfg.validate()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_long_repeated_case_list_is_rejected_in_linear_time():
+    cfg = SweepConfig(cases=tuple(CASE_DEFS) * 2000)
+    start = time.perf_counter()
+    with pytest.raises(UsageError, match="^repeated case ids: "):
+        cfg.validate()
+    assert time.perf_counter() - start < 0.5
+
+
 def test_pre_grow_counts_only_the_axes_a_case_reads():
     bounds = {"max_n": 2, "max_l": 5, "max_r": 1, "max_s": 40}
     assert required_table_size(SweepConfig(**bounds, cases=("p1",))) == table_size(2, 0, 0, 0)
