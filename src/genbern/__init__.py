@@ -19,7 +19,7 @@ from .bernoulli import (
     gen_bernoulli_poly,
     integer_alpha_oracle,
 )
-from .harness import Report, SweepConfig, emit_json, emit_tables, parse_report, run_suite
+from .harness import Report, SweepConfig, emit_json, emit_tables, parse_report, run_suite, write_json
 from .identities import (
     CASE_IDS,
     IdentityCase,
@@ -79,4 +79,5 @@ __all__ = [
     "replay_proof",
     "run_suite",
     "verify_case",
+    "write_json",
 ]

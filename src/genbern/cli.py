@@ -10,8 +10,9 @@ Subcommands:
 * ``verify``         same evaluation, one human-oriented summary line;
 * ``verify-theorem`` check the main identity at one shift value, or
                      certify it for every shift value at once;
-* ``suite``          run a parameter-grid sweep and print the JSON report
-                     (a flag overrides its key of the ``--config`` file).
+* ``suite``          run a parameter-grid sweep and stream the JSON report,
+                     one record at a time (a flag overrides its key of the
+                     ``--config`` file).
 
 Every numeric flag is an exact string (``p/q`` or an integer); nothing is
 ever parsed as a float.  Exit codes: 0 success / all verified, 1 a
@@ -39,12 +40,12 @@ from .harness import (
     UsageError,
     check_input_size,
     derived_z,
-    emit_json,
     emit_tables,
+    record_json,
     residual_text,
-    result_to_dict,
     run_suite,
     sweeps,
+    write_json,
 )
 from .identities import (
     CASE_DEFS,
@@ -189,7 +190,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_eval(args) -> int:
     result = verify_case(_build_case(args))
-    print(json.dumps(result_to_dict(result), indent=2))
+    print(record_json(result))
     return _status_exit(result.status)
 
 
@@ -243,7 +244,8 @@ def _cmd_suite(args) -> int:
     if unread:
         raise UsageError(f"the sweep config sets {' and '.join(unread)}, which no selected case reads")
     report = run_suite(cfg)
-    print(emit_json(report))
+    write_json(report, sys.stdout.write)
+    sys.stdout.write("\n")
     counts = report.summary
     print(
         f"suite: {counts['verified']} verified, {counts['counterexample']} counterexamples, "

@@ -7,6 +7,10 @@ with a machine-readable JSON form and CSV/JSON table exports.  Identical
 configurations produce identical result sets: results are canonically
 ordered by case id and parameters.
 
+The JSON report is ``json.dumps(..., indent=2)`` of the report, built
+without a dict per result: :func:`write_json` streams it one
+:func:`record_json` at a time, and :func:`emit_json` joins the pieces.
+
 The grid is data.  ``CaseDef.axes`` names a case's axes, and :data:`AXES`
 maps each name to the ``SumSpec`` fields it sets and to its sample points.
 The same table gives the fields a report's ``params`` shows, the point
@@ -28,6 +32,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string  # what json.dumps writes a str with
 
 from .bernoulli import DEFAULT_TABLE, classical_bernoulli_numbers, gen_bernoulli_numbers_symbolic
 from .identities import (
@@ -61,10 +66,11 @@ RATIO_X_POINTS = (Fraction(0), Fraction(1, 3), Fraction(-1, 2))
 TABLE_LIMITS = {"classical": 2000, "generalized": 200}
 # Largest m an input may name; the closed forms loop over k < m.
 MAX_M = 1000
-# Most results one sweep may have.  A result costs about 0.1 ms on the
-# default sweep, about 0.4 ms on the symbolic cases at n, l <= 8, and
-# 4-6 KB of memory until the report is written, so the largest sweep
-# admitted finishes in 5-20 s within about 300 MB.
+# Most results one sweep may have.  A result costs about 0.1 ms and 1.2 KB
+# on the default sweep, and about 0.4 ms and 5.5 KB (the memoized sides)
+# on the symbolic cases at n, l <= 8; the streamed report adds next to
+# nothing.  So the largest sweep admitted finishes in 5-20 s within about
+# 300 MB.
 MAX_GRID_POINTS = 50_000
 
 
@@ -251,18 +257,28 @@ def derived_z(case_id: str, chosen: dict) -> Fraction:
 _CASE_PARAMS = {case_id: [p for p in PARAMS if p.name in reads] for case_id, reads in CASE_FIELDS.items()}
 
 
-def params_to_dict(case: IdentityCase) -> dict:
-    """Stable JSON encoding restricted to the fields of the case's axes,
-    under their report keys; a symbolic order is "symbolic"."""
-    out = {}
+def params_text(case: IdentityCase) -> list[tuple[str, str]]:
+    """The case's params as (report key, JSON text) pairs in ``PARAMS``
+    order, restricted to the fields of its axes; a symbolic order is
+    "symbolic".  A rational's text is read off its numerator and
+    denominator, as ``format_fraction`` writes it."""
+    out = []
     for p in _CASE_PARAMS[case.id]:
         value = getattr(case.params, p.name)
-        out[p.key] = value if p.kind == "index" else "symbolic" if value is None else format_fraction(value)
+        if p.kind == "index":
+            text = str(value)
+        elif value is None:
+            text = '"symbolic"'
+        elif value.denominator == 1:
+            text = f'"{value.numerator}"'
+        else:
+            text = f'"{value.numerator}/{value.denominator}"'
+        out.append((p.key, text))
     return out
 
 
 def params_from_dict(data: dict) -> SumSpec:
-    """Inverse of :func:`params_to_dict`; a field without a key keeps its
+    """Inverse of :func:`params_text`; a field without a key keeps its
     default, and an index must be a JSON integer."""
     kwargs = {}
     for p in PARAMS:
@@ -283,26 +299,38 @@ def residual_text(residual) -> str:
     return format_fraction(residual)
 
 
-def result_to_dict(res: VerificationResult) -> dict:
-    out = {
-        "case": res.case.id,
-        "params": params_to_dict(res.case),
-        "status": res.status,
-    }
+def _object(members: list[str], pad: str) -> str:
+    """A JSON object of ``"key": value`` members as ``json.dumps(...,
+    indent=2)`` writes it with its opening brace at indentation ``pad``."""
+    if not members:
+        return "{}"
+    inner = pad + "  "
+    return "{\n" + inner + (",\n" + inner).join(members) + "\n" + pad + "}"
+
+
+def record_json(res: VerificationResult, pad: str = "") -> str:
+    """One result's record, as ``json.dumps(..., indent=2)`` writes it with
+    its opening brace at indentation ``pad``.  Only strings go through
+    ``json``; keys, numbers, ``true``, ``null`` and layout are written
+    here."""
+    inner = pad + "  "
     text = residual_text(res.residual)
+    members = [
+        '"case": ' + _string(res.case.id),
+        '"params": ' + _object([f'"{key}": {value}' for key, value in params_text(res.case)], inner),
+        '"status": ' + _string(res.status),
+        '"residual": ' + _string(text[:RESIDUAL_TRUNCATE_AT]),
+    ]
     if len(text) > RESIDUAL_TRUNCATE_AT:
-        out["residual"] = text[:RESIDUAL_TRUNCATE_AT]
-        out["residual_truncated"] = True
-        out["residual_sha256"] = hashlib.sha256(text.encode()).hexdigest()
-    else:
-        out["residual"] = text
+        members += ['"residual_truncated": true', f'"residual_sha256": "{hashlib.sha256(text.encode()).hexdigest()}"']
     if res.readings is not None:
-        out["readings"] = dict(res.readings)
-        out["reading"] = res.reading
+        reading = "null" if res.reading is None else _string(res.reading)
+        readings = [_string(name) + ": " + _string(status) for name, status in res.readings.items()]
+        members += ['"readings": ' + _object(readings, inner), '"reading": ' + reading]
     if res.note:
-        out["note"] = res.note
-    out["elapsed_ms"] = round(res.elapsed * 1000, 3)
-    return out
+        members.append('"note": ' + _string(res.note))
+    members.append(f'"elapsed_ms": {round(res.elapsed * 1000, 3)!r}')
+    return _object(members, pad)
 
 
 def result_from_dict(data: dict) -> VerificationResult:
@@ -339,7 +367,10 @@ class Report:
 
 
 def _sort_key(res: VerificationResult):
-    return (res.case.id, json.dumps(params_to_dict(res.case), sort_keys=True))
+    """The case id and the params' sorted-keys JSON text, built from
+    :func:`params_text`."""
+    members = sorted(params_text(res.case))
+    return (res.case.id, "{" + ", ".join(f'"{key}": {text}' for key, text in members) + "}")
 
 
 def table_size(n: int, l: int, r: int, s: int) -> int:
@@ -382,14 +413,30 @@ def run_suite(cfg: SweepConfig) -> Report:
     return Report(config=cfg, results=results, elapsed=time.perf_counter() - start)
 
 
+def _nested(obj: dict) -> str:
+    """A small fixed block of the report (config, summary) at indentation 2."""
+    return json.dumps(obj, indent=2).replace("\n", "\n  ")
+
+
+def write_json(report: Report, write: Callable[[str], object]) -> None:
+    """Write the report's JSON text, ``json.dumps(..., indent=2)`` of its
+    config, results, summary and elapsed time, through ``write``: one call
+    per record, so nothing but the record being written is held."""
+    write('{\n  "config": ' + _nested(report.config.to_dict()) + ',\n  "results": [')
+    sep = "\n    "
+    for res in report.results:
+        write(sep + record_json(res, "    "))
+        sep = ",\n    "
+    close = "\n  ]" if report.results else "]"
+    elapsed = round(report.elapsed * 1000, 3)
+    write(f'{close},\n  "summary": {_nested(report.summary)},\n  "elapsed_ms": {elapsed!r}\n}}')
+
+
 def emit_json(report: Report) -> str:
-    obj = {
-        "config": report.config.to_dict(),
-        "results": [result_to_dict(r) for r in report.results],
-        "summary": report.summary,
-        "elapsed_ms": round(report.elapsed * 1000, 3),
-    }
-    return json.dumps(obj, indent=2)
+    """The text :func:`write_json` writes, as one string."""
+    parts: list[str] = []
+    write_json(report, parts.append)
+    return "".join(parts)
 
 
 def parse_report(text: str) -> Report:

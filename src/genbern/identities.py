@@ -752,13 +752,13 @@ def _at_order(residual: Poly, alpha):
     return residual if alpha is None else residual.eval(Fraction(alpha))
 
 
-def _against_block(n: int, r: int, m: int, extra=0) -> dict[str, Fraction]:
+def _against_block(n: int, r: int, m: int) -> dict[str, Fraction]:
     """The single block at (n, r, m) minus the folded closed form summed
-    over k < m, plus ``extra``, in the sign-corrected and the printed
-    reading.  The block, the closed form's tail and ``extra`` do not depend
-    on the reading and are built once."""
+    over k < m, in the sign-corrected and the printed reading.  The block
+    and the closed form's tail do not depend on the reading and are built
+    once."""
     tail, lead, printed = _q_block_parts(n, r, range(1, m), m)
-    lhs = symmetric_block_sum(n, r, m) - tail - extra
+    lhs = symmetric_block_sum(n, r, m) - tail
     return {"sign_corrected": lhs - lead, "as_printed": lhs - printed}
 
 
@@ -841,7 +841,8 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "c1",
             ("n", "m"),
-            lambda p: _against_block(p.n, 3, p.m, sum(_chen_sun_extra(k, p.m, p.n) for k in range(1, p.m))),
+            # chen_sun_term's telescoping extra sums to zero over k < m
+            lambda p: _against_block(p.n, 3, p.m),
             prefer=("as_printed", "sign_corrected"),
             note="inherits the leading q-term base correction (k*(k-m) for k*(m-k))",
         ),

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -11,24 +12,69 @@ import pytest
 
 from genbern import harness
 from genbern.bernoulli import gen_bernoulli_numbers_symbolic
+from genbern.cli import main
 from genbern.harness import (
     AXES,
+    RESIDUAL_TRUNCATE_AT,
     TABLE_LIMITS,
+    Report,
     SweepConfig,
     UsageError,
     emit_json,
     emit_tables,
     enumerate_cases,
     grid_size,
-    params_to_dict,
     parse_report,
+    record_json,
     required_table_size,
-    result_to_dict,
+    residual_text,
     run_suite,
     table_size,
+    write_json,
 )
 from genbern.identities import CASE_DEFS, INDEXES, PARAMS, IdentityCase, SumSpec, VerificationResult
-from genbern.textform import format_poly
+from genbern.poly import Poly
+from genbern.textform import format_fraction, format_poly
+
+
+# The report's reference route: one dict per result, and the whole tree
+# through json.dumps(indent=2).  The streamed writer must equal it byte
+# for byte.
+def _reference_params_to_dict(case: IdentityCase) -> dict:
+    out = {}
+    for p in PARAMS:
+        if p.name in harness.CASE_FIELDS[case.id]:
+            value = getattr(case.params, p.name)
+            out[p.key] = value if p.kind == "index" else "symbolic" if value is None else format_fraction(value)
+    return out
+
+
+def _reference_result_to_dict(res: VerificationResult) -> dict:
+    out = {"case": res.case.id, "params": _reference_params_to_dict(res.case), "status": res.status}
+    text = residual_text(res.residual)
+    if len(text) > RESIDUAL_TRUNCATE_AT:
+        out["residual"] = text[:RESIDUAL_TRUNCATE_AT]
+        out["residual_truncated"] = True
+        out["residual_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    else:
+        out["residual"] = text
+    if res.readings is not None:
+        out["readings"] = dict(res.readings)
+        out["reading"] = res.reading
+    if res.note:
+        out["note"] = res.note
+    out["elapsed_ms"] = round(res.elapsed * 1000, 3)
+    return out
+
+
+def _reference_emit_json(report: Report) -> str:
+    obj = {
+        "config": report.config.to_dict(),
+        "results": [_reference_result_to_dict(r) for r in report.results],
+        "summary": report.summary,
+        "elapsed_ms": round(report.elapsed * 1000, 3),
+    }
+    return json.dumps(obj, indent=2)
 
 
 def _stripped(report_text: str) -> dict:
@@ -111,7 +157,7 @@ def test_residual_truncation_hashes_full_form():
     res = VerificationResult(
         case=IdentityCase("t3", SumSpec()), status="counterexample", residual=big
     )
-    entry = result_to_dict(res)
+    entry = json.loads(record_json(res))
     assert entry["residual_truncated"] is True
     assert len(entry["residual"]) == 2000
     assert entry["residual_sha256"] == hashlib.sha256(text.encode()).hexdigest()
@@ -244,7 +290,7 @@ def test_params_keys_and_first_grid_point():
         "neto_corrected": {"n": 0, "l": 0, "alpha": "symbolic"},
     }
     for case_id, params in expected.items():
-        got = params_to_dict(first[case_id])
+        got = {key: json.loads(text) for key, text in harness.params_text(first[case_id])}
         assert list(got.items()) == list(params.items()), case_id
 
 
@@ -337,3 +383,97 @@ def test_pre_grow_counts_only_the_axes_a_case_reads():
     # theorem_le1 sweeps all four, so the full catalog needs every bound
     assert required_table_size(SweepConfig(**bounds)) == table_size(2, 5, 1, 40)
     assert required_table_size(SweepConfig(cases=())) == 0
+
+
+# -- the streamed report against the reference route, byte for byte ----------------
+
+
+@pytest.fixture(scope="module")
+def golden_report():
+    return run_suite(GOLDEN_CONFIG)
+
+
+def test_emit_json_equals_the_reference_byte_for_byte(golden_report):
+    text = emit_json(golden_report)
+    assert text == _reference_emit_json(golden_report)
+    # read back, every residual is a string and every elapsed time a float
+    again = parse_report(text)
+    assert emit_json(again) == _reference_emit_json(again) == text
+    for report in (Report(SweepConfig()), Report(SweepConfig(cases=(), lambda_points=(), alpha_points=()))):
+        assert emit_json(report) == _reference_emit_json(report)
+
+
+def _hand_built_results() -> list[VerificationResult]:
+    big = gen_bernoulli_numbers_symbolic(60)[60]
+    assert len(format_poly(big)) > RESIDUAL_TRUNCATE_AT
+    theorem = IdentityCase("theorem_le1", SumSpec(n=2, l=1, r=1, s=1, lam=F(-3, 2)))
+    return [
+        VerificationResult(IdentityCase("t3", SumSpec()), "counterexample", residual=big, elapsed=0.25),
+        VerificationResult(theorem, "counterexample", residual=Poly("x", [F(1, 3), Poly("a", [0, F(-2, 7)])]), elapsed=1e-7),
+        VerificationResult(
+            IdentityCase("t24", SumSpec(n=1, m=2)), "counterexample", readings={"literal": "counterexample"}, reading=None
+        ),
+        VerificationResult(
+            IdentityCase("s1", SumSpec(x=F(1, 2), y=F(-1), z=F(1, 2), alpha=F(-3, 2))),
+            "verified",
+            residual=F(0),
+            readings={"é\u2013\n\t\x01\"\\": "verified", "plain": "counterexample"},
+            reading="é\u2013\n\t\x01\"\\",
+            note="naïve \u00bd\r\x7f\u0000 ✓ \U0001f600 \\ \"quoted\"",
+        ),
+        # a residual read back from a report, just short of truncation
+        VerificationResult(IdentityCase("p1", SumSpec(n=3)), "verified", residual="1" * RESIDUAL_TRUNCATE_AT, readings={}, note=""),
+    ]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_hand_built_record_equals_the_reference(index):
+    res = _hand_built_results()[index]
+    assert record_json(res) == json.dumps(_reference_result_to_dict(res), indent=2)
+    report = Report(SweepConfig(), [res], elapsed=12.5)
+    assert emit_json(report) == _reference_emit_json(report)
+
+
+def test_cli_report_and_record_are_indented_json(capsys):
+    assert main(["suite", "--cases", "t3,k5,theorem_le1,s1,proof_replay", "--max-n", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("}\n")
+    assert out[:-1] == json.dumps(json.loads(out), indent=2)
+    argv = ["eval", "--case", "theorem_le1", "--n", "1", "--l", "1", "--r", "1", "--s", "1", "--lambda", "1/2", "--alpha", "1/2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out[:-1] == json.dumps(json.loads(out), indent=2)
+    assert main(["eval", "--case", "t24", "--n", "1", "--m", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "readings" in json.loads(out)
+    assert out[:-1] == json.dumps(json.loads(out), indent=2)
+
+
+def test_sort_key_is_the_sorted_keys_json_of_the_params(golden_report):
+    # p1 reads n alone, so {"n": 10} sorts before {"n": 1} as the JSON text does
+    results = run_suite(SweepConfig(max_n=10, cases=("p1",))).results
+    assert [r.case.params.n for r in results] == [0, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+    for res in results + golden_report.results:
+        assert harness._sort_key(res) == (res.case.id, json.dumps(_reference_params_to_dict(res.case), sort_keys=True))
+    assert sorted(results[::-1], key=harness._sort_key) == results
+
+
+# -- memory: the report costs about its own size, the writer almost nothing ---------
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_emit_json_peaks_below_three_times_its_text(golden_report):
+    size = len(emit_json(golden_report))
+    assert _traced_peak(lambda: emit_json(golden_report)) < 3 * size
+
+
+def test_write_json_into_a_discarding_sink_holds_no_report(golden_report):
+    assert _traced_peak(lambda: write_json(golden_report, lambda text: None)) < 64 * 1024

@@ -24,6 +24,7 @@ from genbern.identities import (
     IdentityCase,
     SumSpec,
     _block,
+    _chen_sun_extra,
     _difference,
     _double_sum,
     _main_identity_lhs,
@@ -416,6 +417,22 @@ def test_chen_sun_extra_term_telescopes():
 
 
 # -- adjudicated case records -------------------------------------------------------
+
+
+def test_c1_drops_a_chen_sun_extra_that_sums_to_zero():
+    # k -> m-k sends each summand of the extra to its negative, so the c1
+    # record, which leaves it out, equals the block against the whole term
+    for n in range(12):
+        for m in range(1, 30):
+            assert sum(_chen_sun_extra(k, m, n) for k in range(1, m)) == 0
+    for n in range(4):
+        for m in range(1, 6):
+            lhs = symmetric_block_sum(n, 3, m)
+            readings = {
+                "sign_corrected": lhs - sum((chen_sun_term(k, m, n, True) for k in range(1, m)), F(0)),
+                "as_printed": lhs - sum((chen_sun_term(k, m, n, False) for k in range(1, m)), F(0)),
+            }
+            assert CASE_DEFS["c1"].residual(SumSpec(n=n, m=m)) == readings
 
 
 def test_t24_adjudication():
