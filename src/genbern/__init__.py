@@ -12,11 +12,7 @@ from .bernoulli import (
     OmegaOperator,
     bernoulli_numbers_binomial_solve,
     classical_bernoulli_numbers,
-    classical_bernoulli_poly,
-    gen_bern_poly_reflected,
-    gen_bern_poly_shifted,
     gen_bernoulli_numbers_symbolic,
-    gen_bernoulli_poly,
     integer_alpha_oracle,
 )
 from .harness import Report, SweepConfig, emit_json, emit_tables, parse_report, run_suite, write_json
@@ -57,15 +53,11 @@ __all__ = [
     "binomial",
     "certify_lambda",
     "classical_bernoulli_numbers",
-    "classical_bernoulli_poly",
     "emit_json",
     "emit_tables",
     "format_fraction",
     "format_poly",
-    "gen_bern_poly_reflected",
-    "gen_bern_poly_shifted",
     "gen_bernoulli_numbers_symbolic",
-    "gen_bernoulli_poly",
     "integer_alpha_oracle",
     "main_identity_lhs",
     "main_identity_residual",

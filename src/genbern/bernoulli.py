@@ -29,25 +29,25 @@ Appell binomial expansion.  Independent routes (a forward solve of the
 binomial recurrence for the classical numbers, repeated truncated series
 multiplication for integer orders) are provided as oracles.
 
-Every derived polynomial is built once per process and memoized: the
-classical B_n(x) per n and its value B_n(x) per (n, x), and in each
-:class:`GenBernTable` B_n^(a)(x) and every entry derived from it in one
-memo, :meth:`GenBernTable.memo`, keyed by a tag ("poly", "shifted",
-"reflected", "at", "value", "row", "offset", "lhs" or "rhs") and integers,
-a rational standing as its numerator and denominator so that a hit builds
-no Fraction.  Every entry is built on integers: B_n^(a)(x + c) is one
-:func:`genbern.poly.lincomb` call, the order maps are integer Horner
-passes and Taylor shifts.
+Every derived entry lives in one :class:`GenBernTable` memo,
+:meth:`GenBernTable.memo`, keyed by a tag ("poly", "shifted", "reflected",
+"at", "value", "row", "offset", "lhs", "classical_poly", "classical_value"
+or "classical_row") and integers, a rational standing as its numerator and
+denominator so that a hit builds no Fraction.  Every entry is built on
+integers: B_n^(a)(x + c) is one :func:`genbern.poly.lincomb` call, the
+order maps are integer Horner passes and Taylor shifts.  Only the classical
+numbers are shared by every table, as one list that grows by doubling.
 
 A row holds B_0 .. B_n at one rational point as integer numerators over
 one denominator, so that a scalar block of the identity catalog is one
 integer sum.  Value rows, B_k^(alpha)(x) at a rational order
 (:meth:`GenBernTable.value_row`), are keyed ``("row", n, alpha, x)``;
-classical rows, B_k(x) and at x = 0 the numbers (:func:`classical_row`),
-are keyed ``("row", n, x)`` in ``DEFAULT_TABLE``'s memo.  Nothing is
-evicted; the default sweep asks for 9 poly, 99 shifted, 44 reflected,
-27 at-order, 234 value, 234 value-row and 162 classical-row keys and 576
-keys per side (900 on the symbolic sweep, which reads no row).
+classical rows, B_k(x) and at x = 0 the numbers
+(:meth:`GenBernTable.classical_row`), ``("classical_row", n, x)``.
+Nothing is evicted; the default sweep asks for 9 poly, 99 shifted, 44
+reflected, 27 at-order, 234 value, 234 value-row, 8 offset, 9
+classical-poly, 153 classical-value, 162 classical-row and 576 lhs keys
+(900 lhs keys on the symbolic sweep, which reads no row).
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ from .poly import Poly, alpha_shifted, alpha_substituted, binomial, from_rows, l
 
 _classical_lock = threading.Lock()
 _classical: list[Fraction] = [Fraction(1)]
-_classical_polys: dict[int, Poly] = {}
-_classical_values: dict[tuple[int, int, int], Fraction] = {}
 
 
 def _bernoulli_from_tangents(n_max: int) -> list[Fraction]:
@@ -113,30 +111,9 @@ def bernoulli_numbers_binomial_solve(n_max: int) -> list[Fraction]:
     return out
 
 
-def classical_bernoulli_poly(n: int) -> Poly:
-    """B_n(x) over QQ, from the binomial expansion of classical numbers;
-    memoized per n."""
-    hit = _classical_polys.get(n)
-    if hit is None:
-        nums = classical_bernoulli_numbers(n)
-        built = Poly("x", tuple(binomial(n, j) * nums[n - j] for j in range(n + 1)))
-        hit = _classical_polys.setdefault(n, built)
-    return hit
-
-
 def _rational(v):
     """An int or a Fraction as given; anything else (a str, a float) as a Fraction."""
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
-def classical_bernoulli_value(n: int, x) -> Fraction:
-    """B_n(x) at a rational x; memoized per (n, numerator, denominator of x)."""
-    x = _rational(x)
-    key = (n, x.numerator, x.denominator)
-    hit = _classical_values.get(key)
-    if hit is None:
-        hit = _classical_values.setdefault(key, classical_bernoulli_poly(n).eval(Fraction(x)))
-    return hit
 
 
 def _row(values) -> tuple[tuple[int, ...], int]:
@@ -145,21 +122,9 @@ def _row(values) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
-def classical_row(n: int, x=0) -> tuple[tuple[int, ...], int]:
-    """B_0(x) .. B_n(x) as integer numerators over one denominator; at x = 0
-    the numbers B_0 .. B_n.  Memoized in ``DEFAULT_TABLE``'s memo under
-    ``("row", n, x numerator, x denominator)``; a value row's key also holds
-    its order, so an order-one value row is a separate entry."""
-    x = _rational(x)
-
-    def build():
-        return _row(classical_bernoulli_numbers(n) if x == 0 else [classical_bernoulli_value(k, x) for k in range(n + 1)])
-
-    return DEFAULT_TABLE.memo(("row", n, x.numerator, x.denominator), build)
-
-
 class GenBernTable:
-    """Grow-on-demand cache of symbolic generalized Bernoulli data.
+    """Grow-on-demand cache of symbolic generalized Bernoulli data, and of
+    the classical polynomials, values and rows derived from the numbers.
 
     Entry n holds the number B_n^(a) (a polynomial in ``a``) and the
     polynomial B_n^(a)(x) (monic of degree n in ``x``).  One table serves
@@ -175,16 +140,19 @@ class GenBernTable:
     :meth:`poly_shifted` entry) by ``("reflected", n, c)``,
     :meth:`poly_at` by ``("at", n, alpha)``, the values of :meth:`value_at`
     by ``("value", n, alpha, x)``, the rows of :meth:`value_row` by
-    ``("row", n, alpha, x)`` (the default table also holds the classical
-    rows, by ``("row", n, x)``), :meth:`offset_poly` by
-    ``("offset", n, offset)``, and the main identity's sides, which the
-    identity catalog derives, by ``("lhs" | "rhs", n, l, r, s, lam)``.  A
-    rational stands as ``numerator, denominator``: an int meets the equal
-    Fraction, and a str or a float goes through ``Fraction`` first.
-    Entries are built outside the lock and published whole, one dict
-    operation each; a race at worst builds an entry twice and keeps one.
-    Nothing is evicted, so the memo grows with the distinct keys the
-    process asks for.
+    ``("row", n, alpha, x)``, :meth:`offset_poly` by ``("offset", n,
+    offset)``, and the main identity's left side, which the identity catalog
+    derives, by ``("lhs", n, l, r, s, lam)``.  The classical family is held
+    the same way: :meth:`classical_poly` by ``("classical_poly", n)``,
+    :meth:`classical_value` by ``("classical_value", n, x)`` and
+    :meth:`classical_row` by ``("classical_row", n, x)``, so that a wrong
+    classical entry planted in one table reaches every case run on that
+    table and no other.  A rational stands as ``numerator, denominator``:
+    an int meets the equal Fraction, and a str or a float goes through
+    ``Fraction`` first.  Entries are built outside the lock and published
+    whole, one dict operation each; a race at worst builds an entry twice
+    and keeps one.  Nothing is evicted, so the memo grows with the distinct
+    keys the process asks for.
 
     An entry is published only once it is fully built and never changes
     after, so readers need no coordination; a row's key holds its length
@@ -298,6 +266,31 @@ class GenBernTable:
             return self.poly_shifted(n, -c)
         return self.memo(("reflected", n, c.numerator, c.denominator), lambda: -self.poly_shifted(n, -c))
 
+    def classical_poly(self, n: int) -> Poly:
+        """B_n(x) over QQ, from the binomial expansion of the classical numbers."""
+
+        def build():
+            nums = classical_bernoulli_numbers(n)
+            return Poly("x", tuple(binomial(n, j) * nums[n - j] for j in range(n + 1)))
+
+        return self.memo(("classical_poly", n), build)
+
+    def classical_value(self, n: int, x) -> Fraction:
+        """B_n(x) at a rational x."""
+        x = _rational(x)
+        key = ("classical_value", n, x.numerator, x.denominator)
+        return self.memo(key, lambda: self.classical_poly(n).eval(Fraction(x)))
+
+    def classical_row(self, n: int, x=0) -> tuple[tuple[int, ...], int]:
+        """B_0(x) .. B_n(x) as integer numerators over one denominator; at
+        x = 0 the numbers B_0 .. B_n."""
+        x = _rational(x)
+
+        def build():
+            return _row(classical_bernoulli_numbers(n) if x == 0 else [self.classical_value(k, x) for k in range(n + 1)])
+
+        return self.memo(("classical_row", n, x.numerator, x.denominator), build)
+
     def offset_poly(self, n: int, offset: int) -> Poly:
         """B_n^(a + offset)(x)."""
         if offset == 0:
@@ -313,24 +306,9 @@ class GenBernTable:
 DEFAULT_TABLE = GenBernTable()
 
 
-def gen_bernoulli_numbers_symbolic(n_max: int, table: GenBernTable | None = None) -> list[Poly]:
+def gen_bernoulli_numbers_symbolic(n_max: int) -> list[Poly]:
     """[B_0^(a) .. B_n_max^(a)] as exact polynomials in a."""
-    return (table or DEFAULT_TABLE).numbers(n_max)
-
-
-def gen_bernoulli_poly(n: int, table: GenBernTable | None = None) -> Poly:
-    """B_n^(a)(x): monic of degree n in x, coefficients in QQ[a]."""
-    return (table or DEFAULT_TABLE).poly(n)
-
-
-def gen_bern_poly_shifted(n: int, c, table: GenBernTable | None = None) -> Poly:
-    """B_n^(a)(x + c) for rational c."""
-    return (table or DEFAULT_TABLE).poly_shifted(n, c)
-
-
-def gen_bern_poly_reflected(n: int, c, table: GenBernTable | None = None) -> Poly:
-    """B_n^(a)(a + c - x) as (-1)^n B_n^(a)(x - c)."""
-    return (table or DEFAULT_TABLE).poly_reflected(n, c)
+    return DEFAULT_TABLE.numbers(n_max)
 
 
 class OmegaOperator:
@@ -344,9 +322,9 @@ class OmegaOperator:
     automatically to cover the input degree.
     """
 
-    def __init__(self, offset: int = 0, table: GenBernTable | None = None):
+    def __init__(self, offset: int = 0, table: GenBernTable = DEFAULT_TABLE):
         self.offset = offset
-        self.table = table or DEFAULT_TABLE
+        self.table = table
 
     def __call__(self, p: Poly) -> Poly:
         if not isinstance(p, Poly) or p.var != "x":

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string  # what json.dumps writes a str with
 
-from .bernoulli import DEFAULT_TABLE, classical_bernoulli_numbers, gen_bernoulli_numbers_symbolic
+from .bernoulli import DEFAULT_TABLE, GenBernTable, classical_bernoulli_numbers, gen_bernoulli_numbers_symbolic
 from .identities import (
     CASE_DEFS,
     CASE_IDS,
@@ -67,9 +67,9 @@ TABLE_LIMITS = {"classical": 2000, "generalized": 200}
 # Largest m an input may name; the closed forms loop over k < m.
 MAX_M = 1000
 # Most results one sweep may have.  A result costs about 0.1 ms and 1.2 KB
-# on the default sweep, and about 0.4 ms and 5.5 KB (the memoized sides)
-# on the symbolic cases at n, l <= 8; the streamed report adds next to
-# nothing.  So the largest sweep admitted finishes in 5-20 s within about
+# on the default sweep, and about 0.4 ms and 2.9 KB (the memoized left
+# sides) on the symbolic cases at n, l <= 8; the streamed report adds next
+# to nothing.  So the largest sweep admitted finishes in 5-20 s within about
 # 300 MB.
 MAX_GRID_POINTS = 50_000
 
@@ -398,17 +398,17 @@ def check_input_size(n: int, l: int, r: int, s: int, m: int = 1) -> None:
         raise UsageError(f"m must be <= {MAX_M}, got {m}")
 
 
-def run_suite(cfg: SweepConfig) -> Report:
-    """Enumerate, verify and aggregate, one case after another."""
+def run_suite(cfg: SweepConfig, table: GenBernTable = DEFAULT_TABLE) -> Report:
+    """Enumerate, verify on ``table`` and aggregate, one case after another."""
     cfg.validate()
     cases = enumerate_cases(cfg)
     start = time.perf_counter()
-    # Pre-grow the shared number tables; the cases then only read them,
-    # and build each polynomial they need on first use (see GenBernTable).
+    # Pre-grow the number tables; the cases then only read them, and build
+    # each entry they need on first use in ``table``'s memo.
     size = required_table_size(cfg)
     classical_bernoulli_numbers(2 * size)
-    DEFAULT_TABLE.grow(size)
-    results = [verify_case(c) for c in cases]
+    table.grow(size)
+    results = [verify_case(c, table) for c in cases]
     results.sort(key=_sort_key)
     return Report(config=cfg, results=results, elapsed=time.perf_counter() - start)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bernoulli import DEFAULT_TABLE, GenBernTable, OmegaOperator, _rational, classical_bernoulli_numbers, classical_row
+from .bernoulli import DEFAULT_TABLE, GenBernTable, OmegaOperator, _rational
 from .poly import ALPHA, Poly, X, binomial, from_rows, lincomb, linear_image, poly_a
 
 ZERO = Fraction(0)
@@ -80,11 +80,11 @@ def _block(p: int, q: int, r: int, w, values, stop: int | None = None, scale=1, 
 
     With a rational ``total``, ``values`` is a row ``(nums, den)`` holding
     B_i = nums[i] / den (:meth:`GenBernTable.value_row`,
-    :func:`classical_row`): the block is one integer Horner pass over the
-    row and the cached coefficients, and ``total`` joins it in one Fraction
-    over den v^(p+r) times its denominator.  With a polynomial ``total``,
-    ``values(i)`` gives B_i, terms with a zero coefficient are skipped
-    without calling it, and the block is one ``lincomb``.
+    :meth:`GenBernTable.classical_row`): the block is one integer Horner
+    pass over the row and the cached coefficients, and ``total`` joins it in
+    one Fraction over den v^(p+r) times its denominator.  With a polynomial
+    ``total``, ``values(i)`` gives B_i, terms with a zero coefficient are
+    skipped without calling it, and the block is one ``lincomb``.
     """
     top = p + r
     if not isinstance(total, Poly):
@@ -147,43 +147,41 @@ def _double_sum(n: int, l: int, r: int, ks, u, v, stop: int | None = None) -> Fr
 # ---------------------------------------------------------------------------
 
 
-def paired_sum(n: int, l: int, r: int, x, y, z, alpha=None, table: GenBernTable | None = None):
+def paired_sum(n: int, l: int, r: int, x, y, z, alpha=None, table: GenBernTable = DEFAULT_TABLE):
     """Literal evaluation of the two-block sum S(n, l, r; x, y, z).
 
     With ``alpha=None`` the order stays symbolic and the result is a
     polynomial in ``a``; with a rational ``alpha`` the result is an exact
     Fraction.
     """
-    t = table or DEFAULT_TABLE
     x, y, z = _rational(x), _rational(y), _rational(z)
     total = Poly("a") if alpha is None else ZERO
     if alpha is None:
         def values(arg):
-            return lambda idx: t.poly(idx).eval(arg)
+            return lambda idx: table.poly(idx).eval(arg)
     else:
         def values(arg):
-            return t.value_row(n + l + r, alpha, arg)
+            return table.value_row(n + l + r, alpha, arg)
 
     first = _block(n, l, r, x, values(y), total=total)
     return _block(l, n, r, x, values(z), scale=_sign(l + n + r + 1), total=first)
 
 
-def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None = None) -> Poly:
+def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> Poly:
     """Left side of the main identity, fully symbolic in x and the order.
 
     The second block's argument a+s-lam-x is realized through the
     reflection rule, which turns it into (-1)^(n+k) B_{n+k}^(a)(x+lam-s).
     Built once per table it reads (:meth:`GenBernTable.memo`).
     """
-    t = table or DEFAULT_TABLE
     lam = Fraction(lam)
-    return t.memo(("lhs", n, l, r, s, lam.numerator, lam.denominator), lambda: _main_identity_lhs(n, l, r, s, lam, t))
+    return table.memo(("lhs", n, l, r, s, lam.numerator, lam.denominator), lambda: _main_identity_lhs(n, l, r, s, lam, table))
 
 
-def _main_identity_lhs(n: int, l: int, r: int, s: int, lam: Fraction, t: GenBernTable) -> Poly:
-    first = _block(n, l, r, lam, t.poly, total=Poly("x"))
+def _main_identity_lhs(n: int, l: int, r: int, s: int, lam: Fraction, table: GenBernTable) -> Poly:
+    first = _block(n, l, r, lam, table.poly, total=Poly("x"))
     offset = s - lam
-    return _block(l, n, r, lam, lambda idx: t.poly_reflected(idx, offset), scale=_sign(l + n + r + 1), total=first)
+    return _block(l, n, r, lam, lambda idx: table.poly_reflected(idx, offset), scale=_sign(l + n + r + 1), total=first)
 
 
 def _window_core(n: int, l: int, r: int, ks, u, v) -> Poly:
@@ -213,71 +211,59 @@ def telescoping_core(n: int, l: int, r: int, s: int, lam) -> Poly:
     return _window_core(n, l, r, range(1, s + 1), 0, lam).derive(r) * Fraction(1, math.factorial(r))
 
 
-def main_identity_rhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None = None) -> Poly:
-    """Right side: the order-lowered umbral image of D^(r+1)/r! of the
-    windowed product sum; built once per table it reads, like the left side."""
-    t = table or DEFAULT_TABLE
-    lam = Fraction(lam)
-    return t.memo(("rhs", n, l, r, s, lam.numerator, lam.denominator), lambda: _main_identity_rhs(n, l, r, s, lam, t))
+def main_identity_rhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> Poly:
+    """Right side: the order-lowered umbral image of D P = D^(r+1)/r! of the
+    windowed product sum.  A sweep checks each side pair once, so unlike the
+    left side it is not memoized."""
+    return OmegaOperator(-1, table)(telescoping_core(n, l, r, s, lam).derive())
 
 
-def _main_identity_rhs(n: int, l: int, r: int, s: int, lam: Fraction, t: GenBernTable) -> Poly:
-    core = _window_core(n, l, r, range(1, s + 1), 0, lam).derive(r + 1) * Fraction(1, math.factorial(r))
-    return OmegaOperator(-1, t)(core)
-
-
-def main_identity_residual(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None = None) -> Poly:
+def main_identity_residual(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> Poly:
     return _difference(main_identity_lhs(n, l, r, s, lam, table), main_identity_rhs(n, l, r, s, lam, table))
 
 
-def numeric_omega(p: Poly, order, table: GenBernTable | None = None) -> Poly:
+def numeric_omega(p: Poly, order, table: GenBernTable = DEFAULT_TABLE) -> Poly:
     """x^k -> B_k^(order)(x) on p over QQ[x], for a fixed rational order
     (independent of the symbolic operator path)."""
-    t = table or DEFAULT_TABLE
     order = Fraction(order)
-    return linear_image(p, lambda k: t.poly_at(k, order))
+    return linear_image(p, lambda k: table.poly_at(k, order))
 
 
-def main_identity_residual_at(n, l, r, s, lam, alpha, table: GenBernTable | None = None) -> Poly:
+def main_identity_residual_at(n, l, r, s, lam, alpha, table: GenBernTable = DEFAULT_TABLE) -> Poly:
     """Residual for a fixed rational order, computed along the numeric path
     (specialized tables and numeric umbral map) rather than by
     specializing the symbolic residual."""
-    t = table or DEFAULT_TABLE
     lam, order = Fraction(lam), Fraction(alpha)
-    lhs = _block(n, l, r, lam, lambda idx: t.poly_at(idx, order), total=Poly("x"))
+    lhs = _block(n, l, r, lam, lambda idx: table.poly_at(idx, order), total=Poly("x"))
     # The reflection sign (-1)^(n+k) goes into the weight: with the global
     # sign (-1)^(l+n+r+1), (-1)^(n+k) lam^(l+r-k) becomes -(-lam)^(l+r-k).
-    lhs = _block(l, n, r, -lam, lambda idx: t.poly_at(idx, order).shift(lam - s), scale=-1, total=lhs)
-    core = _window_core(n, l, r, range(1, s + 1), 0, lam).derive(r + 1) * Fraction(1, math.factorial(r))
-    return _difference(lhs, numeric_omega(core, order - 1, t))
+    lhs = _block(l, n, r, -lam, lambda idx: table.poly_at(idx, order).shift(lam - s), scale=-1, total=lhs)
+    return _difference(lhs, numeric_omega(telescoping_core(n, l, r, s, lam).derive(), order - 1, table))
 
 
-def replay_proof(n: int, l: int, r: int, s: int, lam, table: GenBernTable | None = None) -> dict[str, Poly]:
-    """Replay the proof route and return its three exact residuals.
+def replay_proof(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> dict[str, Poly]:
+    """Replay the proof route and return its two exact residuals.
 
     * ``operator_link``: Omega_a(Delta P) - Omega_(a-1)(D P), an instance
       of the operator commutation lemma;
-    * ``lhs_match``: Omega_a(Delta P) against the expanded left side;
-    * ``rhs_match``: Omega_(a-1)(D P) against the closed right side.
-    Both routes are built from P on every call; only the closed-form
-    sides they are matched against come from the table's memo.
+    * ``lhs_match``: Omega_a(Delta P) against the expanded left side.
+    Both routes are built from P on every call; only the left side they are
+    matched against comes from the table's memo.
 
-    The three do not check equally.  P = D^r/r! W for the windowed product
-    sum W, so D P is the very polynomial the closed right side maps, and
-    ``rhs_match`` can turn nonzero only through a fault of the memo.
-    ``operator_link`` is the residual that catches a wrong table entry:
-    with B_1^(a)(x) + 1 in place of B_1^(a)(x), at (n, l, r, s, lam) =
-    (1, 1, 1, 1, 1/2), (2, 1, 1, 2, 1/2) and (2, 2, 1, 2, -2/3), it alone
-    is nonzero.
+    The third link, Omega_(a-1)(D P) against the closed right side, holds by
+    construction: P = D^r/r! W for the windowed product sum W, so D P is the
+    very polynomial that :func:`main_identity_rhs` maps, and the derive
+    route rebuilds that right side from P.  ``operator_link`` is the
+    residual that catches a wrong table entry: with B_1^(a)(x) + 1 in place
+    of B_1^(a)(x), at (n, l, r, s, lam) = (1, 1, 1, 1, 1/2), (2, 1, 1, 2,
+    1/2) and (2, 2, 1, 2, -2/3), it alone is nonzero.
     """
-    t = table or DEFAULT_TABLE
     p = telescoping_core(n, l, r, s, lam)
-    delta_route = OmegaOperator(0, t)(p.delta())
-    derive_route = OmegaOperator(-1, t)(p.derive())
+    delta_route = OmegaOperator(0, table)(p.delta())
+    derive_route = OmegaOperator(-1, table)(p.derive())
     return {
         "operator_link": _difference(delta_route, derive_route),
-        "lhs_match": _difference(delta_route, main_identity_lhs(n, l, r, s, lam, t)),
-        "rhs_match": _difference(derive_route, main_identity_rhs(n, l, r, s, lam, t)),
+        "lhs_match": _difference(delta_route, main_identity_lhs(n, l, r, s, lam, table)),
     }
 
 
@@ -286,7 +272,7 @@ def lambda_degree_bound(n: int, l: int, r: int) -> int:
     return n + l + 2 * r + 1
 
 
-def certify_lambda(n: int, l: int, r: int, s: int, table: GenBernTable | None = None) -> list[tuple[Fraction, Poly]]:
+def certify_lambda(n: int, l: int, r: int, s: int, table: GenBernTable = DEFAULT_TABLE) -> list[tuple[Fraction, Poly]]:
     """Certify the main identity for every shift value at once.
 
     Both sides are polynomials of degree <= n+l+2r+1 in the shift
@@ -315,10 +301,10 @@ def gessel_double_sum_reindexed(n: int, l: int, r: int, m: int) -> Fraction:
     return _double_sum(n, l, r, range(1, m), (-m, 1), (0, 1))
 
 
-def symmetric_block_sum(n: int, r: int, m: int) -> Fraction:
+def symmetric_block_sum(n: int, r: int, m: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """The single Bernoulli block sum_{k=0}^{n+r} m^(n+r-k) C(n+r,k)
     C(n+k+r,r) B_{n+k}; for odd r it is half of S(n, n, r; m, 0, 0)."""
-    return _block(n, n, r, m, classical_row(2 * n + r))
+    return _block(n, n, r, m, table.classical_row(2 * n + r))
 
 
 def gessel_halved_double_sum(n: int, r: int, m: int) -> Fraction:
@@ -366,27 +352,27 @@ def alternating_power_sum(m: int, r_exp: int, s_exp: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def lucas_pair_sum(n: int, l: int) -> Fraction:
+def lucas_pair_sum(n: int, l: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """sum_k C(n,k) B_{l+k} + (-1)^(l+n+1) sum_k C(l,k) B_{n+k}."""
-    nums = classical_row(n + l)
+    nums = table.classical_row(n + l)
     return _block(l, n, 0, 1, nums, scale=_sign(l + n + 1), total=_block(n, l, 0, 1, nums))
 
 
-def truncated_pair_sum(n: int, l: int) -> Fraction:
+def truncated_pair_sum(n: int, l: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """Variant with both top terms dropped (valid for n, l >= 1)."""
-    nums = classical_row(n + l)
+    nums = table.classical_row(n + l)
     return _block(l, n, 0, 1, nums, stop=l, scale=_sign(l + n + 1), total=_block(n, l, 0, 1, nums, stop=n))
 
 
-def autoduality_residual(n: int) -> Fraction:
+def autoduality_residual(n: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """sum_k C(n,k) B_k - (-1)^n B_n."""
-    nums = classical_bernoulli_numbers(n)
-    return sum(binomial(n, k) * nums[k] for k in range(n + 1)) - _sign(n) * nums[n]
+    nums, den = table.classical_row(n)
+    return Fraction(sum(binomial(n, k) * nums[k] for k in range(n + 1)) - _sign(n) * nums[n], den)
 
 
-def stern_recurrence_sum(n: int) -> Fraction:
+def stern_recurrence_sum(n: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """sum_{k=0}^{n} C(n+1,k) (n+k+1) B_{n+k}; zero for n >= 1."""
-    return _block(n, n, 1, 1, classical_row(2 * n), stop=n + 1)
+    return _block(n, n, 1, 1, table.classical_row(2 * n), stop=n + 1)
 
 
 def linear_weight_double_sum(n: int, l: int, m: int) -> Fraction:
@@ -435,16 +421,16 @@ def leibniz_double_sum(n: int, l: int, r: int, s: int, u, v) -> Fraction:
     return _double_sum(n, l, r, range(1, s + 1), (_rational(u), -1), (_rational(v), -1))
 
 
-def classical_pair_residual(n: int, l: int, r: int, s: int, lam, x0) -> Fraction:
+def classical_pair_residual(n: int, l: int, r: int, s: int, lam, x0, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """Order-one specialization of the main identity at a rational point."""
     lam, x0 = _rational(lam), _rational(x0)
-    lhs = _block(n, l, r, lam, classical_row(n + l + r, x0))
-    lhs = _block(l, n, r, lam, classical_row(n + l + r, 1 + s - lam - x0), scale=_sign(l + n + r + 1), total=lhs)
+    lhs = _block(n, l, r, lam, table.classical_row(n + l + r, x0))
+    lhs = _block(l, n, r, lam, table.classical_row(n + l + r, 1 + s - lam - x0), scale=_sign(l + n + r + 1), total=lhs)
     return lhs - leibniz_double_sum(n, l, r, s, x0, x0 + lam)
 
 
 def order_shift_pair_residual(
-    n: int, l: int, r: int, m: int, beta, reading: str = "as_printed", table: GenBernTable | None = None
+    n: int, l: int, r: int, m: int, beta, reading: str = "as_printed", table: GenBernTable = DEFAULT_TABLE
 ) -> Poly:
     """Symbolic residual of the beta-shifted corollary of the main identity.
 
@@ -458,23 +444,22 @@ def order_shift_pair_residual(
     return _order_shift_pair_residuals(n, l, r, m, beta, (reading,), table)[reading]
 
 
-def _order_shift_pair_residuals(n, l, r, m, beta, readings, table=None) -> dict[str, Poly]:
+def _order_shift_pair_residuals(n, l, r, m, beta, readings, table: GenBernTable) -> dict[str, Poly]:
     """reading -> residual, with the parts the readings share built once."""
-    t = table or DEFAULT_TABLE
     beta = Fraction(beta)
     lam = Fraction(m) - 2 * beta
-    first = _block(n, l, r, lam, lambda idx: t.poly_shifted(idx, beta), total=Poly("x"))
+    first = _block(n, l, r, lam, lambda idx: table.poly_shifted(idx, beta), total=Poly("x"))
     right, mirror, sign = m - 1 - beta, 1 - lam - beta, _sign(l + n + r + 1)
     core = _window_core(n, l, r, (0,), beta - 1, right).derive(r + 1) * Fraction(1, math.factorial(r))
-    rhs = OmegaOperator(-1, t)(core)
+    rhs = OmegaOperator(-1, table)(core)
     out = {}
     for reading in readings:
         if reading == "as_printed":
             # the per-term sign goes into the weight: -(-1)^(r+l+k) lam^(l+r-k) = -(-lam)^(l+r-k)
-            lhs = _block(l, n, r, -lam, lambda idx: t.poly_shifted(idx, right), scale=-1, total=first)
+            lhs = _block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, right), scale=-1, total=first)
         else:
             # B_{n+k}^(a)(a + (1-lam-beta) - x) under the global sign
-            lhs = _block(l, n, r, lam, lambda idx: t.poly_reflected(idx, mirror), scale=sign, total=first)
+            lhs = _block(l, n, r, lam, lambda idx: table.poly_reflected(idx, mirror), scale=sign, total=first)
         out[reading] = _difference(lhs, rhs)
     return out
 
@@ -493,38 +478,35 @@ def product_rule_split_residual(n: int, l: int, r: int) -> Poly:
     return lhs - lincomb("x", pairs)
 
 
-def balanced_triple_residual_antisym(n, l, r, alpha, x, y, table=None) -> Fraction:
+def balanced_triple_residual_antisym(n, l, r, alpha, x, y, table=DEFAULT_TABLE) -> Fraction:
     """First balanced-argument form: with x+y+z equal to the order,
     (-1)^n (first block) - (-1)^(l+r) (second block)."""
-    t = table or DEFAULT_TABLE
     alpha, x, y = _rational(alpha), _rational(x), _rational(y)
     z = alpha - x - y
-    lhs = _block(n, l, r, x, t.value_row(n + l + r, alpha, y), scale=_sign(n))
-    return _block(l, n, r, x, t.value_row(n + l + r, alpha, z), scale=-_sign(l + r), total=lhs)
+    lhs = _block(n, l, r, x, table.value_row(n + l + r, alpha, y), scale=_sign(n))
+    return _block(l, n, r, x, table.value_row(n + l + r, alpha, z), scale=-_sign(l + r), total=lhs)
 
 
-def balanced_triple_residual_folded(n, l, r, alpha, x, y, table=None) -> Fraction:
+def balanced_triple_residual_folded(n, l, r, alpha, x, y, table=DEFAULT_TABLE) -> Fraction:
     """Second balanced-argument form, with the third argument eliminated:
     first block minus sum_k C(l+r,k) C(n+k+r,r) (-x)^(l+r-k) B_{n+k}(x+y)."""
-    t = table or DEFAULT_TABLE
     alpha, x, y = _rational(alpha), _rational(x), _rational(y)
-    lhs = _block(n, l, r, x, t.value_row(n + l + r, alpha, y))
-    return _block(l, n, r, -x, t.value_row(n + l + r, alpha, x + y), scale=-1, total=lhs)
+    lhs = _block(n, l, r, x, table.value_row(n + l + r, alpha, y))
+    return _block(l, n, r, -x, table.value_row(n + l + r, alpha, x + y), scale=-1, total=lhs)
 
 
-def reflection_route_residuals(n, l, r, alpha, x, y, table=None) -> list[Fraction]:
+def reflection_route_residuals(n, l, r, alpha, x, y, table=DEFAULT_TABLE) -> list[Fraction]:
     """The equivalence route between the two balanced forms:
     B_{n+k}(z) - (-1)^(n+k) B_{n+k}(x+y) for every k in the second block."""
-    t = table or DEFAULT_TABLE
     alpha, x, y = Fraction(alpha), Fraction(x), Fraction(y)
     z = alpha - x - y
     return [
-        t.value_at(n + k, alpha, z) - _sign(n + k) * t.value_at(n + k, alpha, x + y)
+        table.value_at(n + k, alpha, z) - _sign(n + k) * table.value_at(n + k, alpha, x + y)
         for k in range(l + r + 1)
     ]
 
 
-def integer_balance_residual(n, l, r, s, x, y, table=None) -> Fraction:
+def integer_balance_residual(n, l, r, s, x, y, table=DEFAULT_TABLE) -> Fraction:
     """Order-one form with x+y+z = s+1: the two-block sum against the
     order-one closed double sum."""
     x, y = _rational(x), _rational(y)
@@ -533,7 +515,7 @@ def integer_balance_residual(n, l, r, s, x, y, table=None) -> Fraction:
     return lhs - leibniz_double_sum(n, l, r, s, y, x + y)
 
 
-def truncated_balanced_residual(n, l, r, alpha, x, y, corrected=True, table=None) -> Fraction:
+def truncated_balanced_residual(n, l, r, alpha, x, y, corrected=True, table=DEFAULT_TABLE) -> Fraction:
     """Balanced form with both top terms dropped (r >= 1); the right side
     is a single Bernoulli-polynomial difference.
 
@@ -544,47 +526,45 @@ def truncated_balanced_residual(n, l, r, alpha, x, y, corrected=True, table=None
     return lhs - (rhs if corrected else printed)
 
 
-def _truncated_balanced_sides(n, l, r, alpha, x, y, table=None):
+def _truncated_balanced_sides(n, l, r, alpha, x, y, table: GenBernTable):
     """The left side, and the right side in the corrected and in the printed reading."""
-    t = table or DEFAULT_TABLE
     alpha, x, y = _rational(alpha), _rational(x), _rational(y)
     z = alpha - x - y
-    lhs = _block(n, l, r, x, t.value_row(n + l + r, alpha, y), stop=n + r, scale=_sign(n))
-    lhs = _block(l, n, r, x, t.value_row(n + l + r, alpha, z), stop=l + r, scale=_sign(l + r + 1), total=lhs)
+    lhs = _block(n, l, r, x, table.value_row(n + l + r, alpha, y), stop=n + r, scale=_sign(n))
+    lhs = _block(l, n, r, x, table.value_row(n + l + r, alpha, z), stop=l + r, scale=_sign(l + r + 1), total=lhs)
     c = _sign(n) * binomial(n + l + 2 * r, r)
-    rhs, printed = (c * (t.value_at(idx, alpha, x + y) - t.value_at(idx, alpha, y)) for idx in (n + l + r, n + l + 1))
+    rhs, printed = (c * (table.value_at(idx, alpha, x + y) - table.value_at(idx, alpha, y)) for idx in (n + l + r, n + l + 1))
     return lhs, rhs, printed
 
 
-def truncated_power_residual(n, l, r, t_val, corrected=True) -> Fraction:
+def truncated_power_residual(n, l, r, t_val, corrected=True, table=DEFAULT_TABLE) -> Fraction:
     """Order-one specialization of the truncated balanced form at
     (x, y, z) = (1, t, -t); the right side collapses to a monomial."""
-    lhs, rhs, printed = _truncated_power_sides(n, l, r, t_val)
+    lhs, rhs, printed = _truncated_power_sides(n, l, r, t_val, table)
     return lhs - (rhs if corrected else printed)
 
 
-def _truncated_power_sides(n, l, r, t_val):
+def _truncated_power_sides(n, l, r, t_val, table: GenBernTable):
     """The left side, and the right side in the corrected and in the printed reading."""
     t_val = Fraction(t_val)
-    lhs = _block(n, l, r, 1, classical_row(n + l + r, t_val), stop=n + r, scale=_sign(n))
-    lhs = _block(l, n, r, 1, classical_row(n + l + r, -t_val), stop=l + r, scale=_sign(l + r + 1), total=lhs)
+    lhs = _block(n, l, r, 1, table.classical_row(n + l + r, t_val), stop=n + r, scale=_sign(n))
+    lhs = _block(l, n, r, 1, table.classical_row(n + l + r, -t_val), stop=l + r, scale=_sign(l + r + 1), total=lhs)
     c = _sign(n) * binomial(n + l + 2 * r, r)
     return lhs, c * (n + l + r) * t_val ** (n + l + r - 1), c * (n + l + 1) * t_val ** (n + l)
 
 
-def odd_order_tail_residual(n: int, r: int, t_val, table: GenBernTable | None = None) -> Poly:
+def odd_order_tail_residual(n: int, r: int, t_val, table: GenBernTable = DEFAULT_TABLE) -> Poly:
     """Symbolic-order identity for odd r: the truncated symmetric block with
     weight (a-2t)^(n+r-k) plus C(2n+2r,r) B_{2n+r}^(a)(t); residual in QQ[a]."""
-    t = table or DEFAULT_TABLE
     t_val = Fraction(t_val)
-    total = _block(n, n, r, poly_a(-2 * t_val, 1), lambda idx: t.poly(idx).eval(t_val), stop=n + r, total=poly_a())
-    return total + t.poly(2 * n + r).eval(t_val) * binomial(2 * n + 2 * r, r)
+    total = _block(n, n, r, poly_a(-2 * t_val, 1), lambda idx: table.poly(idx).eval(t_val), stop=n + r, total=poly_a())
+    return total + table.poly(2 * n + r).eval(t_val) * binomial(2 * n + 2 * r, r)
 
 
-def halved_tail_sum_residual(n: int, r: int) -> Fraction:
+def halved_tail_sum_residual(n: int, r: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """Odd-r closed form for sum_{k=n}^{2n+r} C(n+r,k-n) C(k+r,r) B_k / 2^k."""
     top = 2 * n + r
-    nums, den = classical_row(top)
+    nums, den = table.classical_row(top)
     # B_i / 2^i over den 2^top
     lhs = _block(n, n, r, 1, ([b * 2 ** (top - i) for i, b in enumerate(nums)], den * 2**top))
     rhs = (
@@ -594,24 +574,24 @@ def halved_tail_sum_residual(n: int, r: int) -> Fraction:
     return lhs - rhs
 
 
-def scaled_ratio_sum_residual(n: int, r: int, x0, corrected: bool = True) -> Fraction:
+def scaled_ratio_sum_residual(n: int, r: int, x0, corrected: bool = True, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """Odd-r closed form for the x-weighted variant
     sum_k C(n+r,k) C(n+k+r,r) B_{n+k}(x) / (2^k (1-x)^(n+k-1)), x != 1.
 
     As printed the right side reads (-1)^(n+(r+1)/2) (r+1)/2^(n+r) C;
     direct evaluation confirms (-1)^(n+(r-1)/2) (r+1)/2^(n+r+1) C instead.
     """
-    lhs, rhs, printed = _scaled_ratio_sides(n, r, x0)
+    lhs, rhs, printed = _scaled_ratio_sides(n, r, x0, table)
     return lhs - (rhs if corrected else printed)
 
 
-def _scaled_ratio_sides(n: int, r: int, x0):
+def _scaled_ratio_sides(n: int, r: int, x0, table: GenBernTable):
     """The left side, and the right side in the corrected and in the printed reading."""
     x0 = Fraction(x0)
     if x0 == 1:
         raise ValueError("the weighted form divides by (1-x); x = 1 is outside its domain")
     top = 2 * n + r
-    nums, den = classical_row(top, x0)
+    nums, den = table.classical_row(top, x0)
     # with x = a/b and 1 - x = g/b, B_i(x) / (2^(i-n) (1-x)^(i-1)) over den 2^top g^top b
     a, b = x0.numerator, x0.denominator
     g = b - a
@@ -625,13 +605,12 @@ def _scaled_ratio_sides(n: int, r: int, x0):
     )
 
 
-def symbolic_weight_pair_residual(n: int, l: int, table: GenBernTable | None = None) -> Poly:
+def symbolic_weight_pair_residual(n: int, l: int, table: GenBernTable = DEFAULT_TABLE) -> Poly:
     """Fully symbolic two-block identity at weight a and arguments 0:
     sum_k a^(n-k) C(n,k) B_{l+k}^(a) + (-1)^(l+n+1) sum_k a^(l-k) C(l,k)
     B_{n+k}^(a); residual in QQ[a]."""
-    t = table or DEFAULT_TABLE
-    first = _block(n, l, 0, ALPHA, t.number, total=poly_a())
-    return _block(l, n, 0, ALPHA, t.number, scale=_sign(l + n + 1), total=first)
+    first = _block(n, l, 0, ALPHA, table.number, total=poly_a())
+    return _block(l, n, 0, ALPHA, table.number, scale=_sign(l + n + 1), total=first)
 
 
 # ---------------------------------------------------------------------------
@@ -727,24 +706,25 @@ class CaseDef:
 
     ``axes`` names its sweep axes, outermost first; ``genbern.harness.AXES``
     gives each name's fields and sample points.  ``domain`` holds its guards
-    in the order they are checked.  ``residual`` maps a SumSpec to the exact
-    residual or, for a case read in several ways, to a dict reading ->
-    residual in report order.  ``prefer`` names those readings in order of
+    in the order they are checked.  ``residual(spec, table)`` maps a SumSpec
+    and the :class:`GenBernTable` the case reads to the exact residual or,
+    for a case read in several ways, to a dict reading -> residual in report
+    order.  ``prefer`` names those readings in order of
     preference and is empty for a case with one reading.  ``note`` goes into
     every result inside the domain.
     """
 
     id: str
     axes: tuple[str, ...]
-    residual: Callable[[SumSpec], object]
+    residual: Callable[[SumSpec, GenBernTable], object]
     domain: tuple[Guard, ...] = ()
     prefer: tuple[str, ...] = ()
     note: str | None = None
 
 
-def _pair(n: int, l: int, r: int, m) -> Fraction:
+def _pair(n: int, l: int, r: int, m, table: GenBernTable) -> Fraction:
     """S(n, l, r; m, 0, 0) at order one."""
-    return paired_sum(n, l, r, m, 0, 0, alpha=1)
+    return paired_sum(n, l, r, m, 0, 0, alpha=1, table=table)
 
 
 def _at_order(residual: Poly, alpha):
@@ -752,35 +732,35 @@ def _at_order(residual: Poly, alpha):
     return residual if alpha is None else residual.eval(Fraction(alpha))
 
 
-def _against_block(n: int, r: int, m: int) -> dict[str, Fraction]:
+def _against_block(n: int, r: int, m: int, table: GenBernTable) -> dict[str, Fraction]:
     """The single block at (n, r, m) minus the folded closed form summed
     over k < m, in the sign-corrected and the printed reading.  The block
     and the closed form's tail do not depend on the reading and are built
     once."""
     tail, lead, printed = _q_block_parts(n, r, range(1, m), m)
-    lhs = symmetric_block_sum(n, r, m) - tail
+    lhs = symmetric_block_sum(n, r, m, table) - tail
     return {"sign_corrected": lhs - lead, "as_printed": lhs - printed}
 
 
-def _weighted_readings(n: int, r: int, m: int, closed) -> dict[str, Fraction]:
+def _weighted_readings(n: int, r: int, m: int, closed, table: GenBernTable) -> dict[str, Fraction]:
     """The weighted sum sum_k m^(n+1-k) C(n+1,k) (n+k+1) B_{n+k}, which is
     the single block at r = 1, built once: against ``closed`` alone
     (``first_block``) and also against (n+1) S(n, n+1, r; m, 0, 0)
     (``literal``)."""
-    total = symmetric_block_sum(n, 1, m)
+    total = symmetric_block_sum(n, 1, m, table)
     return {
-        "literal": abs(total - (n + 1) * _pair(n, n + 1, r, m)) + abs(total - closed),
+        "literal": abs(total - (n + 1) * _pair(n, n + 1, r, m, table)) + abs(total - closed),
         "first_block": abs(total - closed),
     }
 
 
 def _corrected(sides):
     """The readings of a case whose right side is read two ways, the
-    corrected one first: ``sides(p)`` gives the left side, built once, and
-    the right side in the corrected and in the printed reading."""
+    corrected one first: ``sides(p, table)`` gives the left side, built
+    once, and the right side in the corrected and in the printed reading."""
 
-    def readings(p):
-        lhs, rhs, printed = sides(p)
+    def readings(p, table):
+        lhs, rhs, printed = sides(p, table)
         return {"corrected": lhs - rhs, "as_printed": lhs - printed}
 
     return readings
@@ -791,21 +771,23 @@ _F10_READINGS = ("as_printed", "from_main_identity")
 CASE_DEFS: dict[str, CaseDef] = {
     d.id: d
     for d in (
-        CaseDef("t3", ("n", "l", "r"), lambda p: _pair(p.n, p.l, p.r, 1)),
-        CaseDef("t4", ("n", "l", "r", "m"), lambda p: _pair(p.n, p.l, p.r, p.m) - gessel_double_sum(p.n, p.l, p.r, p.m)),
+        CaseDef("t3", ("n", "l", "r"), lambda p, t: _pair(p.n, p.l, p.r, 1, t)),
+        CaseDef("t4", ("n", "l", "r", "m"), lambda p, t: _pair(p.n, p.l, p.r, p.m, t) - gessel_double_sum(p.n, p.l, p.r, p.m)),
         CaseDef(
-            "tg4", ("n", "l", "r", "m"), lambda p: _pair(p.n, p.l, p.r, p.m) - gessel_double_sum_reindexed(p.n, p.l, p.r, p.m)
+            "tg4",
+            ("n", "l", "r", "m"),
+            lambda p, t: _pair(p.n, p.l, p.r, p.m, t) - gessel_double_sum_reindexed(p.n, p.l, p.r, p.m),
         ),
         CaseDef(
             "t5",
             ("n", "r", "m"),
-            lambda p: symmetric_block_sum(p.n, p.r, p.m) - gessel_halved_double_sum(p.n, p.r, p.m),
+            lambda p, t: symmetric_block_sum(p.n, p.r, p.m, t) - gessel_halved_double_sum(p.n, p.r, p.m),
             domain=(ODD_R,),
         ),
         CaseDef(
             "ges1",
             ("n", "r", "m"),
-            lambda p: _against_block(p.n, p.r, p.m),
+            lambda p, t: _against_block(p.n, p.r, p.m, t),
             domain=(ODD_R,),
             prefer=("as_printed", "sign_corrected"),
             note="left side is the single Bernoulli block; the leading q-term base k*(m-k) verifies only after the "
@@ -814,26 +796,28 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "rem1",
             ("m", "r", "s"),
-            lambda p: alternating_power_sum(p.m, p.r, p.s),
+            lambda p, t: alternating_power_sum(p.m, p.r, p.s),
             domain=(Guard(lambda p: (p.r + p.s) % 2 == 0, "needs r+s even"),),
         ),
-        CaseDef("p1", ("n",), lambda p: autoduality_residual(p.n)),
-        CaseDef("e1", ("n", "l"), lambda p: lucas_pair_sum(p.n, p.l)),
-        CaseDef("e2", ("n", "l"), lambda p: _pair(p.n, p.l, 0, 1)),
+        CaseDef("p1", ("n",), lambda p, t: autoduality_residual(p.n, t)),
+        CaseDef("e1", ("n", "l"), lambda p, t: lucas_pair_sum(p.n, p.l, t)),
+        CaseDef("e2", ("n", "l"), lambda p, t: _pair(p.n, p.l, 0, 1, t)),
         CaseDef(
             "k5",
             ("n",),
-            lambda p: _weighted_readings(p.n, 0, 1, ZERO),
+            lambda p, t: _weighted_readings(p.n, 0, 1, ZERO, t),
             prefer=("literal", "first_block"),
             note="the weighted sum vanishes and matches both the (n+1)-scaled pair sum and the single block at m=1",
         ),
-        CaseDef("k3", ("n",), lambda p: stern_recurrence_sum(p.n), domain=(Guard(lambda p: p.n >= 1, "needs n >= 1"),)),
-        CaseDef("s3", ("n", "l", "r"), lambda p: _pair(p.n, p.l, p.r, 1)),
-        CaseDef("t230", ("n", "l", "m"), lambda p: _pair(p.n, p.l, 0, p.m) - linear_weight_double_sum(p.n, p.l, p.m)),
+        CaseDef("k3", ("n",), lambda p, t: stern_recurrence_sum(p.n, t), domain=(Guard(lambda p: p.n >= 1, "needs n >= 1"),)),
+        CaseDef("s3", ("n", "l", "r"), lambda p, t: _pair(p.n, p.l, p.r, 1, t)),
+        CaseDef("t230", ("n", "l", "m"), lambda p, t: _pair(p.n, p.l, 0, p.m, t) - linear_weight_double_sum(p.n, p.l, p.m)),
         CaseDef(
             "t24",
             ("n", "m"),
-            lambda p: _weighted_readings(p.n, 1, p.m, sum((kaneko_weighted_term(k, p.m, p.n) for k in range(1, p.m)), ZERO)),
+            lambda p, t: _weighted_readings(
+                p.n, 1, p.m, sum((kaneko_weighted_term(k, p.m, p.n) for k in range(1, p.m)), ZERO), t
+            ),
             prefer=("literal", "first_block"),
             note="the displayed sum equals the closed form and the single block of the symmetric pair sum; its "
             "identification with (n+1) times the shifted pair sum fails",
@@ -842,56 +826,60 @@ CASE_DEFS: dict[str, CaseDef] = {
             "c1",
             ("n", "m"),
             # chen_sun_term's telescoping extra sums to zero over k < m
-            lambda p: _against_block(p.n, 3, p.m),
+            lambda p, t: _against_block(p.n, 3, p.m, t),
             prefer=("as_printed", "sign_corrected"),
             note="inherits the leading q-term base correction (k*(k-m) for k*(m-k))",
         ),
         CaseDef(
             "theorem_le1",
             ("n", "l", "r", "s", "lam", "symbolic_alpha"),
-            lambda p: main_identity_residual(p.n, p.l, p.r, p.s, p.lam)
+            lambda p, t: main_identity_residual(p.n, p.l, p.r, p.s, p.lam, t)
             if p.alpha is None
-            else main_identity_residual_at(p.n, p.l, p.r, p.s, p.lam, p.alpha),
+            else main_identity_residual_at(p.n, p.l, p.r, p.s, p.lam, p.alpha, t),
         ),
         CaseDef(
             "proof_replay",
             ("n", "l", "r", "s", "lam"),
-            # the first nonzero of operator_link, lhs_match and rhs_match
-            lambda p: next((res for res in replay_proof(p.n, p.l, p.r, p.s, p.lam).values() if not res.is_zero()), Poly("x")),
+            # the first nonzero of operator_link and lhs_match
+            lambda p, t: next(
+                (res for res in replay_proof(p.n, p.l, p.r, p.s, p.lam, t).values() if not res.is_zero()), Poly("x")
+            ),
             note="operator link, lhs expansion and rhs closed form all replayed",
         ),
-        CaseDef("app1", ("n", "l", "r", "s", "lam", "x"), lambda p: classical_pair_residual(p.n, p.l, p.r, p.s, p.lam, p.x)),
+        CaseDef(
+            "app1", ("n", "l", "r", "s", "lam", "x"), lambda p, t: classical_pair_residual(p.n, p.l, p.r, p.s, p.lam, p.x, t)
+        ),
         CaseDef(
             "nielsen_f10",
             ("n", "l", "r", "m", "beta"),
-            lambda p: _order_shift_pair_residuals(p.n, p.l, p.r, p.m, p.beta, _F10_READINGS),
+            lambda p, t: _order_shift_pair_residuals(p.n, p.l, p.r, p.m, p.beta, _F10_READINGS, t),
             prefer=_F10_READINGS,
             note="the displayed per-term sign -(-1)^(r+l+k) and the global sign (-1)^(l+n+r+1) with reflection give "
             "the same polynomial; both verify",
         ),
-        CaseDef("agoh_leibniz", ("n", "l", "r"), lambda p: product_rule_split_residual(p.n, p.l, p.r)),
+        CaseDef("agoh_leibniz", ("n", "l", "r"), lambda p, t: product_rule_split_residual(p.n, p.l, p.r)),
         CaseDef(
             "s1",
             ("n", "l", "r", "alpha", "xy", "z=alpha-x-y"),
-            lambda p: balanced_triple_residual_antisym(p.n, p.l, p.r, p.alpha, p.x, p.y),
+            lambda p, t: balanced_triple_residual_antisym(p.n, p.l, p.r, p.alpha, p.x, p.y, t),
             domain=(Guard(RATIONAL_ORDER.holds, "needs a rational order (the balance constraint ties x+y+z to it)"), BALANCED),
         ),
         CaseDef(
             "s2",
             ("n", "l", "r", "alpha", "xy"),
-            lambda p: balanced_triple_residual_folded(p.n, p.l, p.r, p.alpha, p.x, p.y),
+            lambda p, t: balanced_triple_residual_folded(p.n, p.l, p.r, p.alpha, p.x, p.y, t),
             domain=(RATIONAL_ORDER,),
         ),
         CaseDef(
             "s4",
             ("n", "l", "r", "s", "xy", "z=s+1-x-y"),
-            lambda p: integer_balance_residual(p.n, p.l, p.r, p.s, p.x, p.y),
+            lambda p, t: integer_balance_residual(p.n, p.l, p.r, p.s, p.x, p.y, t),
             domain=(Guard(lambda p: p.x + p.y + p.z == p.s + 1, "needs x + y + z = s + 1"),),
         ),
         CaseDef(
             "cor3a",
             ("n", "l", "r", "alpha", "xy", "z=alpha-x-y"),
-            _corrected(lambda p: _truncated_balanced_sides(p.n, p.l, p.r, p.alpha, p.x, p.y)),
+            _corrected(lambda p, t: _truncated_balanced_sides(p.n, p.l, p.r, p.alpha, p.x, p.y, t)),
             domain=(POSITIVE_R, RATIONAL_ORDER, BALANCED),
             prefer=("as_printed", "corrected"),
             note="right-side difference index reads n+l+1 in print but must be n+l+r (identical at r=1)",
@@ -899,7 +887,7 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "cor3b",
             ("n", "l", "r", "t"),
-            _corrected(lambda p: _truncated_power_sides(p.n, p.l, p.r, p.t)),
+            _corrected(lambda p, t: _truncated_power_sides(p.n, p.l, p.r, p.t, t)),
             domain=(POSITIVE_R,),
             prefer=("as_printed", "corrected"),
             note="monomial right side reads (n+l+1) t^(n+l) in print but must be (n+l+r) t^(n+l+r-1)",
@@ -907,26 +895,28 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "s20",
             ("n", "r", "t", "symbolic_alpha"),
-            lambda p: _at_order(odd_order_tail_residual(p.n, p.r, p.t), p.alpha),
+            lambda p, t: _at_order(odd_order_tail_residual(p.n, p.r, p.t, t), p.alpha),
             domain=(ODD_R,),
         ),
         CaseDef(
             "cor1",
             ("n", "r", "ratio_x"),
-            _corrected(lambda p: _scaled_ratio_sides(p.n, p.r, p.x)),
+            _corrected(lambda p, t: _scaled_ratio_sides(p.n, p.r, p.x, t)),
             domain=(ODD_R, Guard(lambda p: p.x != 1, "x = 1 divides by zero in the weight")),
             prefer=("as_printed", "corrected"),
             note="right side verifies as (-1)^(n+(r-1)/2) (r+1)/2^(n+r+1) C(n+r,(r+1)/2); the printed sign exponent "
             "and power of two are off by one",
         ),
-        CaseDef("fi2", ("n", "r"), lambda p: halved_tail_sum_residual(p.n, p.r), domain=(ODD_R,)),
+        CaseDef("fi2", ("n", "r"), lambda p, t: halved_tail_sum_residual(p.n, p.r, t), domain=(ODD_R,)),
         CaseDef(
-            "neto_corrected", ("n", "l", "symbolic_alpha"), lambda p: _at_order(symbolic_weight_pair_residual(p.n, p.l), p.alpha)
+            "neto_corrected",
+            ("n", "l", "symbolic_alpha"),
+            lambda p, t: _at_order(symbolic_weight_pair_residual(p.n, p.l, t), p.alpha),
         ),
         CaseDef(
             "vassilev",
             ("n", "l"),
-            lambda p: truncated_pair_sum(p.n, p.l),
+            lambda p, t: truncated_pair_sum(p.n, p.l, t),
             domain=(Guard(lambda p: p.n >= 1 and p.l >= 1, "needs n >= 1 and l >= 1"),),
         ),
     )
@@ -935,8 +925,8 @@ CASE_DEFS: dict[str, CaseDef] = {
 CASE_IDS = tuple(CASE_DEFS)
 
 
-def verify_case(case: IdentityCase) -> VerificationResult:
-    """Run one catalog instance through its record, and time it.
+def verify_case(case: IdentityCase, table: GenBernTable = DEFAULT_TABLE) -> VerificationResult:
+    """Run one catalog instance through its record on ``table``, and time it.
 
     The first guard of ``domain`` that fails makes the result not
     applicable, with that guard's note.  Otherwise the residual decides.  A
@@ -951,7 +941,7 @@ def verify_case(case: IdentityCase) -> VerificationResult:
     for holds, note in d.domain:
         if not holds(p):
             return VerificationResult(case, STATUS_NOT_APPLICABLE, elapsed=time.perf_counter() - start, note=note)
-    residual = d.residual(p)
+    residual = d.residual(p, table)
     if not d.prefer:
         return VerificationResult(case, _status(residual), residual, time.perf_counter() - start, note=d.note)
     readings = {name: _status(res) for name, res in residual.items()}

@@ -14,13 +14,7 @@ from genbern.bernoulli import (
     OmegaOperator,
     bernoulli_numbers_binomial_solve,
     classical_bernoulli_numbers,
-    classical_bernoulli_poly,
-    classical_bernoulli_value,
-    classical_row,
-    gen_bern_poly_reflected,
-    gen_bern_poly_shifted,
     gen_bernoulli_numbers_symbolic,
-    gen_bernoulli_poly,
     integer_alpha_oracle,
 )
 from genbern.poly import ALPHA, Poly, X, alpha_shifted, alpha_substituted, binomial, lincomb, poly_a, poly_x
@@ -87,8 +81,8 @@ def test_classical_table_grown_from_cold_in_steps(monkeypatch):
         assert classical_bernoulli_numbers(n_max) == oracle[: n_max + 1]
 
 
-def test_classical_value_memo(monkeypatch):
-    monkeypatch.setattr(bernoulli, "_classical_values", {})
+def test_classical_value_memo():
+    table = GenBernTable()
     nums = bernoulli_numbers_binomial_solve(12)
     for n in range(13):
         for x in (F(0), F(1, 3), F(-2), 5):
@@ -96,10 +90,10 @@ def test_classical_value_memo(monkeypatch):
             horner = F(0)
             for j in range(n, -1, -1):
                 horner = horner * x + binomial(n, j) * nums[n - j]
-            value = classical_bernoulli_value(n, x)
+            value = table.classical_value(n, x)
             assert value == horner and type(value) is F
-            assert classical_bernoulli_value(n, F(x)) is value
-    assert len(bernoulli._classical_values) == 13 * 4
+            assert table.classical_value(n, F(x)) is value
+    assert sum(key[0] == "classical_value" for key in table._derived) == 13 * 4
 
 
 def test_binomial_recursion_identity():
@@ -130,17 +124,17 @@ def test_polynomial_binomial_recursion():
     for n in range(21):
         total = Poly("x")
         for k in range(n + 1):
-            total = total + classical_bernoulli_poly(k) * binomial(n, k)
+            total = total + DEFAULT_TABLE.classical_poly(k) * binomial(n, k)
         step = Poly("x", (0,) * (n - 1) + (n,)) if n else Poly("x")
-        assert total == classical_bernoulli_poly(n) + step
-        assert total == classical_bernoulli_poly(n).shift(1)
+        assert total == DEFAULT_TABLE.classical_poly(n) + step
+        assert total == DEFAULT_TABLE.classical_poly(n).shift(1)
 
 
 def test_polynomial_binomial_recursion_printed_variant_fails():
     # the relation circulates in print with x^n in place of n x^(n-1);
     # that reading is false already at n = 1
-    total = classical_bernoulli_poly(0) + classical_bernoulli_poly(1)
-    assert total != classical_bernoulli_poly(1) + X
+    total = DEFAULT_TABLE.classical_poly(0) + DEFAULT_TABLE.classical_poly(1)
+    assert total != DEFAULT_TABLE.classical_poly(1) + X
 
 
 # -- symbolic numbers ----------------------------------------------------------
@@ -185,54 +179,54 @@ def test_leading_alpha_coefficient():
 
 
 def test_poly_base_and_frozen_quadratic():
-    assert gen_bernoulli_poly(0) == poly_x(1)
+    assert DEFAULT_TABLE.poly(0) == poly_x(1)
     expected = Poly("x", (poly_a(0, F(-1, 12), F(1, 4)), -ALPHA, F(1)))
-    assert gen_bernoulli_poly(2) == expected
+    assert DEFAULT_TABLE.poly(2) == expected
 
 
 def test_poly_monic_of_exact_degree():
     for n in range(16):
-        p = gen_bernoulli_poly(n)
+        p = DEFAULT_TABLE.poly(n)
         assert p.degree == n
         assert p.coeff(n) == 1
 
 
 def test_poly_at_zero_gives_numbers():
     for n in range(16):
-        assert gen_bernoulli_poly(n).eval(0) == DEFAULT_TABLE.number(n)
+        assert DEFAULT_TABLE.poly(n).eval(0) == DEFAULT_TABLE.number(n)
 
 
 def test_poly_at_order_zero_is_monomial():
     for n in range(11):
-        assert alpha_substituted(gen_bernoulli_poly(n), 0) == Poly("x", (0,) * n + (1,))
+        assert alpha_substituted(DEFAULT_TABLE.poly(n), 0) == Poly("x", (0,) * n + (1,))
 
 
 def test_poly_at_order_one_is_classical():
     for n in range(16):
-        assert DEFAULT_TABLE.poly_at(n, 1) == classical_bernoulli_poly(n)
+        assert DEFAULT_TABLE.poly_at(n, 1) == DEFAULT_TABLE.classical_poly(n)
 
 
 def test_appell_derivative():
     for n in range(1, 16):
-        assert gen_bernoulli_poly(n).derive() == gen_bernoulli_poly(n - 1) * n
+        assert DEFAULT_TABLE.poly(n).derive() == DEFAULT_TABLE.poly(n - 1) * n
 
 
 def test_addition_formula_matches_direct_shift():
     for c in (F(1), F(2), F(-1, 2)):
         for n in range(16):
-            assert gen_bern_poly_shifted(n, c) == gen_bernoulli_poly(n).shift(c)
+            assert DEFAULT_TABLE.poly_shifted(n, c) == DEFAULT_TABLE.poly(n).shift(c)
 
 
 def test_shift_examples():
-    assert gen_bern_poly_shifted(3, 0) == gen_bernoulli_poly(3)
-    assert gen_bern_poly_shifted(1, 1) == Poly("x", (poly_a(1, F(-1, 2)), F(1)))
+    assert DEFAULT_TABLE.poly_shifted(3, 0) == DEFAULT_TABLE.poly(3)
+    assert DEFAULT_TABLE.poly_shifted(1, 1) == Poly("x", (poly_a(1, F(-1, 2)), F(1)))
 
 
 def test_difference_lowers_order():
     # Delta B_n^(a)(x) = D B_n^(a-1)(x)
     for n in range(16):
-        lhs = gen_bernoulli_poly(n).delta()
-        rhs = alpha_shifted(gen_bernoulli_poly(n), -1).derive()
+        lhs = DEFAULT_TABLE.poly(n).delta()
+        rhs = alpha_shifted(DEFAULT_TABLE.poly(n), -1).derive()
         assert lhs == rhs
 
 
@@ -246,10 +240,10 @@ def test_reflection_symbolic_two_routes():
     for n in range(16):
         direct = Poly("x")
         for k in range(n + 1):
-            direct = direct + _negate_argument(gen_bernoulli_poly(k)) * (binomial(n, k) * ALPHA ** (n - k))
-        assert direct == gen_bern_poly_reflected(n, 0)
+            direct = direct + _negate_argument(DEFAULT_TABLE.poly(k)) * (binomial(n, k) * ALPHA ** (n - k))
+        assert direct == DEFAULT_TABLE.poly_reflected(n, 0)
         sign = -1 if n % 2 else 1
-        assert gen_bern_poly_reflected(n, 0) == gen_bernoulli_poly(n) * F(sign)
+        assert DEFAULT_TABLE.poly_reflected(n, 0) == DEFAULT_TABLE.poly(n) * F(sign)
 
 
 def test_reflection_numeric_spot_checks():
@@ -263,9 +257,9 @@ def test_reflection_numeric_spot_checks():
 def test_reflection_examples():
     # order 0 degeneration: the reflected polynomial at a=0 is (-x)^n
     for n in range(8):
-        spec = alpha_substituted(gen_bern_poly_reflected(n, 0), 0)
+        spec = alpha_substituted(DEFAULT_TABLE.poly_reflected(n, 0), 0)
         assert spec == Poly("x", (0,) * n + ((-1) ** n,))
-    assert gen_bern_poly_reflected(2, 0) == gen_bernoulli_poly(2)
+    assert DEFAULT_TABLE.poly_reflected(2, 0) == DEFAULT_TABLE.poly(2)
 
 
 # -- umbral operator -----------------------------------------------------------
@@ -288,9 +282,9 @@ def test_omega_shift_absorption():
     for c in (F(1), F(-2), F(1, 2)):
         for n in range(11):
             om = OmegaOperator(0)
-            assert om((X + c) ** n) == gen_bern_poly_shifted(n, c)
+            assert om((X + c) ** n) == DEFAULT_TABLE.poly_shifted(n, c)
             om1 = OmegaOperator(-1)
-            assert om1((X + c) ** n) == alpha_shifted(gen_bern_poly_shifted(n, c), -1)
+            assert om1((X + c) ** n) == alpha_shifted(DEFAULT_TABLE.poly_shifted(n, c), -1)
 
 
 def test_omega_linearity():
@@ -377,8 +371,8 @@ def test_derived_polys_cached_equal_recomputed():
         # keys are Fractions, so an int argument finds the same entry
         assert table.poly_shifted(n, 1) is table.poly_shifted(n, F(1))
         assert table.poly_at(n, -1) is table.poly_at(n, F(-1))
-        assert classical_bernoulli_poly(n) is classical_bernoulli_poly(n)
-        assert classical_bernoulli_poly(n) == table.poly_at(n, 1)
+        assert table.classical_poly(n) is table.classical_poly(n)
+        assert table.classical_poly(n) == table.poly_at(n, 1)
 
 
 def test_derived_poly_readers_see_equal_entries():
@@ -435,12 +429,11 @@ def test_value_and_reflection_memos_equal_recomputed():
         assert table.poly_reflected(n, -1) is table.poly_reflected(n, F(-1))
 
 
-def test_cache_keys_from_any_rational_form(monkeypatch):
-    monkeypatch.setattr(bernoulli, "_classical_values", {})
+def test_cache_keys_from_any_rational_form():
     table = GenBernTable()
     # a str or a float is converted with Fraction before its key is read
-    assert classical_bernoulli_value(3, "1/2") == classical_bernoulli_value(3, F(1, 2)) == 0
-    assert classical_bernoulli_value(3, "-2/3") is classical_bernoulli_value(3, F(-2, 3))
+    assert table.classical_value(3, "1/2") == table.classical_value(3, F(1, 2)) == 0
+    assert table.classical_value(3, "-2/3") is table.classical_value(3, F(-2, 3))
     value = table.value_at(3, 0.5, 1)
     assert value == table.value_at(3, F(1, 2), F(1)) and type(value) is F
     assert table.value_at(3, "1/2", 1.0) is value
@@ -452,7 +445,7 @@ def test_cache_keys_from_any_rational_form(monkeypatch):
     tags = [key[0] for key in table._derived]
     assert tags.count("value") == 1
     assert tags.count("at") == 7 + 1  # order 2 for each n, order 1/2 behind the value
-    assert len(bernoulli._classical_values) == 2
+    assert tags.count("classical_value") == 2
 
 
 def test_rows_hold_the_table_values():
@@ -466,10 +459,10 @@ def test_rows_hold_the_table_values():
                 assert table.value_row(n, alpha, x) is table.value_row(n, str(alpha), x)
                 assert ("row", n, alpha.numerator, alpha.denominator, x.numerator, x.denominator) in table._derived
         for x in (F(0), F(1, 3), F(-2), 5):
-            nums, den = classical_row(n, x)
-            assert [F(v, den) for v in nums] == [classical_bernoulli_value(k, x) for k in range(n + 1)]
-            assert classical_row(n, F(x)) is classical_row(n, x)
-        nums, den = classical_row(n)
+            nums, den = table.classical_row(n, x)
+            assert [F(v, den) for v in nums] == [table.classical_value(k, x) for k in range(n + 1)]
+            assert table.classical_row(n, F(x)) is table.classical_row(n, x)
+        nums, den = table.classical_row(n)
         assert [F(v, den) for v in nums] == classical_bernoulli_numbers(n)
         # the least common denominator: no factor common to it and every numerator
         assert math.gcd(den, *nums) == 1
@@ -478,7 +471,8 @@ def test_rows_hold_the_table_values():
 def test_rows_for_one_point_agree_on_common_indices():
     table = GenBernTable()
     for alpha, x in ((F(1, 2), F(-1, 3)), (F(-3), F(2)), (F(1), F(0))):
-        rows = [table.value_row(n, alpha, x) for n in (7, 2, 11, 0)] + [classical_row(n, x) for n in (5, 9) if alpha == 1]
+        rows = [table.value_row(n, alpha, x) for n in (7, 2, 11, 0)]
+        rows += [table.classical_row(n, x) for n in (5, 9) if alpha == 1]
         values = [[F(v, den) for v in nums] for nums, den in rows]
         for a in values:
             for b in values:

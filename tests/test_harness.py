@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from genbern import harness
-from genbern.bernoulli import gen_bernoulli_numbers_symbolic
+from genbern.bernoulli import GenBernTable, gen_bernoulli_numbers_symbolic
 from genbern.cli import main
 from genbern.harness import (
     AXES,
@@ -32,7 +32,7 @@ from genbern.harness import (
     table_size,
     write_json,
 )
-from genbern.identities import CASE_DEFS, INDEXES, PARAMS, IdentityCase, SumSpec, VerificationResult
+from genbern.identities import CASE_DEFS, INDEXES, PARAMS, IdentityCase, SumSpec, VerificationResult, verify_case
 from genbern.poly import Poly
 from genbern.textform import format_fraction, format_poly
 
@@ -326,6 +326,49 @@ def test_golden_report_digest():
     assert len(report.results) == 2358
     text = json.dumps(_stripped(emit_json(report)), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST
+
+
+def test_a_wrong_table_fails_the_run_it_is_passed_and_no_other(monkeypatch):
+    cfg = SweepConfig(max_n=1, max_l=1, max_r=1, max_s=1, max_m=2)  # every case has a point in its domain
+
+    def default_report() -> str:
+        return json.dumps(_stripped(emit_json(run_suite(cfg))), indent=2)
+
+    before = default_report()
+    assert json.loads(before)["summary"]["counterexample"] == 0
+    # every entry a case reads goes through a table's memo or grow
+    read = set()
+
+    def spy(method):
+        def wrapper(self, *args):
+            read.add(id(self))
+            return method(self, *args)
+
+        return wrapper
+
+    for name in ("memo", "grow"):
+        monkeypatch.setattr(GenBernTable, name, spy(getattr(GenBernTable, name)))
+    # B_1^(a)(x) + 1 in place of B_1^(a)(x): caught by each case that reads
+    # it, directly or through a value row; neto_corrected reads the numbers
+    # B_n^(a), and the classical cases no generalized entry
+    wrong_poly = GenBernTable()
+    wrong_poly._derived[("poly", 1)] = wrong_poly.poly(1) + 1
+    caught = {res.case.id for res in run_suite(cfg, wrong_poly).results if res.status == "counterexample"}
+    assert caught == set("cor3a e2 nielsen_f10 proof_replay s1 s2 s20 s3 s4 t230 t3 t4 tg4 theorem_le1".split())
+    # B_2 + 1 in the row of the classical numbers B_0 .. B_3, which p1, e1
+    # and vassilev read at n + l = 3; p1 at n = 3 sums it with weight C(3, 2)
+    wrong_row = GenBernTable()
+    nums, den = wrong_row.classical_row(3)
+    wrong_row._derived[("classical_row", 3, 0, 1)] = ((*nums[:2], nums[2] + den, nums[3]), den)
+    specs = {"p1": SumSpec(n=3), "e1": SumSpec(n=1, l=2), "vassilev": SumSpec(n=2, l=1)}
+    cases = [IdentityCase(case_id, spec) for case_id, spec in specs.items()]
+    for case in cases:
+        res = verify_case(case, wrong_row)
+        assert (res.status, res.residual) == ("counterexample", 3), case.id
+    # neither run read the default table, and its report is unchanged
+    assert read == {id(wrong_poly), id(wrong_row)}
+    assert all(verify_case(case).verified for case in cases)
+    assert default_report() == before
 
 
 def test_grid_size_counts_the_grid_of_each_case():

@@ -28,7 +28,6 @@ from genbern.identities import (
     _difference,
     _double_sum,
     _main_identity_lhs,
-    _main_identity_rhs,
     _order_shift_pair_residuals,
     alternating_power_sum,
     balanced_triple_residual_antisym,
@@ -186,7 +185,7 @@ def test_window_core_matches_product_expansion():
 def test_proof_replay_checks():
     for params in ((0, 0, 0, 0, F(0)), (1, 1, 1, 1, F(2)), (2, 1, 0, 2, F(1, 2)), (0, 2, 1, 3, F(-1))):
         checks = replay_proof(*params)
-        assert set(checks) == {"operator_link", "lhs_match", "rhs_match"}
+        assert set(checks) == {"operator_link", "lhs_match"}
         for name, residual in checks.items():
             assert residual.is_zero(), (params, name)
 
@@ -195,7 +194,8 @@ SIDE_LAMBDAS = (F(0), 1, F(-2), F(1, 2), F(-2, 3), F(5, 7))
 
 
 def test_memoized_sides_match_builders_on_a_fresh_table():
-    # the builders run on their own table, so no memo entry can stand in for them
+    # the builders run on their own table, so no memo entry can stand in for
+    # them; the left side is memoized, the right side is built on every call
     fresh = GenBernTable()
     for n in range(4):
         for l in range(4):
@@ -206,20 +206,19 @@ def test_memoized_sides_match_builders_on_a_fresh_table():
                         rhs = main_identity_rhs(n, l, r, s, lam)
                         key = (n, l, r, s, lam)
                         assert lhs == _main_identity_lhs(n, l, r, s, F(lam), fresh), key
-                        assert rhs == _main_identity_rhs(n, l, r, s, F(lam), fresh), key
+                        assert rhs == main_identity_rhs(n, l, r, s, F(lam), fresh), key
                         assert main_identity_lhs(n, l, r, s, lam) is lhs
-                        assert main_identity_rhs(n, l, r, s, lam) is rhs
-                        assert DEFAULT_TABLE._derived[("rhs", n, l, r, s, F(lam).numerator, F(lam).denominator)] is rhs
+                        assert DEFAULT_TABLE._derived[("lhs", n, l, r, s, F(lam).numerator, F(lam).denominator)] is lhs
     table = GenBernTable()
     assert main_identity_lhs(2, 1, 1, 2, 1, table) is main_identity_lhs(2, 1, 1, 2, F(1), table)
-    assert main_identity_rhs(2, 1, 1, 2, F(1), table) is main_identity_rhs(2, 1, 1, 2, 1, table)
+    assert main_identity_rhs(2, 1, 1, 2, F(1), table) == main_identity_rhs(2, 1, 1, 2, 1, table)
     sides = sorted(key for key in table._derived if key[0] in ("lhs", "rhs"))
-    assert sides == [("lhs", 2, 1, 1, 2, 1, 1), ("rhs", 2, 1, 1, 2, 1, 1)]
+    assert sides == [("lhs", 2, 1, 1, 2, 1, 1)]
 
 
 def test_memo_cannot_hide_a_wrong_table():
     key = (2, 1, 1, 2, F(1, 2))
-    assert main_identity_residual(*key).is_zero()  # memoizes both sides on the default table
+    assert main_identity_residual(*key).is_zero()  # memoizes the left side on the default table
     assert all(res.is_zero() for res in replay_proof(*key).values())
     wrong = GenBernTable()
     wrong.grow(8)
@@ -235,7 +234,7 @@ def test_memo_cannot_hide_a_wrong_table():
 
 def test_replay_builds_both_operator_routes_on_every_call(monkeypatch):
     key = (2, 1, 1, 2, F(-2, 3))
-    replay_proof(*key)  # memoizes the closed-form sides
+    replay_proof(*key)  # memoizes the left side
     calls = []
     call = OmegaOperator.__call__
 
@@ -254,7 +253,7 @@ def test_two_threads_share_one_memo_entry_per_key():
     grid = ((n, l, r, s) for n in range(3) for l in range(3) for r in range(2) for s in range(3))
     keys = [(n, l, r, s, F(lam)) for n, l, r, s in grid for lam in (0, 1)]
     oracle = GenBernTable()
-    expected = [(_main_identity_lhs(*k, oracle), _main_identity_rhs(*k, oracle)) for k in keys]
+    expected = [(_main_identity_lhs(*k, oracle), main_identity_rhs(*k, oracle)) for k in keys]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -278,7 +277,7 @@ def test_two_threads_share_one_memo_entry_per_key():
                 thread.join(timeout=120)
                 assert not thread.is_alive()
             assert seen[0] == seen[1] == expected
-            assert sum(key[0] in ("lhs", "rhs") for key in table._derived) == 2 * len(keys)
+            assert sum(key[0] == "lhs" for key in table._derived) == len(keys)
     finally:
         sys.setswitchinterval(interval)
 
@@ -432,7 +431,7 @@ def test_c1_drops_a_chen_sun_extra_that_sums_to_zero():
                 "sign_corrected": lhs - sum((chen_sun_term(k, m, n, True) for k in range(1, m)), F(0)),
                 "as_printed": lhs - sum((chen_sun_term(k, m, n, False) for k in range(1, m)), F(0)),
             }
-            assert CASE_DEFS["c1"].residual(SumSpec(n=n, m=m)) == readings
+            assert CASE_DEFS["c1"].residual(SumSpec(n=n, m=m), DEFAULT_TABLE) == readings
 
 
 def test_t24_adjudication():
@@ -506,7 +505,7 @@ def test_f10_shared_parts_match_standalone_readings():
             alone = {name: order_shift_pair_residual(n, l, r, m, beta, name) for name in readings}
             assert res.readings == {name: "verified" for name in readings}
             assert res.residual == alone[res.reading]
-            assert _order_shift_pair_residuals(n, l, r, m, beta, readings) == alone
+            assert _order_shift_pair_residuals(n, l, r, m, beta, readings, DEFAULT_TABLE) == alone
             shared = _order_shift_pair_residuals(n, l, r, m, beta, readings, wrong)
             assert shared == {name: order_shift_pair_residual(n, l, r, m, beta, name, wrong) for name in readings}
     assert not all(res.is_zero() for res in shared.values())
@@ -636,7 +635,7 @@ def test_residual_returns_exactly_the_preferred_readings():
     for case_id, p in READING_POINTS.items():
         d = CASE_DEFS[case_id]
         assert all(g.holds(p) for g in d.domain), case_id
-        assert sorted(d.residual(p)) == sorted(d.prefer), case_id
+        assert sorted(d.residual(p, DEFAULT_TABLE)) == sorted(d.prefer), case_id
 
 
 @pytest.mark.parametrize("case_id, params, note", [
