@@ -220,9 +220,6 @@ class GenBernTable:
         self.grow(n_max)
         return self._numbers[: n_max + 1]
 
-    def number_at(self, n: int, alpha) -> Fraction:
-        return self.number(n).eval(Fraction(alpha))
-
     def poly_at(self, n: int, alpha) -> Poly:
         """B_n^(alpha)(x) over QQ for a fixed rational order."""
         alpha = _rational(alpha)

@@ -24,6 +24,11 @@ result records which one verifies.
 Each case is a :class:`CaseDef` record: its sweep axes, its domain guards,
 its residual (one, or one per reading), the order in which its readings
 are preferred, and its note.  One :func:`verify_case` runs every record.
+A record's ``residual(spec, table)`` is the one route to its case's
+residual; the functions below are the sums, sides and single-reading
+residuals that the records compose.  A case read in several ways builds
+every reading in one call, in report order, and no function here takes a
+reading as an argument.
 """
 
 from __future__ import annotations
@@ -222,23 +227,18 @@ def main_identity_residual(n: int, l: int, r: int, s: int, lam, table: GenBernTa
     return _difference(main_identity_lhs(n, l, r, s, lam, table), main_identity_rhs(n, l, r, s, lam, table))
 
 
-def numeric_omega(p: Poly, order, table: GenBernTable = DEFAULT_TABLE) -> Poly:
-    """x^k -> B_k^(order)(x) on p over QQ[x], for a fixed rational order
-    (independent of the symbolic operator path)."""
-    order = Fraction(order)
-    return linear_image(p, lambda k: table.poly_at(k, order))
-
-
 def main_identity_residual_at(n, l, r, s, lam, alpha, table: GenBernTable = DEFAULT_TABLE) -> Poly:
     """Residual for a fixed rational order, computed along the numeric path
-    (specialized tables and numeric umbral map) rather than by
-    specializing the symbolic residual."""
+    (specialized tables, and the umbral map x^k -> B_k^(order-1)(x) over
+    QQ[x]) rather than by specializing the symbolic residual or calling
+    :class:`OmegaOperator`."""
     lam, order = Fraction(lam), Fraction(alpha)
     lhs = _block(n, l, r, lam, lambda idx: table.poly_at(idx, order), total=Poly("x"))
     # The reflection sign (-1)^(n+k) goes into the weight: with the global
     # sign (-1)^(l+n+r+1), (-1)^(n+k) lam^(l+r-k) becomes -(-lam)^(l+r-k).
     lhs = _block(l, n, r, -lam, lambda idx: table.poly_at(idx, order).shift(lam - s), scale=-1, total=lhs)
-    return _difference(lhs, numeric_omega(telescoping_core(n, l, r, s, lam).derive(), order - 1, table))
+    rhs = linear_image(telescoping_core(n, l, r, s, lam).derive(), lambda k: table.poly_at(k, order - 1))
+    return _difference(lhs, rhs)
 
 
 def replay_proof(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> dict[str, Poly]:
@@ -313,35 +313,6 @@ def gessel_halved_double_sum(n: int, r: int, m: int) -> Fraction:
     return _double_sum(n, n, r, range(1, m), (0, 1), (-m, 1)) / 2
 
 
-def q_block_term(k: int, m: int, r: int, n: int, corrected: bool = True) -> Fraction:
-    """Per-k term of the folded closed form (odd r).
-
-    As printed the leading piece is
-    (r+1)/2 * C(n+r,(r+1)/2)^2 * (k(m-k))^(n+(r-1)/2); the corrected
-    reading replaces the base k(m-k) by k(k-m) (a factor
-    (-1)^(n+(r-1)/2)), which is what direct evaluation confirms.  The tail
-    j <= (r-1)/2 is the double sum at the single point k.
-    """
-    tail, lead, printed = _q_block_parts(n, r, (k,), m)
-    return tail + (lead if corrected else printed)
-
-
-def _q_block_parts(n: int, r: int, ks, m: int) -> tuple[Fraction, Fraction, Fraction]:
-    """The folded closed form summed over ``ks``, as its tail and its
-    leading piece in the corrected and in the printed reading.  The tail
-    does not depend on the reading, and the printed base k(m-k) makes the
-    leading piece (-1)^(n+(r-1)/2) times the corrected one."""
-    half = (r + 1) // 2
-    c_mid = binomial(n + r, half)
-    lead = Fraction((r + 1) * c_mid * c_mid * sum((k * (k - m)) ** (n + (r - 1) // 2) for k in ks), 2)
-    return _double_sum(n, n, r, ks, (0, 1), (-m, 1), stop=half), lead, _sign(n + (r - 1) // 2) * lead
-
-
-def q_block_sum(n: int, r: int, m: int, corrected: bool = True) -> Fraction:
-    tail, lead, printed = _q_block_parts(n, r, range(1, m), m)
-    return tail + (lead if corrected else printed)
-
-
 def alternating_power_sum(m: int, r_exp: int, s_exp: int) -> Fraction:
     """sum_{k<m} (k^r (k-m)^s - k^s (k-m)^r); zero whenever r+s is even."""
     return Fraction(sum(k**r_exp * (k - m) ** s_exp - k**s_exp * (k - m) ** r_exp for k in range(1, m)))
@@ -400,16 +371,6 @@ def kaneko_weighted_term(k: int, m: int, n: int) -> Fraction:
     return Fraction((n + 1) ** 2 * k**n * (k - m) ** n + second)
 
 
-def chen_sun_term(k: int, m: int, n: int, corrected: bool = True) -> Fraction:
-    """p_k(m, 3, n): the folded closed-form term plus a telescoping extra
-    that vanishes under the k-sum."""
-    return q_block_term(k, m, 3, n, corrected) + _chen_sun_extra(k, m, n)
-
-
-def _chen_sun_extra(k: int, m: int, n: int) -> int:
-    return binomial(n + 3, 3) * (3 * n + 11) * (k ** (n + 2) * (k - m) ** n - k**n * (k - m) ** (n + 2))
-
-
 # ---------------------------------------------------------------------------
 # Applications of the main identity
 # ---------------------------------------------------------------------------
@@ -429,39 +390,28 @@ def classical_pair_residual(n: int, l: int, r: int, s: int, lam, x0, table: GenB
     return lhs - leibniz_double_sum(n, l, r, s, x0, x0 + lam)
 
 
-def order_shift_pair_residual(
-    n: int, l: int, r: int, m: int, beta, reading: str = "as_printed", table: GenBernTable = DEFAULT_TABLE
-) -> Poly:
-    """Symbolic residual of the beta-shifted corollary of the main identity.
+def _order_shift_pair_residuals(n, l, r, m, beta, table: GenBernTable) -> dict[str, Poly]:
+    """Symbolic residuals of the beta-shifted corollary of the main
+    identity, reading -> residual.
 
     ``as_printed`` builds the second block with its displayed per-term
     sign -(-1)^(r+l+k); ``from_main_identity`` rebuilds it from the global
     sign (-1)^(l+n+r+1) and the reflection realization.  Both readings
     describe the same polynomial, which the adjudication confirms.  The
-    first block and the Omega_(a-1) side do not depend on the reading;
-    ``nielsen_f10`` builds them once for both readings.
+    first block and the Omega_(a-1) side do not depend on the reading and
+    are built once.
     """
-    return _order_shift_pair_residuals(n, l, r, m, beta, (reading,), table)[reading]
-
-
-def _order_shift_pair_residuals(n, l, r, m, beta, readings, table: GenBernTable) -> dict[str, Poly]:
-    """reading -> residual, with the parts the readings share built once."""
     beta = Fraction(beta)
     lam = Fraction(m) - 2 * beta
     first = _block(n, l, r, lam, lambda idx: table.poly_shifted(idx, beta), total=Poly("x"))
     right, mirror, sign = m - 1 - beta, 1 - lam - beta, _sign(l + n + r + 1)
     core = _window_core(n, l, r, (0,), beta - 1, right).derive(r + 1) * Fraction(1, math.factorial(r))
     rhs = OmegaOperator(-1, table)(core)
-    out = {}
-    for reading in readings:
-        if reading == "as_printed":
-            # the per-term sign goes into the weight: -(-1)^(r+l+k) lam^(l+r-k) = -(-lam)^(l+r-k)
-            lhs = _block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, right), scale=-1, total=first)
-        else:
-            # B_{n+k}^(a)(a + (1-lam-beta) - x) under the global sign
-            lhs = _block(l, n, r, lam, lambda idx: table.poly_reflected(idx, mirror), scale=sign, total=first)
-        out[reading] = _difference(lhs, rhs)
-    return out
+    # the per-term sign goes into the weight: -(-1)^(r+l+k) lam^(l+r-k) = -(-lam)^(l+r-k)
+    printed = _block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, right), scale=-1, total=first)
+    # B_{n+k}^(a)(a + (1-lam-beta) - x) under the global sign
+    reflected = _block(l, n, r, lam, lambda idx: table.poly_reflected(idx, mirror), scale=sign, total=first)
+    return {"as_printed": _difference(printed, rhs), "from_main_identity": _difference(reflected, rhs)}
 
 
 def product_rule_split_residual(n: int, l: int, r: int) -> Poly:
@@ -495,17 +445,6 @@ def balanced_triple_residual_folded(n, l, r, alpha, x, y, table=DEFAULT_TABLE) -
     return _block(l, n, r, -x, table.value_row(n + l + r, alpha, x + y), scale=-1, total=lhs)
 
 
-def reflection_route_residuals(n, l, r, alpha, x, y, table=DEFAULT_TABLE) -> list[Fraction]:
-    """The equivalence route between the two balanced forms:
-    B_{n+k}(z) - (-1)^(n+k) B_{n+k}(x+y) for every k in the second block."""
-    alpha, x, y = Fraction(alpha), Fraction(x), Fraction(y)
-    z = alpha - x - y
-    return [
-        table.value_at(n + k, alpha, z) - _sign(n + k) * table.value_at(n + k, alpha, x + y)
-        for k in range(l + r + 1)
-    ]
-
-
 def integer_balance_residual(n, l, r, s, x, y, table=DEFAULT_TABLE) -> Fraction:
     """Order-one form with x+y+z = s+1: the two-block sum against the
     order-one closed double sum."""
@@ -515,42 +454,32 @@ def integer_balance_residual(n, l, r, s, x, y, table=DEFAULT_TABLE) -> Fraction:
     return lhs - leibniz_double_sum(n, l, r, s, y, x + y)
 
 
-def truncated_balanced_residual(n, l, r, alpha, x, y, corrected=True, table=DEFAULT_TABLE) -> Fraction:
-    """Balanced form with both top terms dropped (r >= 1); the right side
-    is a single Bernoulli-polynomial difference.
+def _truncated_balanced_readings(n, l, r, alpha, x, y, table: GenBernTable) -> dict[str, Fraction]:
+    """Balanced form with both top terms dropped (r >= 1), against a single
+    Bernoulli-polynomial difference, in the corrected and the printed reading.
 
     As printed the difference carries index n+l+1; direct evaluation shows
     the index must be n+l+r (they agree exactly at r = 1).
     """
-    lhs, rhs, printed = _truncated_balanced_sides(n, l, r, alpha, x, y, table)
-    return lhs - (rhs if corrected else printed)
-
-
-def _truncated_balanced_sides(n, l, r, alpha, x, y, table: GenBernTable):
-    """The left side, and the right side in the corrected and in the printed reading."""
     alpha, x, y = _rational(alpha), _rational(x), _rational(y)
     z = alpha - x - y
     lhs = _block(n, l, r, x, table.value_row(n + l + r, alpha, y), stop=n + r, scale=_sign(n))
     lhs = _block(l, n, r, x, table.value_row(n + l + r, alpha, z), stop=l + r, scale=_sign(l + r + 1), total=lhs)
     c = _sign(n) * binomial(n + l + 2 * r, r)
     rhs, printed = (c * (table.value_at(idx, alpha, x + y) - table.value_at(idx, alpha, y)) for idx in (n + l + r, n + l + 1))
-    return lhs, rhs, printed
+    return {"corrected": lhs - rhs, "as_printed": lhs - printed}
 
 
-def truncated_power_residual(n, l, r, t_val, corrected=True, table=DEFAULT_TABLE) -> Fraction:
+def _truncated_power_readings(n, l, r, t_val, table: GenBernTable) -> dict[str, Fraction]:
     """Order-one specialization of the truncated balanced form at
-    (x, y, z) = (1, t, -t); the right side collapses to a monomial."""
-    lhs, rhs, printed = _truncated_power_sides(n, l, r, t_val, table)
-    return lhs - (rhs if corrected else printed)
-
-
-def _truncated_power_sides(n, l, r, t_val, table: GenBernTable):
-    """The left side, and the right side in the corrected and in the printed reading."""
+    (x, y, z) = (1, t, -t), whose right side collapses to a monomial:
+    (n+l+r) t^(n+l+r-1) corrected, (n+l+1) t^(n+l) as printed."""
     t_val = Fraction(t_val)
     lhs = _block(n, l, r, 1, table.classical_row(n + l + r, t_val), stop=n + r, scale=_sign(n))
     lhs = _block(l, n, r, 1, table.classical_row(n + l + r, -t_val), stop=l + r, scale=_sign(l + r + 1), total=lhs)
     c = _sign(n) * binomial(n + l + 2 * r, r)
-    return lhs, c * (n + l + r) * t_val ** (n + l + r - 1), c * (n + l + 1) * t_val ** (n + l)
+    rhs, printed = c * (n + l + r) * t_val ** (n + l + r - 1), c * (n + l + 1) * t_val ** (n + l)
+    return {"corrected": lhs - rhs, "as_printed": lhs - printed}
 
 
 def odd_order_tail_residual(n: int, r: int, t_val, table: GenBernTable = DEFAULT_TABLE) -> Poly:
@@ -574,19 +503,14 @@ def halved_tail_sum_residual(n: int, r: int, table: GenBernTable = DEFAULT_TABLE
     return lhs - rhs
 
 
-def scaled_ratio_sum_residual(n: int, r: int, x0, corrected: bool = True, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
+def _scaled_ratio_readings(n: int, r: int, x0, table: GenBernTable) -> dict[str, Fraction]:
     """Odd-r closed form for the x-weighted variant
-    sum_k C(n+r,k) C(n+k+r,r) B_{n+k}(x) / (2^k (1-x)^(n+k-1)), x != 1.
+    sum_k C(n+r,k) C(n+k+r,r) B_{n+k}(x) / (2^k (1-x)^(n+k-1)), x != 1, in
+    the corrected and the printed reading.
 
     As printed the right side reads (-1)^(n+(r+1)/2) (r+1)/2^(n+r) C;
     direct evaluation confirms (-1)^(n+(r-1)/2) (r+1)/2^(n+r+1) C instead.
     """
-    lhs, rhs, printed = _scaled_ratio_sides(n, r, x0, table)
-    return lhs - (rhs if corrected else printed)
-
-
-def _scaled_ratio_sides(n: int, r: int, x0, table: GenBernTable):
-    """The left side, and the right side in the corrected and in the printed reading."""
     x0 = Fraction(x0)
     if x0 == 1:
         raise ValueError("the weighted form divides by (1-x); x = 1 is outside its domain")
@@ -598,11 +522,10 @@ def _scaled_ratio_sides(n: int, r: int, x0, table: GenBernTable):
     row = [v * 2 ** (n + top - i) * b**i * g ** (top + 1 - i) for i, v in enumerate(nums)]
     lhs = _block(n, n, r, 1, (row, den * 2**top * g**top * b))
     c_mid = binomial(n + r, (r + 1) // 2)
-    return (
-        lhs,
-        Fraction(_sign(n + (r - 1) // 2) * (r + 1), 2 ** (n + r + 1)) * c_mid,
-        Fraction(_sign(n + (r + 1) // 2) * (r + 1), 2 ** (n + r)) * c_mid,
-    )
+    return {
+        "corrected": lhs - Fraction(_sign(n + (r - 1) // 2) * (r + 1), 2 ** (n + r + 1)) * c_mid,
+        "as_printed": lhs - Fraction(_sign(n + (r + 1) // 2) * (r + 1), 2 ** (n + r)) * c_mid,
+    }
 
 
 def symbolic_weight_pair_residual(n: int, l: int, table: GenBernTable = DEFAULT_TABLE) -> Poly:
@@ -733,13 +656,21 @@ def _at_order(residual: Poly, alpha):
 
 
 def _against_block(n: int, r: int, m: int, table: GenBernTable) -> dict[str, Fraction]:
-    """The single block at (n, r, m) minus the folded closed form summed
-    over k < m, in the sign-corrected and the printed reading.  The block
-    and the closed form's tail do not depend on the reading and are built
-    once."""
-    tail, lead, printed = _q_block_parts(n, r, range(1, m), m)
+    """The single block at (n, r, m) minus the folded closed form (odd r)
+    summed over k < m, in the sign-corrected and the printed reading.
+
+    The folded term is the leading piece (r+1)/2 C(n+r,(r+1)/2)^2
+    (k(k-m))^(n+(r-1)/2) plus the tail j <= (r-1)/2 of the double sum.  As
+    printed the base reads k(m-k), a factor (-1)^(n+(r-1)/2) on the leading
+    piece; direct evaluation confirms k(k-m).  The block and the tail do
+    not depend on the reading and are built once.
+    """
+    half, ks = (r + 1) // 2, range(1, m)
+    tail = _double_sum(n, n, r, ks, (0, 1), (-m, 1), stop=half)
+    c_mid = binomial(n + r, half)
+    lead = Fraction((r + 1) * c_mid * c_mid * sum((k * (k - m)) ** (n + (r - 1) // 2) for k in ks), 2)
     lhs = symmetric_block_sum(n, r, m, table) - tail
-    return {"sign_corrected": lhs - lead, "as_printed": lhs - printed}
+    return {"sign_corrected": lhs - lead, "as_printed": lhs - _sign(n + (r - 1) // 2) * lead}
 
 
 def _weighted_readings(n: int, r: int, m: int, closed, table: GenBernTable) -> dict[str, Fraction]:
@@ -753,20 +684,6 @@ def _weighted_readings(n: int, r: int, m: int, closed, table: GenBernTable) -> d
         "first_block": abs(total - closed),
     }
 
-
-def _corrected(sides):
-    """The readings of a case whose right side is read two ways, the
-    corrected one first: ``sides(p, table)`` gives the left side, built
-    once, and the right side in the corrected and in the printed reading."""
-
-    def readings(p, table):
-        lhs, rhs, printed = sides(p, table)
-        return {"corrected": lhs - rhs, "as_printed": lhs - printed}
-
-    return readings
-
-
-_F10_READINGS = ("as_printed", "from_main_identity")
 
 CASE_DEFS: dict[str, CaseDef] = {
     d.id: d
@@ -825,7 +742,7 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "c1",
             ("n", "m"),
-            # chen_sun_term's telescoping extra sums to zero over k < m
+            # the printed p_k(m, 3, n) adds a telescoping extra, left out: it sums to zero over k < m
             lambda p, t: _against_block(p.n, 3, p.m, t),
             prefer=("as_printed", "sign_corrected"),
             note="inherits the leading q-term base correction (k*(k-m) for k*(m-k))",
@@ -852,8 +769,8 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "nielsen_f10",
             ("n", "l", "r", "m", "beta"),
-            lambda p, t: _order_shift_pair_residuals(p.n, p.l, p.r, p.m, p.beta, _F10_READINGS, t),
-            prefer=_F10_READINGS,
+            lambda p, t: _order_shift_pair_residuals(p.n, p.l, p.r, p.m, p.beta, t),
+            prefer=("as_printed", "from_main_identity"),
             note="the displayed per-term sign -(-1)^(r+l+k) and the global sign (-1)^(l+n+r+1) with reflection give "
             "the same polynomial; both verify",
         ),
@@ -879,7 +796,7 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "cor3a",
             ("n", "l", "r", "alpha", "xy", "z=alpha-x-y"),
-            _corrected(lambda p, t: _truncated_balanced_sides(p.n, p.l, p.r, p.alpha, p.x, p.y, t)),
+            lambda p, t: _truncated_balanced_readings(p.n, p.l, p.r, p.alpha, p.x, p.y, t),
             domain=(POSITIVE_R, RATIONAL_ORDER, BALANCED),
             prefer=("as_printed", "corrected"),
             note="right-side difference index reads n+l+1 in print but must be n+l+r (identical at r=1)",
@@ -887,7 +804,7 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "cor3b",
             ("n", "l", "r", "t"),
-            _corrected(lambda p, t: _truncated_power_sides(p.n, p.l, p.r, p.t, t)),
+            lambda p, t: _truncated_power_readings(p.n, p.l, p.r, p.t, t),
             domain=(POSITIVE_R,),
             prefer=("as_printed", "corrected"),
             note="monomial right side reads (n+l+1) t^(n+l) in print but must be (n+l+r) t^(n+l+r-1)",
@@ -901,7 +818,7 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "cor1",
             ("n", "r", "ratio_x"),
-            _corrected(lambda p, t: _scaled_ratio_sides(p.n, p.r, p.x, t)),
+            lambda p, t: _scaled_ratio_readings(p.n, p.r, p.x, t),
             domain=(ODD_R, Guard(lambda p: p.x != 1, "x = 1 divides by zero in the weight")),
             prefer=("as_printed", "corrected"),
             note="right side verifies as (-1)^(n+(r-1)/2) (r+1)/2^(n+r+1) C(n+r,(r+1)/2); the printed sign exponent "

@@ -30,12 +30,9 @@ from genbern.identities import (
     linear_weight_double_sum,
     lucas_pair_sum,
     main_identity_residual,
-    order_shift_pair_residual,
     paired_sum,
     product_rule_split_residual,
-    q_block_sum,
     replay_proof,
-    scaled_ratio_sum_residual,
     stern_recurrence_sum,
     symmetric_block_sum,
     verify_case,
@@ -97,12 +94,10 @@ def test_criterion_5_symmetric_closed_forms():
         for r in (1, 3):
             for n in range(6):
                 for m in range(1, 6):
-                    block = symmetric_block_sum(n, r, m)
-                    halved = gessel_halved_double_sum(n, r, m)
-                    folded = q_block_sum(n, r, m, corrected=True)
-                    assert block == halved, (n, r, m)
-                    assert block == folded, (n, r, m)
-                    assert halved == folded
+                    assert symmetric_block_sum(n, r, m) == gessel_halved_double_sum(n, r, m), (n, r, m)
+                    # ges1's corrected reading is the block minus the folded form
+                    res = verify_case(IdentityCase("ges1", SumSpec(n=n, r=r, m=m)))
+                    assert res.readings["sign_corrected"] == "verified", (n, r, m)
         # the fold uses the even-total-degree cancellation
         for m in range(1, 6):
             for a in range(4):
@@ -157,10 +152,10 @@ def test_criterion_7_applications():
             assert product_rule_split_residual(n, l, r).is_zero(), ("split", n, l, r)
             for m in (1, 2):
                 for beta in (F(0), F(1, 2)):
-                    for reading in ("as_printed", "from_main_identity"):
-                        assert order_shift_pair_residual(n, l, r, m, beta, reading).is_zero(), (
-                            n, l, r, m, beta, reading,
-                        )
+                    res = verify_case(IdentityCase("nielsen_f10", SumSpec(n=n, l=l, r=r, m=m, beta=beta)))
+                    assert res.readings == {"as_printed": "verified", "from_main_identity": "verified"}, (
+                        n, l, r, m, beta,
+                    )
         # balanced-argument family on constraint-satisfying rational triples
         triples = ((F(1), F(0)), (F(1, 2), F(1, 3)), (F(-2), F(1)))
         for n, l, r in product(range(3), range(3), range(4)):
@@ -194,14 +189,15 @@ def test_criterion_7_applications():
             for n in range(7):
                 assert halved_tail_sum_residual(n, r) == 0, ("fi2", n, r)
                 for x0 in (F(0), F(1, 3), F(-1, 2)):
-                    assert scaled_ratio_sum_residual(n, r, x0, corrected=True) == 0, ("cor1", n, r, x0)
+                    res = verify_case(IdentityCase("cor1", SumSpec(n=n, r=r, x=x0)))
+                    assert res.readings["corrected"] == "verified", ("cor1", n, r, x0)
 
 
 def test_criterion_8_oracle_equivalence():
     with criterion(8, "independent oracles agree with the symbolic and recurrence routes"):
         for a in range(6):
             oracle = integer_alpha_oracle(12, a)
-            symbolic = [DEFAULT_TABLE.number_at(n, a) for n in range(13)]
+            symbolic = [DEFAULT_TABLE.number(n).eval(F(a)) for n in range(13)]
             assert oracle == symbolic, a
         nums = classical_bernoulli_numbers(30)
         assert bernoulli_numbers_binomial_solve(30) == nums

@@ -154,7 +154,7 @@ def test_symbolic_numbers_match_exp_log_oracle():
 def test_symbolic_specialization_at_one_is_classical():
     nums = classical_bernoulli_numbers(20)
     for n in range(21):
-        assert DEFAULT_TABLE.number_at(n, 1) == nums[n]
+        assert DEFAULT_TABLE.number(n).eval(F(1)) == nums[n]
 
 
 def test_integer_alpha_oracle_base_cases():
@@ -164,7 +164,7 @@ def test_integer_alpha_oracle_base_cases():
 
 def test_integer_alpha_oracle_matches_symbolic():
     for a in (0, 1, 2, 3, 4, 5, 8):
-        sym = [DEFAULT_TABLE.number_at(n, a) for n in range(41)]
+        sym = [DEFAULT_TABLE.number(n).eval(F(a)) for n in range(41)]
         assert integer_alpha_oracle(40, a) == sym
 
 

@@ -18,22 +18,20 @@ from genbern.bernoulli import (
     classical_bernoulli_numbers,
     integer_alpha_oracle,
 )
+from genbern.harness import SweepConfig, enumerate_cases
 from genbern.identities import (
     CASE_DEFS,
     CASE_IDS,
     IdentityCase,
     SumSpec,
     _block,
-    _chen_sun_extra,
     _difference,
     _double_sum,
     _main_identity_lhs,
-    _order_shift_pair_residuals,
     alternating_power_sum,
     balanced_triple_residual_antisym,
     balanced_triple_residual_folded,
     certify_lambda,
-    chen_sun_term,
     classical_pair_residual,
     gessel_double_sum,
     gessel_double_sum_reindexed,
@@ -48,19 +46,14 @@ from genbern.identities import (
     main_identity_residual,
     main_identity_residual_at,
     main_identity_rhs,
-    order_shift_pair_residual,
     paired_sum,
     product_rule_split_residual,
-    q_block_sum,
     replay_proof,
-    scaled_ratio_sum_residual,
     stern_recurrence_sum,
     symbolic_weight_pair_residual,
     symmetric_block_sum,
     telescoping_core,
-    truncated_balanced_residual,
     truncated_pair_sum,
-    truncated_power_residual,
     verify_case,
     _window_core,
 )
@@ -70,6 +63,11 @@ from genbern.textform import format_poly
 
 def run(case_id, **kw):
     return verify_case(IdentityCase(case_id, SumSpec(**kw)))
+
+
+def readings(case_id, table=DEFAULT_TABLE, **kw):
+    """The record's residual, reading -> residual, outside verify_case."""
+    return CASE_DEFS[case_id].residual(SumSpec(**kw), table)
 
 
 # -- the paired sum -------------------------------------------------------------
@@ -312,7 +310,8 @@ def test_double_sums_empty_at_m_one():
     assert gessel_double_sum(2, 1, 1, 1) == 0
     assert gessel_double_sum_reindexed(2, 1, 1, 1) == 0
     assert gessel_halved_double_sum(2, 1, 1) == 0
-    assert q_block_sum(2, 1, 1) == 0
+    # the folded closed form is empty too, so both ges1 readings are the block, 0
+    assert readings("ges1", n=2, r=1, m=1) == {"sign_corrected": 0, "as_printed": 0}
 
 
 def test_double_sum_equals_pair_sum_instance():
@@ -333,23 +332,26 @@ def test_symmetric_block_closed_forms():
     # frozen hand instance: n=1, r=1, m=2
     assert symmetric_block_sum(1, 1, 2) == -2
     assert gessel_halved_double_sum(1, 1, 2) == -2
-    assert q_block_sum(1, 1, 2, corrected=True) == -2
+    assert _q_term(1, 2, 1, 1, corrected=True) == -2
     for n in range(4):
         for r in (1, 3):
             for m in range(1, 5):
                 block = symmetric_block_sum(n, r, m)
                 assert block == gessel_halved_double_sum(n, r, m)
-                assert block == q_block_sum(n, r, m, corrected=True)
+                # the block minus the folded closed form
+                assert readings("ges1", n=n, r=r, m=m)["sign_corrected"] == 0
                 # odd r collapses the pair sum onto twice the block
                 assert paired_sum(n, n, r, m, 0, 0, alpha=1) == 2 * block
 
 
 def test_q_block_printed_reading_fails_where_sign_matters():
     # exponent n+(r-1)/2 odd makes the printed base k(m-k) wrong
-    assert q_block_sum(1, 1, 2, corrected=False) == 6
+    assert _q_term(1, 2, 1, 1, corrected=False) == 6
     assert symmetric_block_sum(1, 1, 2) == -2
+    assert readings("ges1", n=1, r=1, m=2) == {"sign_corrected": 0, "as_printed": -8}
     # even exponent hides the difference
-    assert q_block_sum(1, 3, 2, corrected=False) == q_block_sum(1, 3, 2, corrected=True)
+    res = readings("ges1", n=1, r=3, m=2)
+    assert res["as_printed"] == res["sign_corrected"] == 0
 
 
 def test_alternating_power_sum():
@@ -407,11 +409,21 @@ def test_kaneko_weighted_term_against_block():
             assert symmetric_block_sum(n, 1, m) == closed
 
 
+def _chen_sun_extra(k, m, n):
+    """The telescoping extra of p_k(m, 3, n), as displayed."""
+    return math.comb(n + 3, 3) * (3 * n + 11) * (F(k) ** (n + 2) * F(k - m) ** n - F(k) ** n * F(k - m) ** (n + 2))
+
+
+def _chen_sun_term(k, m, n, corrected):
+    """p_k(m, 3, n): the folded closed-form term plus the telescoping extra."""
+    return _q_term(k, m, 3, n, corrected) + _chen_sun_extra(k, m, n)
+
+
 def test_chen_sun_extra_term_telescopes():
     for n in range(4):
         for m in range(1, 6):
-            total = sum((chen_sun_term(k, m, n, True) for k in range(1, m)), F(0))
-            assert total == q_block_sum(n, 3, m, corrected=True)
+            total = sum((_chen_sun_term(k, m, n, True) for k in range(1, m)), F(0))
+            assert total == sum((_q_term(k, m, 3, n, True) for k in range(1, m)), F(0))
             assert symmetric_block_sum(n, 3, m) == total
 
 
@@ -427,11 +439,11 @@ def test_c1_drops_a_chen_sun_extra_that_sums_to_zero():
     for n in range(4):
         for m in range(1, 6):
             lhs = symmetric_block_sum(n, 3, m)
-            readings = {
-                "sign_corrected": lhs - sum((chen_sun_term(k, m, n, True) for k in range(1, m)), F(0)),
-                "as_printed": lhs - sum((chen_sun_term(k, m, n, False) for k in range(1, m)), F(0)),
+            whole = {
+                "sign_corrected": lhs - sum((_chen_sun_term(k, m, n, True) for k in range(1, m)), F(0)),
+                "as_printed": lhs - sum((_chen_sun_term(k, m, n, False) for k in range(1, m)), F(0)),
             }
-            assert CASE_DEFS["c1"].residual(SumSpec(n=n, m=m), DEFAULT_TABLE) == readings
+            assert readings("c1", n=n, m=m) == whole
 
 
 def test_t24_adjudication():
@@ -494,20 +506,47 @@ def test_f10_adjudication_both_readings_verify():
     assert res.readings == {"as_printed": "verified", "from_main_identity": "verified"}
 
 
+def _composed(p, arg):
+    """p(arg) for p in QQ[a][x] and arg in QQ[a][x], term by term."""
+    return sum((c * arg**i for i, c in enumerate(p.coeffs)), F(0))
+
+
+def _f10_literal(n, l, r, m, beta, table):
+    """Both nielsen_f10 readings as displayed, each block summed term by
+    term over B^(a)(x) composed with its argument, B_i^(a)(a + c - x)
+    realized as (-1)^i B_i^(a)(x - c); the record builds the second block
+    once per reading and shares the first and the Omega side."""
+    lam = m - 2 * beta
+    first = _literal_block(n, l, r, lam, lambda i: _composed(table.poly(i), X + beta))
+    printed = first + sum(
+        (-(-1) ** (r + l + k) * lam ** (l + r - k) * math.comb(l + r, k) * math.comb(n + k + r, r)
+         * _composed(table.poly(n + k), X + (m - 1 - beta)) for k in range(l + r + 1)),
+        F(0),
+    )
+    reflected = first + (-1) ** (l + n + r + 1) * _literal_block(
+        l, n, r, lam, lambda i: (-1) ** i * _composed(table.poly(i), X - (1 - lam - beta))
+    )
+    core = ((X + (beta - 1)) ** (l + r) * (X + (m - 1 - beta)) ** (n + r)).derive(r + 1) * F(1, math.factorial(r))
+    rhs = OmegaOperator(-1, table)(core)
+    return [("as_printed", printed - rhs), ("from_main_identity", reflected - rhs)]
+
+
 def test_f10_shared_parts_match_standalone_readings():
+    # B_1^(a) + 1 among the numbers: nonzero residuals, so equality is not
+    # 0 == 0, and every B_i^(a)(x) built from them is still the Appell
+    # expansion that the shifts of both routes assume
     wrong = GenBernTable()
     wrong.grow(12)
-    wrong._derived[("poly", 1)] = wrong.poly(1) + 1  # nonzero residuals, so equality is not 0 == 0
-    readings = ("as_printed", "from_main_identity")
+    wrong._numbers[1] = wrong.number(1) + 1
     for n, l, r, m in ((1, 2, 1, 2), (2, 1, 0, 3), (0, 1, 2, 1), (2, 2, 1, 2)):
         for beta in (F(0), F(1, 2), F(-2, 3)):
             res = run("nielsen_f10", n=n, l=l, r=r, m=m, beta=beta)
-            alone = {name: order_shift_pair_residual(n, l, r, m, beta, name) for name in readings}
-            assert res.readings == {name: "verified" for name in readings}
-            assert res.residual == alone[res.reading]
-            assert _order_shift_pair_residuals(n, l, r, m, beta, readings, DEFAULT_TABLE) == alone
-            shared = _order_shift_pair_residuals(n, l, r, m, beta, readings, wrong)
-            assert shared == {name: order_shift_pair_residual(n, l, r, m, beta, name, wrong) for name in readings}
+            alone = _f10_literal(n, l, r, m, beta, DEFAULT_TABLE)
+            assert res.readings == {"as_printed": "verified", "from_main_identity": "verified"}
+            assert res.residual == dict(alone)[res.reading]
+            assert list(readings("nielsen_f10", n=n, l=l, r=r, m=m, beta=beta).items()) == alone
+            shared = readings("nielsen_f10", wrong, n=n, l=l, r=r, m=m, beta=beta)
+            assert list(shared.items()) == _f10_literal(n, l, r, m, beta, wrong)
     assert not all(res.is_zero() for res in shared.values())
 
 
@@ -540,8 +579,8 @@ def test_product_rule_split_grid():
 
 
 def test_order_shift_pair_small_instance():
-    res = order_shift_pair_residual(1, 1, 0, 1, F(1, 2))
-    assert res.is_zero()
+    res = readings("nielsen_f10", n=1, l=1, r=0, m=1, beta=F(1, 2))
+    assert all(residual.is_zero() for residual in res.values())
 
 
 def test_order_shift_pair_is_shifted_main_identity():
@@ -552,7 +591,8 @@ def test_order_shift_pair_is_shifted_main_identity():
     lhs_main = main_identity_lhs(n, l, r, 1, lam)
     rhs_main = main_identity_rhs(n, l, r, 1, lam)
     assert lhs_main.shift(beta) == rhs_main.shift(beta)
-    assert order_shift_pair_residual(n, l, r, m, beta).is_zero()
+    res = readings("nielsen_f10", n=n, l=l, r=r, m=m, beta=beta)
+    assert all(residual.is_zero() for residual in res.values())
 
 
 def test_balanced_triples():
@@ -573,10 +613,14 @@ def test_balanced_triple_reduces_to_autoduality():
 
 
 def test_reflection_route_between_balanced_forms():
-    from genbern.identities import reflection_route_residuals
-
-    for res in reflection_route_residuals(2, 1, 1, F(2), F(1), F(1, 3)):
-        assert res == 0
+    # B_{n+k}(z) = (-1)^(n+k) B_{n+k}(x+y) for every k in the second block,
+    # which takes the antisymmetric balanced form to the folded one
+    n, l, r, alpha, x, y = 2, 1, 1, F(2), F(1), F(1, 3)
+    z = alpha - x - y
+    for k in range(l + r + 1):
+        assert DEFAULT_TABLE.value_at(n + k, alpha, z) == (-1) ** (n + k) * DEFAULT_TABLE.value_at(n + k, alpha, x + y)
+    assert balanced_triple_residual_antisym(n, l, r, alpha, x, y) == 0
+    assert balanced_triple_residual_folded(n, l, r, alpha, x, y) == 0
 
 
 def test_odd_order_tail_example():
@@ -603,8 +647,7 @@ def test_tail_sums_index_change_equivalence():
     # the x = 0 weighted sum is 2^n times the tail sum
     for n in range(5):
         for r in (1, 3):
-            weighted_lhs_minus_rhs = scaled_ratio_sum_residual(n, r, F(0), corrected=True)
-            assert weighted_lhs_minus_rhs == 0
+            assert readings("cor1", n=n, r=r, x=F(0))["corrected"] == 0
             assert halved_tail_sum_residual(n, r) == 0
 
 
@@ -660,6 +703,35 @@ def test_every_case_id_has_verifier():
         "s20", "cor1", "fi2", "neto_corrected", "vassilev",
     }
     assert set(CASE_IDS) == expected
+
+
+# -- planted defects ------------------------------------------------------------
+
+
+def test_p1_is_blind_to_a_wrong_b_n_at_even_n():
+    # p1 weighs B_n by C(n, n) - (-1)^n, which vanishes at even n, so B_n + 1
+    # in the row p1 reads at n moves its residual by 2 at odd n and by 0 at even n
+    for n in range(1, 7):
+        wrong = GenBernTable()
+        nums, den = wrong.classical_row(n)
+        wrong._derived[("classical_row", n, 0, 1)] = ((*nums[:n], nums[n] + den), den)
+        res = verify_case(IdentityCase("p1", SumSpec(n=n)), wrong)
+        assert (res.status, res.residual) == (("counterexample", 2) if n % 2 else ("verified", 0)), n
+
+
+def test_t3_s3_and_e2_share_one_residual():
+    # t3 and s3 run the same residual over the same axes, and e2 is t3 at
+    # r = 0; they stay three cases, since merging them would change the report
+    assert CASE_DEFS["t3"].axes == CASE_DEFS["s3"].axes
+    wrong = GenBernTable()
+    wrong._derived[("poly", 1)] = wrong.poly(1) + 1  # B_1^(a)(x) + 1
+    for table in (DEFAULT_TABLE, wrong):
+        by_case = {"t3": {}, "s3": {}, "e2": {}}
+        for case in enumerate_cases(SweepConfig(cases=tuple(by_case))):
+            by_case[case.id][case.params] = verify_case(case, table).residual
+        assert by_case["s3"] == by_case["t3"]
+        assert by_case["e2"] == {p: res for p, res in by_case["t3"].items() if p.r == 0}
+        assert any(by_case["e2"].values()) == (table is wrong)
 
 
 # -- an independent literal evaluator --------------------------------------------
@@ -780,18 +852,23 @@ def _q_term(k, m, r, n, corrected):
 
 
 def test_q_block_and_chen_sun_against_literal_evaluator():
+    # ges1 and c1 against the literal block and the whole displayed term,
+    # c1 with the telescoping extra that its record leaves out
     for n in range(4):
         for m in range(1, 6):
-            for corrected in (True, False):
-                for r in (1, 3, 5):
-                    assert q_block_sum(n, r, m, corrected) == sum(
-                        (_q_term(k, m, r, n, corrected) for k in range(1, m)), F(0)
-                    )
-                for k in range(1, m):
-                    extra = math.comb(n + 3, 3) * (3 * n + 11) * (
-                        F(k) ** (n + 2) * F(k - m) ** n - F(k) ** n * F(k - m) ** (n + 2)
-                    )
-                    assert chen_sun_term(k, m, n, corrected) == _q_term(k, m, 3, n, corrected) + extra
+            for r in (1, 3, 5):
+                block = _literal_block(n, n, r, m, _b)
+                expected = [
+                    (name, block - sum((_q_term(k, m, r, n, corrected) for k in range(1, m)), F(0)))
+                    for name, corrected in (("sign_corrected", True), ("as_printed", False))
+                ]
+                assert list(readings("ges1", n=n, r=r, m=m).items()) == expected
+            block = _literal_block(n, n, 3, m, _b)
+            expected = [
+                (name, block - sum((_chen_sun_term(k, m, n, corrected) for k in range(1, m)), F(0)))
+                for name, corrected in (("sign_corrected", True), ("as_printed", False))
+            ]
+            assert list(readings("c1", n=n, m=m).items()) == expected
 
 
 ORACLE_ORDER_TABLES = [integer_alpha_oracle(10, a) for a in range(11)]
@@ -851,9 +928,12 @@ def test_balanced_forms_against_literal_evaluator():
                     lhs = (-1) ** n * _literal_block(n, l, r, x, lambda i: _gb(i, alpha, y), stop=n + r) + (-1) ** (
                         l + r + 1
                     ) * _literal_block(l, n, r, x, lambda i: _gb(i, alpha, z), stop=l + r)
-                    for corrected, idx in ((True, n + l + r), (False, n + l + 1)):
-                        rhs = (-1) ** n * math.comb(n + l + 2 * r, r) * (_gb(idx, alpha, x + y) - _gb(idx, alpha, y))
-                        assert truncated_balanced_residual(n, l, r, alpha, x, y, corrected) == lhs - rhs
+                    expected = [
+                        (name, lhs - (-1) ** n * math.comb(n + l + 2 * r, r) * (_gb(idx, alpha, x + y) - _gb(idx, alpha, y)))
+                        for name, idx in (("corrected", n + l + r), ("as_printed", n + l + 1))
+                    ]
+                    got = readings("cor3a", n=n, l=l, r=r, alpha=alpha, x=x, y=y, z=z)
+                    assert list(got.items()) == expected
 
 
 def test_order_one_forms_against_literal_evaluator():
@@ -874,8 +954,10 @@ def test_order_one_forms_against_literal_evaluator():
                         l + r + 1
                     ) * _literal_block(l, n, r, 1, lambda i: _b(i, -t), stop=l + r)
                     c = (-1) ** n * math.comb(n + l + 2 * r, r)
-                    assert truncated_power_residual(n, l, r, t, True) == lhs - c * (n + l + r) * t ** (n + l + r - 1)
-                    assert truncated_power_residual(n, l, r, t, False) == lhs - c * (n + l + 1) * t ** (n + l)
+                    assert list(readings("cor3b", n=n, l=l, r=r, t=t).items()) == [
+                        ("corrected", lhs - c * (n + l + r) * t ** (n + l + r - 1)),
+                        ("as_printed", lhs - c * (n + l + 1) * t ** (n + l)),
+                    ]
 
 
 def test_odd_r_tail_sums_against_literal_evaluator():
@@ -892,8 +974,10 @@ def test_odd_r_tail_sums_against_literal_evaluator():
                 )
                 corrected = F((-1) ** (n + (r - 1) // 2) * (r + 1), 2 ** (n + r + 1)) * c_mid
                 printed = F((-1) ** (n + (r + 1) // 2) * (r + 1), 2 ** (n + r)) * c_mid
-                assert scaled_ratio_sum_residual(n, r, x0, True) == lhs - corrected
-                assert scaled_ratio_sum_residual(n, r, x0, False) == lhs - printed
+                assert list(readings("cor1", n=n, r=r, x=x0).items()) == [
+                    ("corrected", lhs - corrected),
+                    ("as_printed", lhs - printed),
+                ]
 
 
 def _block_reference(p, q, r, w, term, stop=None, scale=1, total=F(0)):
