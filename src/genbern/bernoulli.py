@@ -30,24 +30,26 @@ binomial recurrence for the classical numbers, repeated truncated series
 multiplication for integer orders) are provided as oracles.
 
 Every derived entry lives in one :class:`GenBernTable` memo,
-:meth:`GenBernTable.memo`, keyed by a tag ("poly", "shifted", "reflected",
-"at", "value", "row", "offset", "lhs", "classical_poly", "classical_value"
-or "classical_row") and integers, a rational standing as its numerator and
-denominator so that a hit builds no Fraction.  Every entry is built on
-integers: B_n^(a)(x + c) is one :func:`genbern.poly.lincomb` call, the
-order maps are integer Horner passes and Taylor shifts.  Only the classical
-numbers are shared by every table, as one list that grows by doubling.
+:meth:`GenBernTable.memo`, keyed by a tag ("poly", "shifted", "at", "row",
+"offset", "lhs", "classical_poly" or "classical_row") and integers, a
+rational standing as its numerator and denominator so that a hit builds no
+Fraction.  Every entry is built on integers from one source per number
+family, the generalized numbers a table grows and its
+:meth:`GenBernTable.classical_numbers`, so a defect planted at a source is
+one consistent wrong table.  B_n^(a)(x + c) is one
+:func:`genbern.poly.lincomb` call, the order maps are integer Horner passes
+and Taylor shifts, and a reflection B_n^(a)(a - u) = (-1)^n B_n^(a)(u) is a
+shift whose sign rides in the caller's weight.  Only the classical numbers
+are shared by every table, as one list that grows by doubling.
 
 A row holds B_0 .. B_n at one rational point as integer numerators over
-one denominator, so that a scalar block of the identity catalog is one
-integer sum.  Value rows, B_k^(alpha)(x) at a rational order
-(:meth:`GenBernTable.value_row`), are keyed ``("row", n, alpha, x)``;
-classical rows, B_k(x) and at x = 0 the numbers
-(:meth:`GenBernTable.classical_row`), ``("classical_row", n, x)``.
-Nothing is evicted; the default sweep asks for 9 poly, 99 shifted, 44
-reflected, 27 at-order, 234 value, 234 value-row, 8 offset, 9
-classical-poly, 153 classical-value, 162 classical-row and 576 lhs keys
-(900 lhs keys on the symbolic sweep, which reads no row).
+one denominator, built by the Appell rule in one integer pass, so that a
+scalar block of the identity catalog is one integer sum.  A point holds one
+row, keyed ``("row", alpha, x)`` at a rational order
+(:meth:`GenBernTable.value_row`) and ``("classical_row", x)`` for the
+classical family (:meth:`GenBernTable.classical_row`).  Nothing is evicted;
+the default sweep asks for 736 keys: 9 poly, 99 shifted, 26 row, 8 offset,
+18 classical-row and 576 lhs keys (the symbolic sweep 1009, 900 of them lhs).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .poly import Poly, alpha_shifted, alpha_substituted, binomial, from_rows, lincomb, linear_image
+from .poly import Poly, _horner, alpha_shifted, alpha_substituted, binomial, from_rows, lincomb, linear_image
 
 _classical_lock = threading.Lock()
 _classical: list[Fraction] = [Fraction(1)]
@@ -122,6 +124,18 @@ def _row(values) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
+def _appell_row(numbers, x) -> tuple[tuple[int, ...], int]:
+    """B_k(x) = sum_j C(k,j) B_j x^(k-j) for k = 0..n from the numbers B_0 ..
+    B_n of one order, as a row: with x = p/q, one integer Horner pass in p
+    per k over den q^n, then one gcd, so the denominator is the least one."""
+    nums, den = _row(numbers)
+    p, q, top = x.numerator, x.denominator, len(nums) - 1
+    out = [_horner([binomial(k, i) * nums[k - i] for i in range(k + 1)], p, q) * q ** (top - k) for k in range(top + 1)]
+    den *= q**top
+    g = math.gcd(den, *out)
+    return tuple(v // g for v in out), den // g
+
+
 class GenBernTable:
     """Grow-on-demand cache of symbolic generalized Bernoulli data, and of
     the classical polynomials, values and rows derived from the numbers.
@@ -136,27 +150,21 @@ class GenBernTable:
     The polynomials and every entry derived from them live in one memo,
     :meth:`memo`, keyed by a tag and integers: :meth:`poly` by
     ``("poly", n)``, :meth:`poly_shifted` by ``("shifted", n, c)``,
-    :meth:`poly_reflected` (odd n only; an even n returns the
-    :meth:`poly_shifted` entry) by ``("reflected", n, c)``,
-    :meth:`poly_at` by ``("at", n, alpha)``, the values of :meth:`value_at`
-    by ``("value", n, alpha, x)``, the rows of :meth:`value_row` by
-    ``("row", n, alpha, x)``, :meth:`offset_poly` by ``("offset", n,
-    offset)``, and the main identity's left side, which the identity catalog
-    derives, by ``("lhs", n, l, r, s, lam)``.  The classical family is held
-    the same way: :meth:`classical_poly` by ``("classical_poly", n)``,
-    :meth:`classical_value` by ``("classical_value", n, x)`` and
-    :meth:`classical_row` by ``("classical_row", n, x)``, so that a wrong
-    classical entry planted in one table reaches every case run on that
-    table and no other.  A rational stands as ``numerator, denominator``:
-    an int meets the equal Fraction, and a str or a float goes through
-    ``Fraction`` first.  Entries are built outside the lock and published
-    whole, one dict operation each; a race at worst builds an entry twice
-    and keeps one.  Nothing is evicted, so the memo grows with the distinct
-    keys the process asks for.
-
-    An entry is published only once it is fully built and never changes
-    after, so readers need no coordination; a row's key holds its length
-    n, so a longer row is a new entry, not a grown one.
+    :meth:`poly_at` by ``("at", n, alpha)``, the rows of :meth:`value_row`
+    (which :meth:`value_at` reads) by ``("row", alpha, x)``,
+    :meth:`offset_poly` by ``("offset", n, offset)``, and the main
+    identity's left side, which the identity catalog derives, by ``("lhs",
+    n, l, r, s, lam)``.  The classical family is held the same way, by
+    ``("classical_poly", n)`` and ``("classical_row", x)``, and read, as
+    :meth:`grow` reads it, from the one source :meth:`classical_numbers`.  A
+    rational stands as ``numerator, denominator``: an int meets the equal
+    Fraction, and a str or a float goes through ``Fraction`` first.  Entries
+    are built outside the lock and published whole, one dict operation each,
+    and never change after, so readers need no coordination; a race at worst
+    builds an entry twice and keeps one.  A point's row is the one entry
+    that is replaced: a longer request publishes a longer row, and a shorter
+    one reads a cut of it over the held row's denominator.  Nothing is
+    evicted, so the memo grows with the distinct keys the process asks for.
     """
 
     def __init__(self):
@@ -173,7 +181,7 @@ class GenBernTable:
         with self._lock:
             if len(self._numbers) > n_max:
                 return
-            series = [b / math.factorial(k) for k, b in enumerate(classical_bernoulli_numbers(n_max))]
+            series = [b / math.factorial(k) for k, b in enumerate(self.classical_numbers(n_max))]
             coeffs = self._coeffs
             while len(coeffs) <= n_max:
                 n = len(coeffs)
@@ -227,17 +235,16 @@ class GenBernTable:
         return self.memo(key, lambda: alpha_substituted(self.poly(n), Fraction(alpha)))
 
     def value_at(self, n: int, alpha, x) -> Fraction:
-        """B_n^(alpha)(x) fully evaluated at rational order and argument."""
-        alpha, x = _rational(alpha), _rational(x)
-        key = ("value", n, alpha.numerator, alpha.denominator, x.numerator, x.denominator)
-        return self.memo(key, lambda: self.poly_at(n, alpha).eval(Fraction(x)))
+        """B_n^(alpha)(x) at rational order and argument, read from its :meth:`value_row`."""
+        nums, den = self.value_row(n, alpha, x)
+        return Fraction(nums[n], den)
 
     def value_row(self, n: int, alpha, x) -> tuple[tuple[int, ...], int]:
         """B_0^(alpha)(x) .. B_n^(alpha)(x) as integer numerators over one
-        denominator, built from the :meth:`value_at` entries."""
+        denominator, by the Appell rule from the numbers at order alpha."""
         alpha, x = _rational(alpha), _rational(x)
-        key = ("row", n, alpha.numerator, alpha.denominator, x.numerator, x.denominator)
-        return self.memo(key, lambda: _row([self.value_at(k, alpha, x) for k in range(n + 1)]))
+        key = ("row", alpha.numerator, alpha.denominator, x.numerator, x.denominator)
+        return self._row_entry(key, n, lambda top: _appell_row([b.eval(alpha) for b in self.numbers(top)], x))
 
     def poly_shifted(self, n: int, c) -> Poly:
         """B_n^(a)(x + c) via the binomial addition formula."""
@@ -251,42 +258,33 @@ class GenBernTable:
 
         return self.memo(("shifted", n, p, q), build)
 
-    def poly_reflected(self, n: int, c) -> Poly:
-        """B_n^(a)(a + c - x) represented inside QQ[a][x].
-
-        The reflection rule B_n^(a)(a - u) = (-1)^n B_n^(a)(u) with
-        u = x - c turns the a-dependent argument into the plain shift
-        (-1)^n * B_n^(a)(x - c); an even n is the :meth:`poly_shifted` entry.
-        """
-        c = _rational(c)
-        if n % 2 == 0:
-            return self.poly_shifted(n, -c)
-        return self.memo(("reflected", n, c.numerator, c.denominator), lambda: -self.poly_shifted(n, -c))
+    def classical_numbers(self, n_max: int) -> list[Fraction]:
+        """[B_0 .. B_n_max], this table's one classical source: the shared
+        list, unless a test replaces it on one instance."""
+        return classical_bernoulli_numbers(n_max)
 
     def classical_poly(self, n: int) -> Poly:
         """B_n(x) over QQ, from the binomial expansion of the classical numbers."""
 
         def build():
-            nums = classical_bernoulli_numbers(n)
-            return Poly("x", tuple(binomial(n, j) * nums[n - j] for j in range(n + 1)))
+            return Poly("x", tuple(binomial(n, j) * b for j, b in enumerate(self.classical_numbers(n)[::-1])))
 
         return self.memo(("classical_poly", n), build)
 
-    def classical_value(self, n: int, x) -> Fraction:
-        """B_n(x) at a rational x."""
-        x = _rational(x)
-        key = ("classical_value", n, x.numerator, x.denominator)
-        return self.memo(key, lambda: self.classical_poly(n).eval(Fraction(x)))
-
     def classical_row(self, n: int, x=0) -> tuple[tuple[int, ...], int]:
-        """B_0(x) .. B_n(x) as integer numerators over one denominator; at
-        x = 0 the numbers B_0 .. B_n."""
+        """B_0(x) .. B_n(x) as integer numerators over one denominator, by the
+        Appell rule from the numbers; at x = 0 the numbers B_0 .. B_n."""
         x = _rational(x)
+        key = ("classical_row", x.numerator, x.denominator)
+        return self._row_entry(key, n, lambda top: _appell_row(self.classical_numbers(top), x))
 
-        def build():
-            return _row(classical_bernoulli_numbers(n) if x == 0 else [self.classical_value(k, x) for k in range(n + 1)])
-
-        return self.memo(("classical_row", n, x.numerator, x.denominator), build)
+    def _row_entry(self, key: tuple, n: int, build) -> tuple[tuple[int, ...], int]:
+        """Entries 0..n of the row under ``key``; a longer request replaces it by ``build(n)``."""
+        row = self._derived.get(key)
+        if row is None or len(row[0]) <= n:
+            row = self._derived[key] = build(n)
+        nums, den = row
+        return row if len(nums) == n + 1 else (nums[: n + 1], den)
 
     def offset_poly(self, n: int, offset: int) -> Poly:
         """B_n^(a + offset)(x)."""

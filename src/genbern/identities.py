@@ -176,7 +176,8 @@ def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable =
     """Left side of the main identity, fully symbolic in x and the order.
 
     The second block's argument a+s-lam-x is realized through the
-    reflection rule, which turns it into (-1)^(n+k) B_{n+k}^(a)(x+lam-s).
+    reflection rule, which turns it into (-1)^(n+k) B_{n+k}^(a)(x+lam-s), the
+    sign going into the weight as in :func:`main_identity_residual_at`.
     Built once per table it reads (:meth:`GenBernTable.memo`).
     """
     lam = Fraction(lam)
@@ -185,8 +186,7 @@ def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable =
 
 def _main_identity_lhs(n: int, l: int, r: int, s: int, lam: Fraction, table: GenBernTable) -> Poly:
     first = _block(n, l, r, lam, table.poly, total=Poly("x"))
-    offset = s - lam
-    return _block(l, n, r, lam, lambda idx: table.poly_reflected(idx, offset), scale=_sign(l + n + r + 1), total=first)
+    return _block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, lam - s), scale=-1, total=first)
 
 
 def _window_core(n: int, l: int, r: int, ks, u, v) -> Poly:
@@ -409,8 +409,10 @@ def _order_shift_pair_residuals(n, l, r, m, beta, table: GenBernTable) -> dict[s
     rhs = OmegaOperator(-1, table)(core)
     # the per-term sign goes into the weight: -(-1)^(r+l+k) lam^(l+r-k) = -(-lam)^(l+r-k)
     printed = _block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, right), scale=-1, total=first)
-    # B_{n+k}^(a)(a + (1-lam-beta) - x) under the global sign
-    reflected = _block(l, n, r, lam, lambda idx: table.poly_reflected(idx, mirror), scale=sign, total=first)
+    # B_{n+k}^(a)(a + mirror - x) = (-1)^(n+k) B_{n+k}^(a)(x - mirror) under the
+    # global sign, (-1)^(n+k) going into the weight as (-1)^(n+l+r) (-lam)^(l+r-k).
+    # Both readings verify because sign * (-1)^(n+l+r) = -1 and -mirror = m-1-beta.
+    reflected = _block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, -mirror), scale=sign * _sign(n + l + r), total=first)
     return {"as_printed": _difference(printed, rhs), "from_main_identity": _difference(reflected, rhs)}
 
 

@@ -82,18 +82,19 @@ def test_classical_table_grown_from_cold_in_steps(monkeypatch):
 
 
 def test_classical_value_memo():
+    # the classical values at a point are held in its one row
     table = GenBernTable()
     nums = bernoulli_numbers_binomial_solve(12)
-    for n in range(13):
-        for x in (F(0), F(1, 3), F(-2), 5):
+    for x in (F(0), F(1, 3), F(-2), 5):
+        row = table.classical_row(12, x)
+        assert table.classical_row(12, F(x)) is row
+        for n in range(13):
             # B_n(x) = sum_j C(n,j) B_(n-j) x^j by a Fraction Horner pass
             horner = F(0)
             for j in range(n, -1, -1):
                 horner = horner * x + binomial(n, j) * nums[n - j]
-            value = table.classical_value(n, x)
-            assert value == horner and type(value) is F
-            assert table.classical_value(n, F(x)) is value
-    assert sum(key[0] == "classical_value" for key in table._derived) == 13 * 4
+            assert F(row[0][n], row[1]) == horner
+    assert sum(key[0] == "classical_row" for key in table._derived) == 4
 
 
 def test_binomial_recursion_identity():
@@ -241,9 +242,9 @@ def test_reflection_symbolic_two_routes():
         direct = Poly("x")
         for k in range(n + 1):
             direct = direct + _negate_argument(DEFAULT_TABLE.poly(k)) * (binomial(n, k) * ALPHA ** (n - k))
-        assert direct == DEFAULT_TABLE.poly_reflected(n, 0)
         sign = -1 if n % 2 else 1
-        assert DEFAULT_TABLE.poly_reflected(n, 0) == DEFAULT_TABLE.poly(n) * F(sign)
+        assert direct == DEFAULT_TABLE.poly_shifted(n, 0) * F(sign)
+        assert direct == DEFAULT_TABLE.poly(n) * F(sign)
 
 
 def test_reflection_numeric_spot_checks():
@@ -255,11 +256,10 @@ def test_reflection_numeric_spot_checks():
 
 
 def test_reflection_examples():
-    # order 0 degeneration: the reflected polynomial at a=0 is (-x)^n
+    # order 0 degeneration: the reflected polynomial (-1)^n B_n^(a)(x) at a=0 is (-x)^n
     for n in range(8):
-        spec = alpha_substituted(DEFAULT_TABLE.poly_reflected(n, 0), 0)
+        spec = alpha_substituted(DEFAULT_TABLE.poly_shifted(n, 0) * (-1) ** n, 0)
         assert spec == Poly("x", (0,) * n + ((-1) ** n,))
-    assert DEFAULT_TABLE.poly_reflected(2, 0) == DEFAULT_TABLE.poly(2)
 
 
 # -- umbral operator -----------------------------------------------------------
@@ -418,34 +418,36 @@ def test_value_and_reflection_memos_equal_recomputed():
                 value = table.value_at(n, alpha, x)
                 # Horner on the specialized polynomial, outside the caches
                 assert value == alpha_substituted(table.poly(n), alpha).eval(x)
-                assert table.value_at(n, alpha, x) is value
-        # keys are numerator/denominator pairs, so int arguments find the same entry
-        assert table.value_at(n, 1, 0) is table.value_at(n, F(1), F(0))
+                assert type(value) is F
+        # keys are numerator/denominator pairs, so int arguments find the same row
+        assert table.value_row(n, 1, 0) is table.value_row(n, F(1), F(0))
         for c in (F(0), F(1), F(-1, 2), F(2, 3)):
-            reflected = table.poly_reflected(n, c)
-            # B_n^(a)(a + c - x) = (-1)^n B_n^(a)(x - c), by Horner shift
-            assert reflected == table.poly(n).shift(-c) * (-1) ** n
-            assert table.poly_reflected(n, c) is reflected
-        assert table.poly_reflected(n, -1) is table.poly_reflected(n, F(-1))
+            # B_n^(a)(a + c - x) by the addition formula with the symbolic
+            # displacement a + c, against the sign folded onto the shift
+            direct = Poly("x")
+            for k in range(n + 1):
+                direct = direct + _negate_argument(table.poly(k)) * (binomial(n, k) * (ALPHA + c) ** (n - k))
+            assert direct == table.poly_shifted(n, -c) * (-1) ** n
+    assert sum(key[0] == "row" for key in table._derived) == 4 * 4
 
 
 def test_cache_keys_from_any_rational_form():
     table = GenBernTable()
     # a str or a float is converted with Fraction before its key is read
-    assert table.classical_value(3, "1/2") == table.classical_value(3, F(1, 2)) == 0
-    assert table.classical_value(3, "-2/3") is table.classical_value(3, F(-2, 3))
+    assert table.classical_row(3, "1/2")[0][3] == table.classical_row(3, F(1, 2))[0][3] == 0
+    assert table.classical_row(3, "-2/3") is table.classical_row(3, F(-2, 3))
     value = table.value_at(3, 0.5, 1)
     assert value == table.value_at(3, F(1, 2), F(1)) and type(value) is F
-    assert table.value_at(3, "1/2", 1.0) is value
+    assert table.value_row(3, "1/2", 1.0) is table.value_row(3, F(1, 2), 1)
     for n in range(7):
         assert table.poly_at(n, 2) is table.poly_at(n, F(2)) is table.poly_at(n, "2")
         assert table.poly_shifted(n, -1) is table.poly_shifted(n, F(-1))
-        assert table.poly_reflected(n, F(1, 3)) is table.poly_reflected(n, "1/3")
+        assert table.poly_shifted(n, F(1, 3)) is table.poly_shifted(n, "1/3")
     # equal rationals meet in one entry whatever form they came in
     tags = [key[0] for key in table._derived]
-    assert tags.count("value") == 1
-    assert tags.count("at") == 7 + 1  # order 2 for each n, order 1/2 behind the value
-    assert tags.count("classical_value") == 2
+    assert tags.count("row") == 1
+    assert tags.count("at") == 7  # order 2 for each n; a value reads its row, not a specialization
+    assert tags.count("classical_row") == 2
 
 
 def test_rows_hold_the_table_values():
@@ -455,17 +457,41 @@ def test_rows_hold_the_table_values():
             for x in (F(0), F(1, 2), F(-3), F(5, 7)):
                 nums, den = table.value_row(n, alpha, x)
                 assert len(nums) == n + 1 and den > 0
-                assert [F(v, den) for v in nums] == [table.value_at(k, alpha, x) for k in range(n + 1)]
+                assert [F(v, den) for v in nums] == [alpha_substituted(table.poly(k), alpha).eval(x) for k in range(n + 1)]
                 assert table.value_row(n, alpha, x) is table.value_row(n, str(alpha), x)
-                assert ("row", n, alpha.numerator, alpha.denominator, x.numerator, x.denominator) in table._derived
+                assert ("row", alpha.numerator, alpha.denominator, x.numerator, x.denominator) in table._derived
         for x in (F(0), F(1, 3), F(-2), 5):
             nums, den = table.classical_row(n, x)
-            assert [F(v, den) for v in nums] == [table.classical_value(k, x) for k in range(n + 1)]
+            assert [F(v, den) for v in nums] == [table.classical_poly(k).eval(F(x)) for k in range(n + 1)]
             assert table.classical_row(n, F(x)) is table.classical_row(n, x)
         nums, den = table.classical_row(n)
         assert [F(v, den) for v in nums] == classical_bernoulli_numbers(n)
-        # the least common denominator: no factor common to it and every numerator
+        # a row built for its request has the least common denominator:
+        # no factor common to it and every numerator
         assert math.gcd(den, *nums) == 1
+    # one row per point: 4 orders x 4 points, and 4 classical points
+    tags = [key[0] for key in table._derived]
+    assert (tags.count("row"), tags.count("classical_row")) == (16, 4)
+
+
+def test_a_longer_row_replaces_the_entry_and_a_shorter_one_is_a_cut():
+    table = GenBernTable()
+    key = ("row", 1, 2, -1, 3)
+    short = table.value_row(3, F(1, 2), F(-1, 3))
+    assert table._derived[key] is short
+    long = table.value_row(7, F(1, 2), F(-1, 3))
+    assert table._derived[key] is long and len(long[0]) == 8
+    # a shorter request builds nothing: it reads a cut of the held row
+    table.numbers = None
+    nums, den = table.value_row(5, F(1, 2), F(-1, 3))
+    assert (nums, den) == (long[0][:6], long[1]) and table._derived[key] is long
+    assert F(nums[3], den) == F(short[0][3], short[1])
+    # the same for a classical row, whose one source is classical_numbers
+    table.classical_row(2, 5)
+    held = table.classical_row(9, 5)
+    table.classical_numbers = None
+    assert table.classical_row(4, 5) == (held[0][:5], held[1])
+    assert [key[0] for key in table._derived] == ["row", "classical_row"]
 
 
 def test_rows_for_one_point_agree_on_common_indices():
@@ -483,7 +509,7 @@ def test_rows_for_one_point_agree_on_common_indices():
 def test_racing_row_builds_see_equal_rows():
     keys = [(n, alpha, x) for n in (3, 6, 10) for alpha in (F(1, 2), F(-2)) for x in (F(0), F(1, 3), F(-5, 2))]
     oracle = GenBernTable()
-    expected = [oracle.value_row(*key) for key in keys]
+    expected = [[alpha_substituted(oracle.poly(k), alpha).eval(x) for k in range(n + 1)] for n, alpha, x in keys]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -492,8 +518,11 @@ def test_racing_row_builds_see_equal_rows():
             with ThreadPoolExecutor(max_workers=4) as pool:
                 seen = [pool.submit(lambda: [table.value_row(*key) for key in keys]) for _ in range(4)]
                 seen = [future.result(timeout=60) for future in seen]
-            assert all(rows == expected for rows in seen)
-            assert sum(key[0] == "row" for key in table._derived) == len(keys)
+            # a reader may get a cut of a longer row another reader built, so
+            # the rows agree as values, not as numerators over one denominator
+            assert all([[F(v, den) for v in nums] for nums, den in rows] == expected for rows in seen)
+            # one row per (order, point), however the builds interleaved
+            assert sum(key[0] == "row" for key in table._derived) == 2 * 3
     finally:
         sys.setswitchinterval(interval)
 

@@ -336,7 +336,7 @@ def test_a_wrong_table_fails_the_run_it_is_passed_and_no_other(monkeypatch):
 
     before = default_report()
     assert json.loads(before)["summary"]["counterexample"] == 0
-    # every entry a case reads goes through a table's memo or grow
+    # every entry a case reads goes through a table's memo, row memo or grow
     read = set()
 
     def spy(method):
@@ -346,20 +346,22 @@ def test_a_wrong_table_fails_the_run_it_is_passed_and_no_other(monkeypatch):
 
         return wrapper
 
-    for name in ("memo", "grow"):
+    for name in ("memo", "_row_entry", "grow"):
         monkeypatch.setattr(GenBernTable, name, spy(getattr(GenBernTable, name)))
-    # B_1^(a)(x) + 1 in place of B_1^(a)(x): caught by each case that reads
-    # it, directly or through a value row; neto_corrected reads the numbers
-    # B_n^(a), and the classical cases no generalized entry
+    # B_1^(a) + 1 among the numbers: one consistent wrong table, caught by
+    # each case that reads it except s2, whose folded form holds for every
+    # Appell sequence (test_s2_holds_for_every_appell_sequence); the
+    # classical cases read no generalized entry
     wrong_poly = GenBernTable()
-    wrong_poly._derived[("poly", 1)] = wrong_poly.poly(1) + 1
+    wrong_poly.grow(1)
+    wrong_poly._numbers[1] = wrong_poly.number(1) + 1
     caught = {res.case.id for res in run_suite(cfg, wrong_poly).results if res.status == "counterexample"}
-    assert caught == set("cor3a e2 nielsen_f10 proof_replay s1 s2 s20 s3 s4 t230 t3 t4 tg4 theorem_le1".split())
-    # B_2 + 1 in the row of the classical numbers B_0 .. B_3, which p1, e1
-    # and vassilev read at n + l = 3; p1 at n = 3 sums it with weight C(3, 2)
+    assert caught == set("cor3a e2 neto_corrected nielsen_f10 proof_replay s1 s20 s3 s4 t230 t3 t4 tg4 theorem_le1".split())
+    # B_2 + 1 at the table's classical source, which p1, e1 and vassilev
+    # read at n + l = 3; p1 at n = 3 sums it with weight C(3, 2)
     wrong_row = GenBernTable()
-    nums, den = wrong_row.classical_row(3)
-    wrong_row._derived[("classical_row", 3, 0, 1)] = ((*nums[:2], nums[2] + den, nums[3]), den)
+    right = wrong_row.classical_numbers
+    wrong_row.classical_numbers = lambda n_max: [b + (i == 2) for i, b in enumerate(right(n_max))]
     specs = {"p1": SumSpec(n=3), "e1": SumSpec(n=1, l=2), "vassilev": SumSpec(n=2, l=1)}
     cases = [IdentityCase(case_id, spec) for case_id, spec in specs.items()]
     for case in cases:

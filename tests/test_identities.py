@@ -1,8 +1,10 @@
 """Identity catalog: spec'd instances, frozen values, and adjudications."""
 
 import math
+import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +20,7 @@ from genbern.bernoulli import (
     classical_bernoulli_numbers,
     integer_alpha_oracle,
 )
-from genbern.harness import SweepConfig, enumerate_cases
+from genbern.harness import SweepConfig, enumerate_cases, run_suite
 from genbern.identities import (
     CASE_DEFS,
     CASE_IDS,
@@ -220,11 +222,11 @@ def test_memo_cannot_hide_a_wrong_table():
     assert all(res.is_zero() for res in replay_proof(*key).values())
     wrong = GenBernTable()
     wrong.grow(8)
-    wrong._derived[("poly", 1)] = wrong.poly(1) + 1  # B_1^(a)(x) + 1
+    wrong._numbers[1] = wrong.number(1) + 1  # B_1^(a) + 1 at the source
     assert not main_identity_residual(*key, wrong).is_zero()
     assert not all(res.is_zero() for res in replay_proof(*key, wrong).values())
     assert main_identity_residual(*key).is_zero()
-    # the scalar blocks read value rows, which the wrong B_1 reaches as well
+    # the scalar blocks read value rows, built from the same wrong numbers
     point = (2, 1, 1, F(1, 2), F(1, 3), F(-2, 5))
     assert balanced_triple_residual_antisym(*point) == 0
     assert balanced_triple_residual_antisym(*point, table=wrong) != 0
@@ -708,15 +710,42 @@ def test_every_case_id_has_verifier():
 # -- planted defects ------------------------------------------------------------
 
 
+def _classical_plus_one(k: int) -> GenBernTable:
+    """A table whose one classical source reads B_k + 1: every classical
+    entry it builds, and its growth, see the same wrong number."""
+    table = GenBernTable()
+    right = table.classical_numbers
+    table.classical_numbers = lambda n_max: [b + (i == k) for i, b in enumerate(right(n_max))]
+    return table
+
+
 def test_p1_is_blind_to_a_wrong_b_n_at_even_n():
     # p1 weighs B_n by C(n, n) - (-1)^n, which vanishes at even n, so B_n + 1
-    # in the row p1 reads at n moves its residual by 2 at odd n and by 0 at even n
+    # at the table's classical source moves its residual by 2 at odd n and by 0 at even n
     for n in range(1, 7):
-        wrong = GenBernTable()
-        nums, den = wrong.classical_row(n)
-        wrong._derived[("classical_row", n, 0, 1)] = ((*nums[:n], nums[n] + den), den)
+        wrong = _classical_plus_one(n)
         res = verify_case(IdentityCase("p1", SumSpec(n=n)), wrong)
         assert (res.status, res.residual) == (("counterexample", 2) if n % 2 else ("verified", 0)), n
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_s2_holds_for_every_appell_sequence(seed):
+    # s2's folded form expands B_{n+k}(x+y) by the Appell rule and nothing
+    # else, so it holds whatever the numbers are: with B_1^(a) .. B_40^(a)
+    # arbitrary a-polynomials every s2 point still verifies, and s2 can catch
+    # no defect in the numbers.  s1, which reads the reflection rule, catches them.
+    rng = random.Random(seed)
+    arbitrary = GenBernTable()
+    arbitrary.grow(40)
+    for k in range(1, 41):
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
+        arbitrary._numbers[k] = Poly("a", coeffs)
+    statuses = {"s1": Counter(), "s2": Counter()}
+    for res in run_suite(SweepConfig(cases=("s1", "s2")), arbitrary).results:
+        statuses[res.case.id][res.status] += 1
+    right = Counter(res.status for res in run_suite(SweepConfig(cases=("s2",))).results)
+    assert statuses["s2"] == right and right["verified"] > 0 and right["counterexample"] == 0
+    assert statuses["s1"]["counterexample"] > 0
 
 
 def test_t3_s3_and_e2_share_one_residual():
@@ -724,7 +753,8 @@ def test_t3_s3_and_e2_share_one_residual():
     # r = 0; they stay three cases, since merging them would change the report
     assert CASE_DEFS["t3"].axes == CASE_DEFS["s3"].axes
     wrong = GenBernTable()
-    wrong._derived[("poly", 1)] = wrong.poly(1) + 1  # B_1^(a)(x) + 1
+    wrong.grow(1)
+    wrong._numbers[1] = wrong.number(1) + 1  # B_1^(a) + 1 at the source
     for table in (DEFAULT_TABLE, wrong):
         by_case = {"t3": {}, "s3": {}, "e2": {}}
         for case in enumerate_cases(SweepConfig(cases=tuple(by_case))):
