@@ -31,7 +31,7 @@ multiplication for integer orders) are provided as oracles.
 
 Every derived entry lives in one :class:`GenBernTable` memo,
 :meth:`GenBernTable.memo`, keyed by a tag ("poly", "shifted", "at", "row",
-"offset", "lhs", "classical_poly" or "classical_row") and integers, a
+"offset", "classical_poly" or "classical_row") and integers, a
 rational standing as its numerator and denominator so that a hit builds no
 Fraction.  Every entry is built on integers from one source per number
 family, the generalized numbers a table grows and its
@@ -47,9 +47,13 @@ one denominator, built by the Appell rule in one integer pass, so that a
 scalar block of the identity catalog is one integer sum.  A point holds one
 row, keyed ``("row", alpha, x)`` at a rational order
 (:meth:`GenBernTable.value_row`) and ``("classical_row", x)`` for the
-classical family (:meth:`GenBernTable.classical_row`).  Nothing is evicted;
-the default sweep asks for 736 keys: 9 poly, 99 shifted, 26 row, 8 offset,
-18 classical-row and 576 lhs keys (the symbolic sweep 1009, 900 of them lhs).
+classical family (:meth:`GenBernTable.classical_row`), built ahead of the
+request within the numbers the table has grown, so that a sweep asking
+for lengths 1, 2, 3, ... builds each row at most twice.  Nothing is
+evicted; the default sweep asks for 160 keys: 9 poly, 99 shifted, 26 row,
+8 offset and 18 classical-row keys (the symbolic sweep 109: 11 poly, 88
+shifted and 10 offset).  The main identity's sides are no memo entry: a
+sweep builds them once per point (:func:`genbern.harness.run_suite`).
 """
 
 from __future__ import annotations
@@ -151,20 +155,20 @@ class GenBernTable:
     :meth:`memo`, keyed by a tag and integers: :meth:`poly` by
     ``("poly", n)``, :meth:`poly_shifted` by ``("shifted", n, c)``,
     :meth:`poly_at` by ``("at", n, alpha)``, the rows of :meth:`value_row`
-    (which :meth:`value_at` reads) by ``("row", alpha, x)``,
-    :meth:`offset_poly` by ``("offset", n, offset)``, and the main
-    identity's left side, which the identity catalog derives, by ``("lhs",
-    n, l, r, s, lam)``.  The classical family is held the same way, by
-    ``("classical_poly", n)`` and ``("classical_row", x)``, and read, as
-    :meth:`grow` reads it, from the one source :meth:`classical_numbers`.  A
-    rational stands as ``numerator, denominator``: an int meets the equal
+    (which :meth:`value_at` reads) by ``("row", alpha, x)`` and
+    :meth:`offset_poly` by ``("offset", n, offset)``.  The classical family
+    is held the same way, by ``("classical_poly", n)`` and
+    ``("classical_row", x)``, and read, as :meth:`grow` reads it, from the
+    one source :meth:`classical_numbers`.  A rational stands as
+    ``numerator, denominator``: an int meets the equal
     Fraction, and a str or a float goes through ``Fraction`` first.  Entries
     are built outside the lock and published whole, one dict operation each,
     and never change after, so readers need no coordination; a race at worst
     builds an entry twice and keeps one.  A point's row is the one entry
-    that is replaced: a longer request publishes a longer row, and a shorter
-    one reads a cut of it over the held row's denominator.  Nothing is
-    evicted, so the memo grows with the distinct keys the process asks for.
+    that is replaced: a longer request publishes a row built ahead of it
+    (:meth:`_row_entry`), and a shorter one reads a cut of it over the held
+    row's denominator.  Nothing is evicted, so the memo grows with the
+    distinct keys the process asks for.
     """
 
     def __init__(self):
@@ -279,10 +283,14 @@ class GenBernTable:
         return self._row_entry(key, n, lambda top: _appell_row(self.classical_numbers(top), x))
 
     def _row_entry(self, key: tuple, n: int, build) -> tuple[tuple[int, ...], int]:
-        """Entries 0..n of the row under ``key``; a longer request replaces it by ``build(n)``."""
+        """Entries 0..n of the row under ``key``.  A longer request replaces
+        it by ``build(top)``, built ahead to top = 2(n + 1), more than twice
+        the held length, but not past the numbers this table has grown: a
+        build reaches past them only to n, as asked, since :meth:`grow` is
+        cubic in its size."""
         row = self._derived.get(key)
         if row is None or len(row[0]) <= n:
-            row = self._derived[key] = build(n)
+            row = self._derived[key] = build(max(n, min(2 * n + 2, len(self._numbers) - 1)))
         nums, den = row
         return row if len(nums) == n + 1 else (nums[: n + 1], den)
 

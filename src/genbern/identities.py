@@ -178,13 +178,9 @@ def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable =
     The second block's argument a+s-lam-x is realized through the
     reflection rule, which turns it into (-1)^(n+k) B_{n+k}^(a)(x+lam-s), the
     sign going into the weight as in :func:`main_identity_residual_at`.
-    Built once per table it reads (:meth:`GenBernTable.memo`).
+    Built on every call; its blocks read the table's memoized polynomials.
     """
     lam = Fraction(lam)
-    return table.memo(("lhs", n, l, r, s, lam.numerator, lam.denominator), lambda: _main_identity_lhs(n, l, r, s, lam, table))
-
-
-def _main_identity_lhs(n: int, l: int, r: int, s: int, lam: Fraction, table: GenBernTable) -> Poly:
     first = _block(n, l, r, lam, table.poly, total=Poly("x"))
     return _block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, lam - s), scale=-1, total=first)
 
@@ -218,13 +214,27 @@ def telescoping_core(n: int, l: int, r: int, s: int, lam) -> Poly:
 
 def main_identity_rhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> Poly:
     """Right side: the order-lowered umbral image of D P = D^(r+1)/r! of the
-    windowed product sum.  A sweep checks each side pair once, so unlike the
-    left side it is not memoized."""
+    windowed product sum.  Built on every call, as the left side is."""
     return OmegaOperator(-1, table)(telescoping_core(n, l, r, s, lam).derive())
 
 
-def main_identity_residual(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> Poly:
-    return _difference(main_identity_lhs(n, l, r, s, lam, table), main_identity_rhs(n, l, r, s, lam, table))
+def _main_sides(n: int, l: int, r: int, s: int, lam, table: GenBernTable) -> tuple[Poly, Poly, Poly]:
+    """The left side, the proof's P and the right side Omega_(a-1)(D P)."""
+    core = telescoping_core(n, l, r, s, lam)
+    return main_identity_lhs(n, l, r, s, lam, table), core, OmegaOperator(-1, table)(core.derive())
+
+
+def main_identity_residual(
+    n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE, slot: dict | None = None
+) -> Poly:
+    """Left side minus right side.  With a ``slot`` (a dict local to one
+    sweep) the sides it built go into the slot, keyed by the table and the
+    point, for :func:`replay_proof` at the same point to take out."""
+    sides = _main_sides(n, l, r, s, lam, table)
+    if slot is not None:
+        slot[(table, n, l, r, s, lam)] = sides
+    lhs, _, rhs = sides
+    return _difference(lhs, rhs)
 
 
 def main_identity_residual_at(n, l, r, s, lam, alpha, table: GenBernTable = DEFAULT_TABLE) -> Poly:
@@ -241,14 +251,18 @@ def main_identity_residual_at(n, l, r, s, lam, alpha, table: GenBernTable = DEFA
     return _difference(lhs, rhs)
 
 
-def replay_proof(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> dict[str, Poly]:
+def replay_proof(
+    n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE, slot: dict | None = None
+) -> dict[str, Poly]:
     """Replay the proof route and return its two exact residuals.
 
     * ``operator_link``: Omega_a(Delta P) - Omega_(a-1)(D P), an instance
       of the operator commutation lemma;
     * ``lhs_match``: Omega_a(Delta P) against the expanded left side.
-    Both routes are built from P on every call; only the left side they are
-    matched against comes from the table's memo.
+    A call builds P, both operator routes and the left side.  A call with a
+    ``slot`` that :func:`main_identity_residual` filled at the same point
+    and table takes the left side, P and the derive route Omega_(a-1)(D P)
+    out of it and builds only Omega_a(Delta P).
 
     The third link, Omega_(a-1)(D P) against the closed right side, holds by
     construction: P = D^r/r! W for the windowed product sum W, so D P is the
@@ -256,14 +270,16 @@ def replay_proof(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFA
     route rebuilds that right side from P.  ``operator_link`` is the
     residual that catches a wrong table entry: with B_1^(a)(x) + 1 in place
     of B_1^(a)(x), at (n, l, r, s, lam) = (1, 1, 1, 1, 1/2), (2, 1, 1, 2,
-    1/2) and (2, 2, 1, 2, -2/3), it alone is nonzero.
+    1/2) and (2, 2, 1, 2, -2/3), it alone is nonzero.  Since
+    Omega_a(Delta P) cancels, the main identity's residual is
+    ``operator_link`` - ``lhs_match``.
     """
-    p = telescoping_core(n, l, r, s, lam)
+    sides = slot.pop((table, n, l, r, s, lam), None) if slot else None
+    lhs, p, derive_route = sides or _main_sides(n, l, r, s, lam, table)
     delta_route = OmegaOperator(0, table)(p.delta())
-    derive_route = OmegaOperator(-1, table)(p.derive())
     return {
         "operator_link": _difference(delta_route, derive_route),
-        "lhs_match": _difference(delta_route, main_identity_lhs(n, l, r, s, lam, table)),
+        "lhs_match": _difference(delta_route, lhs),
     }
 
 
@@ -636,7 +652,10 @@ class CaseDef:
     for a case read in several ways, to a dict reading -> residual in report
     order.  ``prefer`` names those readings in order of
     preference and is empty for a case with one reading.  ``note`` goes into
-    every result inside the domain.
+    every result inside the domain.  A record with ``slot`` set has a
+    residual that takes a third argument, the sweep's slot through which
+    the main identity's sides pass from theorem_le1 to proof_replay at one
+    point (:func:`main_identity_residual`, :func:`replay_proof`).
     """
 
     id: str
@@ -645,6 +664,7 @@ class CaseDef:
     domain: tuple[Guard, ...] = ()
     prefer: tuple[str, ...] = ()
     note: str | None = None
+    slot: bool = False
 
 
 def _pair(n: int, l: int, r: int, m, table: GenBernTable) -> Fraction:
@@ -752,18 +772,20 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "theorem_le1",
             ("n", "l", "r", "s", "lam", "symbolic_alpha"),
-            lambda p, t: main_identity_residual(p.n, p.l, p.r, p.s, p.lam, t)
+            lambda p, t, slot=None: main_identity_residual(p.n, p.l, p.r, p.s, p.lam, t, slot)
             if p.alpha is None
             else main_identity_residual_at(p.n, p.l, p.r, p.s, p.lam, p.alpha, t),
+            slot=True,
         ),
         CaseDef(
             "proof_replay",
             ("n", "l", "r", "s", "lam"),
             # the first nonzero of operator_link and lhs_match
-            lambda p, t: next(
-                (res for res in replay_proof(p.n, p.l, p.r, p.s, p.lam, t).values() if not res.is_zero()), Poly("x")
+            lambda p, t, slot=None: next(
+                (res for res in replay_proof(p.n, p.l, p.r, p.s, p.lam, t, slot).values() if not res.is_zero()), Poly("x")
             ),
             note="operator link, lhs expansion and rhs closed form all replayed",
+            slot=True,
         ),
         CaseDef(
             "app1", ("n", "l", "r", "s", "lam", "x"), lambda p, t: classical_pair_residual(p.n, p.l, p.r, p.s, p.lam, p.x, t)
@@ -844,8 +866,12 @@ CASE_DEFS: dict[str, CaseDef] = {
 CASE_IDS = tuple(CASE_DEFS)
 
 
-def verify_case(case: IdentityCase, table: GenBernTable = DEFAULT_TABLE) -> VerificationResult:
+def verify_case(case: IdentityCase, table: GenBernTable = DEFAULT_TABLE, slot: dict | None = None) -> VerificationResult:
     """Run one catalog instance through its record on ``table``, and time it.
+
+    ``slot`` is a sweep's handoff between main-identity cases (a record
+    with ``slot`` set reads it, any other ignores it); without one a case
+    builds all it needs and leaves nothing behind.
 
     The first guard of ``domain`` that fails makes the result not
     applicable, with that guard's note.  Otherwise the residual decides.  A
@@ -860,7 +886,7 @@ def verify_case(case: IdentityCase, table: GenBernTable = DEFAULT_TABLE) -> Veri
     for holds, note in d.domain:
         if not holds(p):
             return VerificationResult(case, STATUS_NOT_APPLICABLE, elapsed=time.perf_counter() - start, note=note)
-    residual = d.residual(p, table)
+    residual = d.residual(p, table, slot) if d.slot else d.residual(p, table)
     if not d.prefer:
         return VerificationResult(case, _status(residual), residual, time.perf_counter() - start, note=d.note)
     readings = {name: _status(res) for name, res in residual.items()}

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -492,6 +493,43 @@ def test_a_longer_row_replaces_the_entry_and_a_shorter_one_is_a_cut():
     table.classical_numbers = None
     assert table.classical_row(4, 5) == (held[0][:5], held[1])
     assert [key[0] for key in table._derived] == ["row", "classical_row"]
+
+
+def test_rows_are_built_ahead_on_a_sweep(monkeypatch):
+    # the default sweep asks each point for lengths 1, 2, 3, ... in turn; a
+    # row built ahead meets them with at most two builds per point, and every
+    # row it returns holds the values of a row built at exactly that length
+    from genbern.harness import SweepConfig, run_suite
+
+    table = GenBernTable()
+    builds, reads = Counter(), Counter()
+    entry = GenBernTable._row_entry
+
+    def counted(self, key, n, build):
+        def counted_build(top):
+            assert top <= max(n, len(self._numbers) - 1)  # no build grows the table past the request
+            builds[key] += 1
+            return build(top)
+
+        nums, den = row = entry(self, key, n, counted_build)
+        if not reads[key, n]:
+            if key[0] == "row":
+                alpha = F(key[1], key[2])
+                numbers = [b.eval(alpha) for b in self.numbers(n)]
+            else:
+                numbers = self.classical_numbers(n)
+            exact, exact_den = bernoulli._appell_row(numbers, F(key[-2], key[-1]))
+            assert [F(v, den) for v in nums] == [F(v, exact_den) for v in exact], (key, n)
+        reads[key, n] += 1
+        return row
+
+    monkeypatch.setattr(GenBernTable, "_row_entry", counted)
+    run_suite(SweepConfig(), table)
+    assert len(builds) == 44 and max(builds.values()) <= 2
+    # a request past the grown table builds exactly what it asks for
+    fresh = GenBernTable()
+    assert len(fresh.value_row(5, F(1, 2), F(1, 3))[0]) == len(fresh._derived[("row", 1, 2, 1, 3)][0]) == 6
+    assert len(fresh._numbers) == 6
 
 
 def test_rows_for_one_point_agree_on_common_indices():

@@ -3,10 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -522,3 +526,106 @@ def test_emit_json_peaks_below_three_times_its_text(golden_report):
 
 def test_write_json_into_a_discarding_sink_holds_no_report(golden_report):
     assert _traced_peak(lambda: write_json(golden_report, lambda text: None)) < 64 * 1024
+
+
+# -- the main identity's sides, handed from theorem_le1 to proof_replay --------------
+
+HANDOFF_BOUNDS = {"max_n": 2, "max_l": 2, "max_r": 1, "max_s": 2}
+
+
+def _records(results) -> list[str]:
+    return [record_json(dataclasses.replace(res, elapsed=0.0)) for res in results]
+
+
+def _wrong_b1() -> GenBernTable:
+    table = GenBernTable()
+    table.grow(1)
+    table._numbers[1] = table.number(1) + 1  # B_1^(a) + 1 at the source
+    return table
+
+
+@pytest.mark.parametrize("fresh", [GenBernTable, _wrong_b1])
+@pytest.mark.parametrize(
+    "cases",
+    [("proof_replay",), ("theorem_le1",), ("theorem_le1", "proof_replay"), ("proof_replay", "theorem_le1", "t3")],
+)
+def test_sweep_records_equal_cases_run_alone_on_a_fresh_table(cases, fresh):
+    # on a right table and on a wrong one, whose residuals are nonzero
+    cfg = SweepConfig(**HANDOFF_BOUNDS, cases=cases)
+    reference = fresh()
+    alone = sorted((verify_case(case, reference) for case in enumerate_cases(cfg)), key=harness._sort_key)
+    assert _records(run_suite(cfg, fresh()).results) == _records(alone)
+
+
+def test_sweep_hands_each_point_over_and_leaves_nothing_behind(monkeypatch):
+    cfg = SweepConfig(**HANDOFF_BOUNDS, cases=("proof_replay", "theorem_le1"))
+    seen, slots = [], set()
+
+    def spy(case, table, slot=None):
+        if case.id == "proof_replay":
+            # the sides theorem_le1 built at this very point, on this table
+            [key] = slot
+            assert key[0] is table and key[1:] == (case.params.n, case.params.l, case.params.r, case.params.s, case.params.lam)
+        res = verify_case(case, table, slot)
+        slots.add(id(slot))
+        seen.append((case.id, len(slot)))
+        return res
+
+    monkeypatch.setattr(harness, "verify_case", spy)
+    table = GenBernTable()
+    report = run_suite(cfg, table)
+    assert report.success and len(report.results) == 2 * grid_size("theorem_le1", cfg)
+    # one slot for the sweep, filled by each theorem_le1 point, emptied by the replay right after it
+    assert len(slots) == 1
+    assert seen == [("theorem_le1", 1), ("proof_replay", 0)] * grid_size("theorem_le1", cfg)
+    assert not any(key[0] == "lhs" for key in table._derived)
+
+
+def test_a_case_run_alone_or_unpaired_hands_nothing_over(monkeypatch):
+    slots = []
+
+    def spy(case, table, slot=None):
+        slots.append(slot)
+        return verify_case(case, table, slot)
+
+    monkeypatch.setattr(harness, "verify_case", spy)
+    # without a proof_replay there is no slot; without a theorem_le1 it stays empty
+    run_suite(SweepConfig(**HANDOFF_BOUNDS, cases=("theorem_le1",)), GenBernTable())
+    assert set(slots) == {None}
+    slots.clear()
+    run_suite(SweepConfig(**HANDOFF_BOUNDS, cases=("proof_replay", "t3")), GenBernTable())
+    assert all(slot == {} for slot in slots)
+
+
+def test_two_threads_sweeping_one_table_give_identical_reports():
+    cfg = SweepConfig(**HANDOFF_BOUNDS, cases=("theorem_le1", "proof_replay", "nielsen_f10"))
+    expected = _records(run_suite(cfg, GenBernTable()).results)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        table = GenBernTable()
+        start = threading.Barrier(2)
+        seen = [None, None]
+
+        def sweep(i):
+            start.wait(timeout=60)
+            seen[i] = _records(run_suite(cfg, table).results)
+
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert seen[0] == seen[1] == expected
+        assert not any(key[0] == "lhs" for key in table._derived)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_importing_the_cli_leaves_hashlib_out():
+    # only a residual longer than RESIDUAL_TRUNCATE_AT needs hashlib
+    src = str(Path(harness.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import genbern.cli; print('hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

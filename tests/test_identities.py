@@ -29,7 +29,6 @@ from genbern.identities import (
     _block,
     _difference,
     _double_sum,
-    _main_identity_lhs,
     alternating_power_sum,
     balanced_triple_residual_antisym,
     balanced_triple_residual_folded,
@@ -194,8 +193,8 @@ SIDE_LAMBDAS = (F(0), 1, F(-2), F(1, 2), F(-2, 3), F(5, 7))
 
 
 def test_memoized_sides_match_builders_on_a_fresh_table():
-    # the builders run on their own table, so no memo entry can stand in for
-    # them; the left side is memoized, the right side is built on every call
+    # the sides are built on every call from the table's memoized
+    # polynomials, so a fresh table, whose memo is empty, builds them again
     fresh = GenBernTable()
     for n in range(4):
         for l in range(4):
@@ -205,20 +204,24 @@ def test_memoized_sides_match_builders_on_a_fresh_table():
                         lhs = main_identity_lhs(n, l, r, s, lam)
                         rhs = main_identity_rhs(n, l, r, s, lam)
                         key = (n, l, r, s, lam)
-                        assert lhs == _main_identity_lhs(n, l, r, s, F(lam), fresh), key
+                        assert lhs == main_identity_lhs(n, l, r, s, F(lam), fresh), key
                         assert rhs == main_identity_rhs(n, l, r, s, F(lam), fresh), key
-                        assert main_identity_lhs(n, l, r, s, lam) is lhs
-                        assert DEFAULT_TABLE._derived[("lhs", n, l, r, s, F(lam).numerator, F(lam).denominator)] is lhs
+                        # the second block reads B^(a)(x + lam - s) from the memo
+                        shift = F(lam) - s
+                        for idx in range(n, n + l + r + 1):
+                            entry = DEFAULT_TABLE._derived[("shifted", idx, shift.numerator, shift.denominator)]
+                            assert DEFAULT_TABLE.poly_shifted(idx, shift) is entry
     table = GenBernTable()
-    assert main_identity_lhs(2, 1, 1, 2, 1, table) is main_identity_lhs(2, 1, 1, 2, F(1), table)
+    assert main_identity_lhs(2, 1, 1, 2, 1, table) == main_identity_lhs(2, 1, 1, 2, F(1), table)
     assert main_identity_rhs(2, 1, 1, 2, F(1), table) == main_identity_rhs(2, 1, 1, 2, 1, table)
-    sides = sorted(key for key in table._derived if key[0] in ("lhs", "rhs"))
-    assert sides == [("lhs", 2, 1, 1, 2, 1, 1)]
+    # an int and the equal Fraction lam meet in one shifted entry per index
+    assert sorted(key for key in table._derived if key[0] == "shifted") == [("shifted", idx, -1, 1) for idx in (2, 3, 4)]
+    assert not any(key[0] in ("lhs", "rhs") for key in table._derived)
 
 
 def test_memo_cannot_hide_a_wrong_table():
     key = (2, 1, 1, 2, F(1, 2))
-    assert main_identity_residual(*key).is_zero()  # memoizes the left side on the default table
+    assert main_identity_residual(*key).is_zero()  # fills the default table's memo
     assert all(res.is_zero() for res in replay_proof(*key).values())
     wrong = GenBernTable()
     wrong.grow(8)
@@ -234,7 +237,7 @@ def test_memo_cannot_hide_a_wrong_table():
 
 def test_replay_builds_both_operator_routes_on_every_call(monkeypatch):
     key = (2, 1, 1, 2, F(-2, 3))
-    replay_proof(*key)  # memoizes the left side
+    replay_proof(*key)  # fills the memo of every polynomial the sides read
     calls = []
     call = OmegaOperator.__call__
 
@@ -249,11 +252,57 @@ def test_replay_builds_both_operator_routes_on_every_call(monkeypatch):
         assert sorted(calls) == [-1, 0]
 
 
+def test_main_residual_is_operator_link_minus_lhs_match():
+    # Omega_a(Delta P) cancels: (lhs - rhs) = (delta - rhs) - (delta - lhs).
+    # The report keeps all three; on a wrong table they are not all zero.
+    wrong = GenBernTable()
+    wrong.grow(1)
+    wrong._numbers[1] = wrong.number(1) + 1  # B_1^(a) + 1 at the source
+    nonzero = 0
+    for table in (DEFAULT_TABLE, wrong):
+        for key in ((1, 1, 1, 1, F(1, 2)), (2, 1, 1, 2, F(1, 2)), (2, 2, 1, 2, F(-2, 3)), (1, 2, 0, 1, F(2))):
+            replay = replay_proof(*key, table)
+            residual = main_identity_residual(*key, table)
+            assert residual == replay["operator_link"] - replay["lhs_match"], (key, table is wrong)
+            if table is DEFAULT_TABLE:
+                assert residual.is_zero() and all(res.is_zero() for res in replay.values())
+            else:
+                nonzero += not residual.is_zero()
+                assert not replay["operator_link"].is_zero()
+    assert nonzero == 4
+
+
+def test_replay_takes_only_the_sides_of_its_own_point_and_table(monkeypatch):
+    a, b = (2, 1, 1, 2, F(1, 2)), (2, 1, 1, 2, F(-2, 3))
+    wrong = GenBernTable()
+    wrong.grow(1)
+    wrong._numbers[1] = wrong.number(1) + 1  # B_1^(a) + 1 at the source
+    slot = {}
+    assert main_identity_residual(*a, DEFAULT_TABLE, slot).is_zero()
+    [(key, sides)] = slot.items()
+    assert key == (DEFAULT_TABLE, *a) and sides[0] == main_identity_lhs(*a) and sides[2] == main_identity_rhs(*a)
+    # another point or another table builds its own sides and leaves the entry
+    assert replay_proof(*b, DEFAULT_TABLE, slot) == replay_proof(*b)
+    assert replay_proof(*a, wrong, slot) == replay_proof(*a, wrong) != replay_proof(*a)
+    assert list(slot) == [key]
+    # the same point on the same table takes them out: Omega_a(Delta P) is its one new image
+    calls = []
+    call = OmegaOperator.__call__
+
+    def counted(self, p):
+        calls.append(self.offset)
+        return call(self, p)
+
+    monkeypatch.setattr(OmegaOperator, "__call__", counted)
+    assert all(res.is_zero() for res in replay_proof(*a, DEFAULT_TABLE, slot).values())
+    assert calls == [0] and slot == {}
+
+
 def test_two_threads_share_one_memo_entry_per_key():
     grid = ((n, l, r, s) for n in range(3) for l in range(3) for r in range(2) for s in range(3))
     keys = [(n, l, r, s, F(lam)) for n, l, r, s in grid for lam in (0, 1)]
     oracle = GenBernTable()
-    expected = [(_main_identity_lhs(*k, oracle), main_identity_rhs(*k, oracle)) for k in keys]
+    expected = [(main_identity_lhs(*k, oracle), main_identity_rhs(*k, oracle)) for k in keys]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -277,7 +326,13 @@ def test_two_threads_share_one_memo_entry_per_key():
                 thread.join(timeout=120)
                 assert not thread.is_alive()
             assert seen[0] == seen[1] == expected
-            assert sum(key[0] == "lhs" for key in table._derived) == len(keys)
+            # one entry per key, whichever thread built it first: the
+            # shifted polynomials the left sides read, one per (index, lam - s)
+            shifted = {(idx, lam - s) for n, l, r, s, lam in keys for idx in range(n, n + l + r + 1)}
+            assert sorted(key for key in table._derived if key[0] == "shifted") == sorted(
+                ("shifted", idx, c.numerator, c.denominator) for idx, c in shifted
+            )
+            assert not any(key[0] == "lhs" for key in table._derived)
     finally:
         sys.setswitchinterval(interval)
 
