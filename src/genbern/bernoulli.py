@@ -161,14 +161,16 @@ class GenBernTable:
     ``("classical_row", x)``, and read, as :meth:`grow` reads it, from the
     one source :meth:`classical_numbers`.  A rational stands as
     ``numerator, denominator``: an int meets the equal
-    Fraction, and a str or a float goes through ``Fraction`` first.  Entries
-    are built outside the lock and published whole, one dict operation each,
-    and never change after, so readers need no coordination; a race at worst
-    builds an entry twice and keeps one.  A point's row is the one entry
-    that is replaced: a longer request publishes a row built ahead of it
-    (:meth:`_row_entry`), and a shorter one reads a cut of it over the held
-    row's denominator.  Nothing is evicted, so the memo grows with the
-    distinct keys the process asks for.
+    Fraction, and a str or a float goes through ``Fraction`` first;
+    :meth:`value_row_at` and :meth:`classical_row_at` take a row's key
+    integers as they are, for callers that form their points on integers.
+    Entries are built outside the lock and published whole, one dict
+    operation each, and never change after, so readers need no
+    coordination; a race at worst builds an entry twice and keeps one.  A
+    point's row is the one entry that is replaced: a longer request
+    publishes a row built ahead of it (:meth:`_row_entry`), and a shorter
+    one reads a cut of it over the held row's denominator.  Nothing is
+    evicted, so the memo grows with the distinct keys the process asks for.
     """
 
     def __init__(self):
@@ -247,8 +249,18 @@ class GenBernTable:
         """B_0^(alpha)(x) .. B_n^(alpha)(x) as integer numerators over one
         denominator, by the Appell rule from the numbers at order alpha."""
         alpha, x = _rational(alpha), _rational(x)
-        key = ("row", alpha.numerator, alpha.denominator, x.numerator, x.denominator)
-        return self._row_entry(key, n, lambda top: _appell_row([b.eval(alpha) for b in self.numbers(top)], x))
+        return self.value_row_at(n, alpha.numerator, alpha.denominator, x.numerator, x.denominator)
+
+    def value_row_at(self, n: int, a: int, b: int, p: int, q: int) -> tuple[tuple[int, ...], int]:
+        """:meth:`value_row` at the order a/b and the point p/q, each given in
+        lowest terms over a positive denominator, the row's key: a held row
+        is read without building a Fraction."""
+
+        def build(top):
+            alpha = Fraction(a, b)
+            return _appell_row([v.eval(alpha) for v in self.numbers(top)], Fraction(p, q))
+
+        return self._row_entry(("row", a, b, p, q), n, build)
 
     def poly_shifted(self, n: int, c) -> Poly:
         """B_n^(a)(x + c) via the binomial addition formula."""
@@ -279,8 +291,13 @@ class GenBernTable:
         """B_0(x) .. B_n(x) as integer numerators over one denominator, by the
         Appell rule from the numbers; at x = 0 the numbers B_0 .. B_n."""
         x = _rational(x)
-        key = ("classical_row", x.numerator, x.denominator)
-        return self._row_entry(key, n, lambda top: _appell_row(self.classical_numbers(top), x))
+        return self.classical_row_at(n, x.numerator, x.denominator)
+
+    def classical_row_at(self, n: int, p: int, q: int) -> tuple[tuple[int, ...], int]:
+        """:meth:`classical_row` at the point p/q, given in lowest terms over
+        a positive denominator, the row's key."""
+        key = ("classical_row", p, q)
+        return self._row_entry(key, n, lambda top: _appell_row(self.classical_numbers(top), Fraction(p, q)))
 
     def _row_entry(self, key: tuple, n: int, build) -> tuple[tuple[int, ...], int]:
         """Entries 0..n of the row under ``key``.  A longer request replaces

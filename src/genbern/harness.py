@@ -401,15 +401,23 @@ def check_input_size(n: int, l: int, r: int, s: int, m: int = 1) -> None:
 
 def _point_order(cases: list[IdentityCase]) -> list[IdentityCase]:
     """``cases`` with each proof_replay instance moved to right after the
-    theorem_le1 instance at the same point; the two grids are the same."""
-    theorem = {c.params for c in cases if c.id == "theorem_le1"}
-    replays = {c.params: c for c in cases if c.id == "proof_replay" and c.params in theorem}
+    theorem_le1 instance at the same point.  The two grids come from the
+    same axes in the same order, so they are paired by position, and each
+    pair's params are checked equal."""
+    theorem = [c for c in cases if c.id == "theorem_le1"]
+    replays = [c for c in cases if c.id == "proof_replay"]
+    if not theorem or not replays:
+        return cases
+    for t, p in zip(theorem, replays, strict=True):
+        if t.params != p.params:
+            raise ValueError(f"theorem_le1 and proof_replay grids differ: {t.params} against {p.params}")
+    after = iter(replays)
     out = []
     for c in cases:
-        if c.id != "proof_replay" or c.params not in replays:
+        if c.id != "proof_replay":
             out.append(c)
-        if c.id == "theorem_le1" and c.params in replays:
-            out.append(replays[c.params])
+        if c.id == "theorem_le1":
+            out.append(next(after))
     return out
 
 

@@ -16,7 +16,13 @@ and the main identity evaluates it at (x, y, z) = (lam, x, a+s-lam-x) in
 closed form through the order-lowering umbral operator.  Every block of
 such a sum in the catalog goes through one kernel, ``_block``, and every
 order-one closed double sum (r+1) sum_k sum_j C(n+r,j) C(l+r,r+1-j)
-u_k^(l+j-1) v_k^(n+r-j) through another, ``_double_sum``.  A handful of
+u_k^(l+j-1) v_k^(n+r-j) through another, ``_double_sum``.  At a rational
+order both kernels return an integer term (numerator, denominator), as
+the closed forms do, and a scalar residual is one ``_join`` of its terms:
+one lcm, one integer sum and one Fraction, the layout :class:`Poly` keeps
+for polynomials.  A derived point such as 1+s-lam-x or x+y is formed from
+the integer numerators and denominators and reduced by one gcd, and the
+table's row at it is read by that pair.  A handful of
 catalog entries circulate in print with typographical slips; those run in
 "adjudication" mode, where every candidate reading is evaluated and the
 result records which one verifies.
@@ -74,36 +80,35 @@ def _block_coefficients(p: int, q: int, r: int) -> tuple[int, ...]:
     return tuple(binomial(p + r, k) * binomial(q + k + r, r) for k in range(p + r + 1))
 
 
-def _block(p: int, q: int, r: int, w, values, stop: int | None = None, scale=1, total=ZERO):
-    """total + scale * sum_{k<stop} C(p+r,k) C(q+k+r,r) w^(p+r-k) B_{q+k}.
+def _block(p: int, q: int, r: int, w, values, stop: int | None = None, scale=1, total=None):
+    """scale * sum_{k<stop} C(p+r,k) C(q+k+r,r) w^(p+r-k) B_{q+k}, plus ``total``.
 
     One block of the two-block sum; ``stop`` defaults to p+r+1, the whole
     block.  Every sign rides in ``scale``, which multiplies the integer
-    coefficient, so a signed block costs no extra product; a second block
-    accumulates into the first through ``total``.  A rational weight w = u/v
-    enters as the integer weights C C u^(p+r-k) v^k over v^(p+r).
+    coefficient, so a signed block costs no extra product.
 
-    With a rational ``total``, ``values`` is a row ``(nums, den)`` holding
-    B_i = nums[i] / den (:meth:`GenBernTable.value_row`,
-    :meth:`GenBernTable.classical_row`): the block is one integer Horner
-    pass over the row and the cached coefficients, and ``total`` joins it in
-    one Fraction over den v^(p+r) times its denominator.  With a polynomial
-    ``total``, ``values(i)`` gives B_i, terms with a zero coefficient are
-    skipped without calling it, and the block is one ``lincomb``.
+    Without a ``total`` the block is a scalar term: w = (u, v) is the
+    rational weight u/v as two integers, and ``values`` a row ``(nums,
+    den)`` holding B_i = nums[i] / den (:meth:`GenBernTable.value_row_at`,
+    :meth:`GenBernTable.classical_row_at`).  The block is one integer Horner
+    pass over the row and the cached coefficients, with the integer weights
+    C C u^(p+r-k) v^k over v^(p+r), and is returned as the term ``(num,
+    den v^(p+r))`` for :func:`_join`.  With a polynomial ``total``, the
+    block accumulates into it: ``values(i)`` gives B_i, terms with a zero
+    coefficient are skipped without calling it, and the block is one
+    ``lincomb``.
     """
     top = p + r
-    if not isinstance(total, Poly):
+    if total is None:
         nums, den = values
-        u, v = w.numerator, w.denominator
+        u, v = w
         coefficients = _block_coefficients(p, q, r)[:stop]
         # Horner in u: acc = sum_k c_k nums[q+k] u^(K-1-k) v^k over the K coefficients kept
         acc, vk = 0, 1
         for c, b in zip(coefficients, nums[q : q + len(coefficients)], strict=True):
             acc = acc * u + c * b * vk
             vk *= v
-        acc *= scale * u ** (top + 1 - len(coefficients))
-        den *= v**top
-        return Fraction(total.numerator * den + acc * total.denominator, total.denominator * den)
+        return acc * scale * u ** (top + 1 - len(coefficients)), den * v**top
     u, v = (w, 1) if isinstance(w, Poly) else (w.numerator, w.denominator)
     pairs = [(v**top, total)] + [
         (c, values(q + k))
@@ -123,28 +128,70 @@ def _double_sum_coefficients(n: int, l: int, r: int, stop: int) -> tuple[tuple[i
     return coeffs
 
 
-def _double_sum(n: int, l: int, r: int, ks, u, v, stop: int | None = None) -> Fraction:
-    """(r+1) sum_{k in ks} sum_{j<stop} C(n+r,j) C(l+r,r+1-j) u_k^(l+j-1) v_k^(n+r-j).
+def _double_sum(n: int, l: int, r: int, ks, u, v, stop: int | None = None, scale=1) -> tuple[int, int]:
+    """scale (r+1) sum_{k in ks} sum_{j<stop} C(n+r,j) C(l+r,r+1-j) u_k^(l+j-1) v_k^(n+r-j).
 
     The shape of every order-one closed double sum; ``stop`` defaults to
-    r+2.  The bases are affine in k with slope 1 or -1: ``u`` = (c, e)
-    stands for u_k = c + e*k with a rational c = a/b, so u_k is the integer
-    a + e*b*k over the fixed b, and likewise ``v`` over d.  The whole sum is
-    then one integer sum over b^(l+r) d^(n+r), and one Fraction.  The
-    exponent l+j-1 is negative only at j = 0 with l = 0, where C(r, r+1)
-    vanishes; a negative exponent on a nonzero coefficient raises
-    ``NegativePowerError``.
+    r+2.  The bases are affine in k with slope 1 or -1: ``u`` = (a, b, e)
+    stands for u_k = a/b + e*k with integers a, b, so u_k is the integer
+    a + e*b*k over the fixed b, and likewise ``v`` = (c, d, e') over d.
+    The whole sum is then one integer sum over b^(l+r) d^(n+r), returned as
+    the term ``(num, den)`` for :func:`_join`.  The exponent l+j-1 is
+    negative only at j = 0 with l = 0, where C(r, r+1) vanishes; a negative
+    exponent on a nonzero coefficient raises ``NegativePowerError``.
     """
     coeffs = _double_sum_coefficients(n, l, r, r + 2 if stop is None else stop)
-    (cu, eu), (cv, ev) = u, v
-    a, b, c, d = cu.numerator, cu.denominator, cv.numerator, cv.denominator
+    (a, b, eu), (c, d, ev) = u, v
     # the j-th term over b^(l+r) d^(n+r): C C b^(r+1-j) d^j (a + eu*b*k)^(l+j-1) (c + ev*d*k)^(n+r-j)
     terms = [(cj * b ** (r + 1 - j) * d**j, l + j - 1, n + r - j) for cj, j in coeffs]
     num = 0
     for k in ks:
         uk, vk = a + eu * b * k, c + ev * d * k
-        num += sum(w * uk**i * vk**j for w, i, j in terms)
-    return Fraction((r + 1) * num, b ** (l + r) * d ** (n + r))
+        for w, i, j in terms:
+            num += w * uk**i * vk**j
+    return scale * (r + 1) * num, b ** (l + r) * d ** (n + r)
+
+
+def _sum(*terms) -> tuple[int, int]:
+    """The sum of the terms ``(num, den)`` as one term over the least common
+    denominator, which is positive: one lcm and one integer sum."""
+    den = 1
+    for _, d in terms:
+        den = math.lcm(den, d)
+    total = 0
+    for num, d in terms:
+        total += num * (den // d)
+    return total, den
+
+
+def _join(*terms) -> Fraction:
+    """The sum of the terms ``(num, den)`` as one Fraction, whose gcd is the
+    only normalization; the scalar counterpart of
+    :func:`genbern.poly.lincomb`.  Every scalar residual is one call."""
+    return Fraction(*_sum(*terms))
+
+
+def _parts(v) -> tuple[int, int]:
+    """A rational (an int, a Fraction, or what ``Fraction`` reads) as its
+    numerator and positive denominator."""
+    v = _rational(v)
+    return v.numerator, v.denominator
+
+
+def _point(num: int, den: int) -> tuple[int, int]:
+    """num/den over a positive den in lowest terms, by one gcd: a derived
+    point as a row key's pair."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _sums_to(target, *values) -> bool:
+    """Whether the rationals ``values`` sum to ``target``, by
+    cross-multiplication."""
+    num, den = 0, 1
+    for v in values:
+        num, den = num * v.denominator + v.numerator * den, den * v.denominator
+    return num * target.denominator == target.numerator * den
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +206,20 @@ def paired_sum(n: int, l: int, r: int, x, y, z, alpha=None, table: GenBernTable 
     polynomial in ``a``; with a rational ``alpha`` the result is an exact
     Fraction.
     """
+    if alpha is not None:
+        return _join(*_paired_terms(n, l, r, _parts(x), _parts(y), _parts(z), _parts(alpha), table))
     x, y, z = _rational(x), _rational(y), _rational(z)
-    total = Poly("a") if alpha is None else ZERO
-    if alpha is None:
-        def values(arg):
-            return lambda idx: table.poly(idx).eval(arg)
-    else:
-        def values(arg):
-            return table.value_row(n + l + r, alpha, arg)
+    first = _block(n, l, r, x, lambda idx: table.poly(idx).eval(y), total=Poly("a"))
+    return _block(l, n, r, x, lambda idx: table.poly(idx).eval(z), scale=_sign(l + n + r + 1), total=first)
 
-    first = _block(n, l, r, x, values(y), total=total)
-    return _block(l, n, r, x, values(z), scale=_sign(l + n + r + 1), total=first)
+
+def _paired_terms(n: int, l: int, r: int, w, y, z, order, table: GenBernTable):
+    """The two blocks of S(n, l, r; w, y, z) at a rational order, as terms;
+    the weight, the points and the order are (num, den) pairs, the points
+    and the order in lowest terms."""
+    top = n + l + r
+    first = _block(n, l, r, w, table.value_row_at(top, *order, *y))
+    return first, _block(l, n, r, w, table.value_row_at(top, *order, *z), scale=_sign(top + 1))
 
 
 def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> Poly:
@@ -308,25 +358,46 @@ def certify_lambda(n: int, l: int, r: int, s: int, table: GenBernTable = DEFAULT
 def gessel_double_sum(n: int, l: int, r: int, m: int) -> Fraction:
     """(r+1) sum_{k<m} sum_{j<=r+1} (-1)^(l+j-1) C(n+r,j) C(l+r,r+1-j)
     k^(l+j-1) (m-k)^(n+r-j)."""
-    return _double_sum(n, l, r, range(1, m), (0, -1), (m, -1))
+    return _join(_gessel(n, l, r, m))
+
+
+def _gessel(n: int, l: int, r: int, m: int, scale=1) -> tuple[int, int]:
+    """:func:`gessel_double_sum` times ``scale``, as a term."""
+    return _double_sum(n, l, r, range(1, m), (0, 1, -1), (m, 1, -1), scale=scale)
 
 
 def gessel_double_sum_reindexed(n: int, l: int, r: int, m: int) -> Fraction:
     """Equivalent form after reindexing k -> m-k: the summand becomes
     C(n+r,j) C(l+r,r+1-j) k^(n+r-j) (k-m)^(l+j-1)."""
-    return _double_sum(n, l, r, range(1, m), (-m, 1), (0, 1))
+    return _join(_gessel_reindexed(n, l, r, m))
+
+
+def _gessel_reindexed(n: int, l: int, r: int, m: int, scale=1) -> tuple[int, int]:
+    """:func:`gessel_double_sum_reindexed` times ``scale``, as a term."""
+    return _double_sum(n, l, r, range(1, m), (-m, 1, 1), (0, 1, 1), scale=scale)
 
 
 def symmetric_block_sum(n: int, r: int, m: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """The single Bernoulli block sum_{k=0}^{n+r} m^(n+r-k) C(n+r,k)
     C(n+k+r,r) B_{n+k}; for odd r it is half of S(n, n, r; m, 0, 0)."""
-    return _block(n, n, r, m, table.classical_row(2 * n + r))
+    return _join(_symmetric_block(n, r, m, table))
+
+
+def _symmetric_block(n: int, r: int, m: int, table: GenBernTable) -> tuple[int, int]:
+    """:func:`symmetric_block_sum` as a term."""
+    return _block(n, n, r, (m, 1), table.classical_row_at(2 * n + r, 0, 1))
 
 
 def gessel_halved_double_sum(n: int, r: int, m: int) -> Fraction:
     """(1/2)(r+1) sum_{k<m} sum_{j<=r+1} C(n+r,j) C(n+r,r+1-j)
     k^(j+n-1) (k-m)^(n+r-j), the closed form of the single block for odd r."""
-    return _double_sum(n, n, r, range(1, m), (0, 1), (-m, 1)) / 2
+    return _join(_halved_double_sum(n, r, m))
+
+
+def _halved_double_sum(n: int, r: int, m: int, scale=1) -> tuple[int, int]:
+    """:func:`gessel_halved_double_sum` times ``scale``, as a term."""
+    num, den = _double_sum(n, n, r, range(1, m), (0, 1, 1), (-m, 1, 1), scale=scale)
+    return num, 2 * den
 
 
 def alternating_power_sum(m: int, r_exp: int, s_exp: int) -> Fraction:
@@ -341,25 +412,25 @@ def alternating_power_sum(m: int, r_exp: int, s_exp: int) -> Fraction:
 
 def lucas_pair_sum(n: int, l: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """sum_k C(n,k) B_{l+k} + (-1)^(l+n+1) sum_k C(l,k) B_{n+k}."""
-    nums = table.classical_row(n + l)
-    return _block(l, n, 0, 1, nums, scale=_sign(l + n + 1), total=_block(n, l, 0, 1, nums))
+    nums = table.classical_row_at(n + l, 0, 1)
+    return _join(_block(n, l, 0, (1, 1), nums), _block(l, n, 0, (1, 1), nums, scale=_sign(l + n + 1)))
 
 
 def truncated_pair_sum(n: int, l: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """Variant with both top terms dropped (valid for n, l >= 1)."""
-    nums = table.classical_row(n + l)
-    return _block(l, n, 0, 1, nums, stop=l, scale=_sign(l + n + 1), total=_block(n, l, 0, 1, nums, stop=n))
+    nums = table.classical_row_at(n + l, 0, 1)
+    return _join(_block(n, l, 0, (1, 1), nums, stop=n), _block(l, n, 0, (1, 1), nums, stop=l, scale=_sign(l + n + 1)))
 
 
 def autoduality_residual(n: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """sum_k C(n,k) B_k - (-1)^n B_n."""
-    nums, den = table.classical_row(n)
-    return Fraction(sum(binomial(n, k) * nums[k] for k in range(n + 1)) - _sign(n) * nums[n], den)
+    nums, den = table.classical_row_at(n, 0, 1)
+    return _join((sum(binomial(n, k) * nums[k] for k in range(n + 1)) - _sign(n) * nums[n], den))
 
 
 def stern_recurrence_sum(n: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """sum_{k=0}^{n} C(n+1,k) (n+k+1) B_{n+k}; zero for n >= 1."""
-    return _block(n, n, 1, 1, table.classical_row(2 * n), stop=n + 1)
+    return _join(_block(n, n, 1, (1, 1), table.classical_row_at(2 * n, 0, 1), stop=n + 1))
 
 
 def linear_weight_double_sum(n: int, l: int, m: int) -> Fraction:
@@ -371,11 +442,16 @@ def linear_weight_double_sum(n: int, l: int, m: int) -> Fraction:
     too); at n = 0 the k^(-1) piece carries the zero coefficient mn,
     leaving l (k-m)^(l-1).
     """
+    return Fraction(_linear_weight_sum(n, l, m))
+
+
+def _linear_weight_sum(n: int, l: int, m: int) -> int:
+    """:func:`linear_weight_double_sum`, an integer."""
     if l == 0:
-        return Fraction(n * sum(k ** (n - 1) for k in range(1, m))) if n else ZERO
+        return n * sum(k ** (n - 1) for k in range(1, m)) if n else 0
     if n == 0:
-        return Fraction(l * sum((k - m) ** (l - 1) for k in range(1, m)))
-    return Fraction(sum(((n + l) * k - m * n) * k ** (n - 1) * (k - m) ** (l - 1) for k in range(1, m)))
+        return l * sum((k - m) ** (l - 1) for k in range(1, m))
+    return sum(((n + l) * k - m * n) * k ** (n - 1) * (k - m) ** (l - 1) for k in range(1, m))
 
 
 def kaneko_weighted_term(k: int, m: int, n: int) -> Fraction:
@@ -383,8 +459,13 @@ def kaneko_weighted_term(k: int, m: int, n: int) -> Fraction:
 
     At n = 0 the second term carries the zero coefficient n(n+1), so the
     formal (k-m)^(-1) is never raised."""
+    return Fraction(_kaneko_term(k, m, n))
+
+
+def _kaneko_term(k: int, m: int, n: int) -> int:
+    """:func:`kaneko_weighted_term`, an integer."""
     second = n * (n + 1) * k ** (n + 1) * (k - m) ** (n - 1) if n else 0
-    return Fraction((n + 1) ** 2 * k**n * (k - m) ** n + second)
+    return (n + 1) ** 2 * k**n * (k - m) ** n + second
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +476,27 @@ def kaneko_weighted_term(k: int, m: int, n: int) -> Fraction:
 def leibniz_double_sum(n: int, l: int, r: int, s: int, u, v) -> Fraction:
     """(r+1) sum_{k=1..s} sum_{j<=r+1} C(n+r,j) C(l+r,r+1-j)
     (u-k)^(l+j-1) (v-k)^(n+r-j), the order-one closed form at a point."""
-    return _double_sum(n, l, r, range(1, s + 1), (_rational(u), -1), (_rational(v), -1))
+    return _join(_leibniz(n, l, r, s, _parts(u), _parts(v)))
+
+
+def _leibniz(n: int, l: int, r: int, s: int, u, v, scale=1) -> tuple[int, int]:
+    """:func:`leibniz_double_sum` at u = a/b and v = c/d, given as pairs,
+    times ``scale``, as a term."""
+    return _double_sum(n, l, r, range(1, s + 1), (*u, -1), (*v, -1), scale=scale)
 
 
 def classical_pair_residual(n: int, l: int, r: int, s: int, lam, x0, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """Order-one specialization of the main identity at a rational point."""
-    lam, x0 = _rational(lam), _rational(x0)
-    lhs = _block(n, l, r, lam, table.classical_row(n + l + r, x0))
-    lhs = _block(l, n, r, lam, table.classical_row(n + l + r, 1 + s - lam - x0), scale=_sign(l + n + r + 1), total=lhs)
-    return lhs - leibniz_double_sum(n, l, r, s, x0, x0 + lam)
+    w, x = _parts(lam), _parts(x0)
+    (a, b), (c, d) = w, x
+    top = n + l + r
+    # the second block's argument 1+s-lam-x0, and x0+lam, over b*d
+    z = _point((1 + s) * b * d - a * d - c * b, b * d)
+    return _join(
+        _block(n, l, r, w, table.classical_row_at(top, c, d)),
+        _block(l, n, r, w, table.classical_row_at(top, *z), scale=_sign(top + 1)),
+        _leibniz(n, l, r, s, x, _point(c * b + a * d, b * d), scale=-1),
+    )
 
 
 def _order_shift_pair_residuals(n, l, r, m, beta, table: GenBernTable) -> dict[str, Poly]:
@@ -449,27 +542,41 @@ def product_rule_split_residual(n: int, l: int, r: int) -> Poly:
 def balanced_triple_residual_antisym(n, l, r, alpha, x, y, table=DEFAULT_TABLE) -> Fraction:
     """First balanced-argument form: with x+y+z equal to the order,
     (-1)^n (first block) - (-1)^(l+r) (second block)."""
-    alpha, x, y = _rational(alpha), _rational(x), _rational(y)
-    z = alpha - x - y
-    lhs = _block(n, l, r, x, table.value_row(n + l + r, alpha, y), scale=_sign(n))
-    return _block(l, n, r, x, table.value_row(n + l + r, alpha, z), scale=-_sign(l + r), total=lhs)
+    order, w, y, z = _balanced(alpha, x, y)
+    top = n + l + r
+    return _join(
+        _block(n, l, r, w, table.value_row_at(top, *order, *y), scale=_sign(n)),
+        _block(l, n, r, w, table.value_row_at(top, *order, *z), scale=-_sign(l + r)),
+    )
+
+
+def _balanced(alpha, x, y):
+    """The order, x, y and z = alpha - x - y as (num, den) pairs, the
+    order, y and z in lowest terms."""
+    order, w, y = _parts(alpha), _parts(x), _parts(y)
+    (g, h), (a, b), (c, d) = order, w, y
+    return order, w, y, _point(g * b * d - a * h * d - c * h * b, h * b * d)
 
 
 def balanced_triple_residual_folded(n, l, r, alpha, x, y, table=DEFAULT_TABLE) -> Fraction:
     """Second balanced-argument form, with the third argument eliminated:
     first block minus sum_k C(l+r,k) C(n+k+r,r) (-x)^(l+r-k) B_{n+k}(x+y)."""
-    alpha, x, y = _rational(alpha), _rational(x), _rational(y)
-    lhs = _block(n, l, r, x, table.value_row(n + l + r, alpha, y))
-    return _block(l, n, r, -x, table.value_row(n + l + r, alpha, x + y), scale=-1, total=lhs)
+    order, (a, b), (c, d) = _parts(alpha), _parts(x), _parts(y)
+    top = n + l + r
+    return _join(
+        _block(n, l, r, (a, b), table.value_row_at(top, *order, c, d)),
+        _block(l, n, r, (-a, b), table.value_row_at(top, *order, *_point(a * d + c * b, b * d)), scale=-1),
+    )
 
 
 def integer_balance_residual(n, l, r, s, x, y, table=DEFAULT_TABLE) -> Fraction:
     """Order-one form with x+y+z = s+1: the two-block sum against the
     order-one closed double sum."""
-    x, y = _rational(x), _rational(y)
-    z = s + 1 - x - y
-    lhs = paired_sum(n, l, r, x, y, z, alpha=1, table=table)
-    return lhs - leibniz_double_sum(n, l, r, s, y, x + y)
+    w, y = _parts(x), _parts(y)
+    (a, b), (c, d) = w, y
+    z = _point((s + 1) * b * d - a * d - c * b, b * d)
+    lhs = _paired_terms(n, l, r, w, y, z, (1, 1), table)
+    return _join(*lhs, _leibniz(n, l, r, s, y, _point(a * d + c * b, b * d), scale=-1))
 
 
 def _truncated_balanced_readings(n, l, r, alpha, x, y, table: GenBernTable) -> dict[str, Fraction]:
@@ -479,25 +586,34 @@ def _truncated_balanced_readings(n, l, r, alpha, x, y, table: GenBernTable) -> d
     As printed the difference carries index n+l+1; direct evaluation shows
     the index must be n+l+r (they agree exactly at r = 1).
     """
-    alpha, x, y = _rational(alpha), _rational(x), _rational(y)
-    z = alpha - x - y
-    lhs = _block(n, l, r, x, table.value_row(n + l + r, alpha, y), stop=n + r, scale=_sign(n))
-    lhs = _block(l, n, r, x, table.value_row(n + l + r, alpha, z), stop=l + r, scale=_sign(l + r + 1), total=lhs)
-    c = _sign(n) * binomial(n + l + 2 * r, r)
-    rhs, printed = (c * (table.value_at(idx, alpha, x + y) - table.value_at(idx, alpha, y)) for idx in (n + l + r, n + l + 1))
-    return {"corrected": lhs - rhs, "as_printed": lhs - printed}
+    order, w, y, z = _balanced(alpha, x, y)
+    (a, b), (c, d), top = w, y, n + l + r
+    ys, y_den = y_row = table.value_row_at(top, *order, *y)
+    lhs = (
+        _block(n, l, r, w, y_row, stop=n + r, scale=_sign(n)),
+        _block(l, n, r, w, table.value_row_at(top, *order, *z), stop=l + r, scale=_sign(l + r + 1)),
+    )
+    # the right side reads B_idx at x+y and at y for idx = n+l+r and n+l+1, both <= top as r >= 1
+    xy, xy_den = table.value_row_at(top, *order, *_point(a * d + c * b, b * d))
+    coef = _sign(n) * binomial(n + l + 2 * r, r)
+    corrected, printed = ((*lhs, (-coef * xy[idx], xy_den), (coef * ys[idx], y_den)) for idx in (top, n + l + 1))
+    return {"corrected": _join(*corrected), "as_printed": _join(*printed)}
 
 
 def _truncated_power_readings(n, l, r, t_val, table: GenBernTable) -> dict[str, Fraction]:
     """Order-one specialization of the truncated balanced form at
     (x, y, z) = (1, t, -t), whose right side collapses to a monomial:
     (n+l+r) t^(n+l+r-1) corrected, (n+l+1) t^(n+l) as printed."""
-    t_val = Fraction(t_val)
-    lhs = _block(n, l, r, 1, table.classical_row(n + l + r, t_val), stop=n + r, scale=_sign(n))
-    lhs = _block(l, n, r, 1, table.classical_row(n + l + r, -t_val), stop=l + r, scale=_sign(l + r + 1), total=lhs)
+    p, q = _parts(t_val)
+    top = n + l + r
+    lhs = (
+        _block(n, l, r, (1, 1), table.classical_row_at(top, p, q), stop=n + r, scale=_sign(n)),
+        _block(l, n, r, (1, 1), table.classical_row_at(top, -p, q), stop=l + r, scale=_sign(l + r + 1)),
+    )
     c = _sign(n) * binomial(n + l + 2 * r, r)
-    rhs, printed = c * (n + l + r) * t_val ** (n + l + r - 1), c * (n + l + 1) * t_val ** (n + l)
-    return {"corrected": lhs - rhs, "as_printed": lhs - printed}
+    # -c (n+l+r) t^(n+l+r-1) and -c (n+l+1) t^(n+l), r >= 1
+    rhs, printed = (-c * top * p ** (top - 1), q ** (top - 1)), (-c * (n + l + 1) * p ** (n + l), q ** (n + l))
+    return {"corrected": _join(*lhs, rhs), "as_printed": _join(*lhs, printed)}
 
 
 def odd_order_tail_residual(n: int, r: int, t_val, table: GenBernTable = DEFAULT_TABLE) -> Poly:
@@ -511,14 +627,11 @@ def odd_order_tail_residual(n: int, r: int, t_val, table: GenBernTable = DEFAULT
 def halved_tail_sum_residual(n: int, r: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
     """Odd-r closed form for sum_{k=n}^{2n+r} C(n+r,k-n) C(k+r,r) B_k / 2^k."""
     top = 2 * n + r
-    nums, den = table.classical_row(top)
+    nums, den = table.classical_row_at(top, 0, 1)
     # B_i / 2^i over den 2^top
-    lhs = _block(n, n, r, 1, ([b * 2 ** (top - i) for i, b in enumerate(nums)], den * 2**top))
-    rhs = (
-        Fraction(_sign(n + (r - 1) // 2) * (r + 1), 2 ** (2 * n + r + 1))
-        * binomial(n + r, (r + 1) // 2)
-    )
-    return lhs - rhs
+    lhs = _block(n, n, r, (1, 1), ([b * 2 ** (top - i) for i, b in enumerate(nums)], den * 2**top))
+    rhs = -_sign(n + (r - 1) // 2) * (r + 1) * binomial(n + r, (r + 1) // 2), 2 ** (2 * n + r + 1)
+    return _join(lhs, rhs)
 
 
 def _scaled_ratio_readings(n: int, r: int, x0, table: GenBernTable) -> dict[str, Fraction]:
@@ -529,20 +642,19 @@ def _scaled_ratio_readings(n: int, r: int, x0, table: GenBernTable) -> dict[str,
     As printed the right side reads (-1)^(n+(r+1)/2) (r+1)/2^(n+r) C;
     direct evaluation confirms (-1)^(n+(r-1)/2) (r+1)/2^(n+r+1) C instead.
     """
-    x0 = Fraction(x0)
-    if x0 == 1:
+    a, b = _parts(x0)
+    if a == b:
         raise ValueError("the weighted form divides by (1-x); x = 1 is outside its domain")
     top = 2 * n + r
-    nums, den = table.classical_row(top, x0)
+    nums, den = table.classical_row_at(top, a, b)
     # with x = a/b and 1 - x = g/b, B_i(x) / (2^(i-n) (1-x)^(i-1)) over den 2^top g^top b
-    a, b = x0.numerator, x0.denominator
     g = b - a
     row = [v * 2 ** (n + top - i) * b**i * g ** (top + 1 - i) for i, v in enumerate(nums)]
-    lhs = _block(n, n, r, 1, (row, den * 2**top * g**top * b))
-    c_mid = binomial(n + r, (r + 1) // 2)
+    lhs = _block(n, n, r, (1, 1), (row, den * 2**top * g**top * b))
+    coef = (r + 1) * binomial(n + r, (r + 1) // 2)
     return {
-        "corrected": lhs - Fraction(_sign(n + (r - 1) // 2) * (r + 1), 2 ** (n + r + 1)) * c_mid,
-        "as_printed": lhs - Fraction(_sign(n + (r + 1) // 2) * (r + 1), 2 ** (n + r)) * c_mid,
+        "corrected": _join(lhs, (-_sign(n + (r - 1) // 2) * coef, 2 ** (n + r + 1))),
+        "as_printed": _join(lhs, (-_sign(n + (r + 1) // 2) * coef, 2 ** (n + r))),
     }
 
 
@@ -638,7 +750,9 @@ class Guard(NamedTuple):
 ODD_R = Guard(lambda p: p.r % 2 == 1, "needs odd r")
 POSITIVE_R = Guard(lambda p: p.r >= 1, "needs r >= 1")
 RATIONAL_ORDER = Guard(lambda p: p.alpha is not None, "needs a rational order")
-BALANCED = Guard(lambda p: p.x + p.y + p.z == p.alpha, "needs x + y + z equal to the order")
+BALANCED = Guard(
+    lambda p: p.alpha is not None and _sums_to(p.alpha, p.x, p.y, p.z), "needs x + y + z equal to the order"
+)
 
 
 @dataclass(frozen=True)
@@ -667,9 +781,9 @@ class CaseDef:
     slot: bool = False
 
 
-def _pair(n: int, l: int, r: int, m, table: GenBernTable) -> Fraction:
-    """S(n, l, r; m, 0, 0) at order one."""
-    return paired_sum(n, l, r, m, 0, 0, alpha=1, table=table)
+def _pair(n: int, l: int, r: int, m: int, table: GenBernTable) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two blocks of S(n, l, r; m, 0, 0) at order one, as terms."""
+    return _paired_terms(n, l, r, (m, 1), (0, 1), (0, 1), (1, 1), table)
 
 
 def _at_order(residual: Poly, alpha):
@@ -688,39 +802,47 @@ def _against_block(n: int, r: int, m: int, table: GenBernTable) -> dict[str, Fra
     not depend on the reading and are built once.
     """
     half, ks = (r + 1) // 2, range(1, m)
-    tail = _double_sum(n, n, r, ks, (0, 1), (-m, 1), stop=half)
+    lhs = _symmetric_block(n, r, m, table), _double_sum(n, n, r, ks, (0, 1, 1), (-m, 1, 1), stop=half, scale=-1)
     c_mid = binomial(n + r, half)
-    lead = Fraction((r + 1) * c_mid * c_mid * sum((k * (k - m)) ** (n + (r - 1) // 2) for k in ks), 2)
-    lhs = symmetric_block_sum(n, r, m, table) - tail
-    return {"sign_corrected": lhs - lead, "as_printed": lhs - _sign(n + (r - 1) // 2) * lead}
-
-
-def _weighted_readings(n: int, r: int, m: int, closed, table: GenBernTable) -> dict[str, Fraction]:
-    """The weighted sum sum_k m^(n+1-k) C(n+1,k) (n+k+1) B_{n+k}, which is
-    the single block at r = 1, built once: against ``closed`` alone
-    (``first_block``) and also against (n+1) S(n, n+1, r; m, 0, 0)
-    (``literal``)."""
-    total = symmetric_block_sum(n, 1, m, table)
+    lead = (r + 1) * c_mid * c_mid * sum((k * (k - m)) ** (n + (r - 1) // 2) for k in ks)
     return {
-        "literal": abs(total - (n + 1) * _pair(n, n + 1, r, m, table)) + abs(total - closed),
-        "first_block": abs(total - closed),
+        "sign_corrected": _join(*lhs, (-lead, 2)),
+        "as_printed": _join(*lhs, (-_sign(n + (r - 1) // 2) * lead, 2)),
+    }
+
+
+def _weighted_readings(n: int, r: int, m: int, closed: int, table: GenBernTable) -> dict[str, Fraction]:
+    """The weighted sum sum_k m^(n+1-k) C(n+1,k) (n+k+1) B_{n+k}, which is
+    the single block at r = 1, built once: against the integer ``closed``
+    alone (``first_block``) and also against (n+1) S(n, n+1, r; m, 0, 0)
+    (``literal``, the sum of both distances)."""
+    total = _symmetric_block(n, 1, m, table)
+    first = _sum(total, (-closed, 1))
+    pair = _sum(total, *((-(n + 1) * num, den) for num, den in _pair(n, n + 1, r, m, table)))
+    return {
+        "literal": _join((abs(pair[0]), pair[1]), (abs(first[0]), first[1])),
+        "first_block": _join((abs(first[0]), first[1])),
     }
 
 
 CASE_DEFS: dict[str, CaseDef] = {
     d.id: d
     for d in (
-        CaseDef("t3", ("n", "l", "r"), lambda p, t: _pair(p.n, p.l, p.r, 1, t)),
-        CaseDef("t4", ("n", "l", "r", "m"), lambda p, t: _pair(p.n, p.l, p.r, p.m, t) - gessel_double_sum(p.n, p.l, p.r, p.m)),
+        CaseDef("t3", ("n", "l", "r"), lambda p, t: _join(*_pair(p.n, p.l, p.r, 1, t))),
+        CaseDef(
+            "t4",
+            ("n", "l", "r", "m"),
+            lambda p, t: _join(*_pair(p.n, p.l, p.r, p.m, t), _gessel(p.n, p.l, p.r, p.m, -1)),
+        ),
         CaseDef(
             "tg4",
             ("n", "l", "r", "m"),
-            lambda p, t: _pair(p.n, p.l, p.r, p.m, t) - gessel_double_sum_reindexed(p.n, p.l, p.r, p.m),
+            lambda p, t: _join(*_pair(p.n, p.l, p.r, p.m, t), _gessel_reindexed(p.n, p.l, p.r, p.m, -1)),
         ),
         CaseDef(
             "t5",
             ("n", "r", "m"),
-            lambda p, t: symmetric_block_sum(p.n, p.r, p.m, t) - gessel_halved_double_sum(p.n, p.r, p.m),
+            lambda p, t: _join(_symmetric_block(p.n, p.r, p.m, t), _halved_double_sum(p.n, p.r, p.m, -1)),
             domain=(ODD_R,),
         ),
         CaseDef(
@@ -740,23 +862,25 @@ CASE_DEFS: dict[str, CaseDef] = {
         ),
         CaseDef("p1", ("n",), lambda p, t: autoduality_residual(p.n, t)),
         CaseDef("e1", ("n", "l"), lambda p, t: lucas_pair_sum(p.n, p.l, t)),
-        CaseDef("e2", ("n", "l"), lambda p, t: _pair(p.n, p.l, 0, 1, t)),
+        CaseDef("e2", ("n", "l"), lambda p, t: _join(*_pair(p.n, p.l, 0, 1, t))),
         CaseDef(
             "k5",
             ("n",),
-            lambda p, t: _weighted_readings(p.n, 0, 1, ZERO, t),
+            lambda p, t: _weighted_readings(p.n, 0, 1, 0, t),
             prefer=("literal", "first_block"),
             note="the weighted sum vanishes and matches both the (n+1)-scaled pair sum and the single block at m=1",
         ),
         CaseDef("k3", ("n",), lambda p, t: stern_recurrence_sum(p.n, t), domain=(Guard(lambda p: p.n >= 1, "needs n >= 1"),)),
-        CaseDef("s3", ("n", "l", "r"), lambda p, t: _pair(p.n, p.l, p.r, 1, t)),
-        CaseDef("t230", ("n", "l", "m"), lambda p, t: _pair(p.n, p.l, 0, p.m, t) - linear_weight_double_sum(p.n, p.l, p.m)),
+        CaseDef("s3", ("n", "l", "r"), lambda p, t: _join(*_pair(p.n, p.l, p.r, 1, t))),
+        CaseDef(
+            "t230",
+            ("n", "l", "m"),
+            lambda p, t: _join(*_pair(p.n, p.l, 0, p.m, t), (-_linear_weight_sum(p.n, p.l, p.m), 1)),
+        ),
         CaseDef(
             "t24",
             ("n", "m"),
-            lambda p, t: _weighted_readings(
-                p.n, 1, p.m, sum((kaneko_weighted_term(k, p.m, p.n) for k in range(1, p.m)), ZERO), t
-            ),
+            lambda p, t: _weighted_readings(p.n, 1, p.m, sum(_kaneko_term(k, p.m, p.n) for k in range(1, p.m)), t),
             prefer=("literal", "first_block"),
             note="the displayed sum equals the closed form and the single block of the symmetric pair sum; its "
             "identification with (n+1) times the shifted pair sum fails",
@@ -815,7 +939,7 @@ CASE_DEFS: dict[str, CaseDef] = {
             "s4",
             ("n", "l", "r", "s", "xy", "z=s+1-x-y"),
             lambda p, t: integer_balance_residual(p.n, p.l, p.r, p.s, p.x, p.y, t),
-            domain=(Guard(lambda p: p.x + p.y + p.z == p.s + 1, "needs x + y + z = s + 1"),),
+            domain=(Guard(lambda p: _sums_to(p.s + 1, p.x, p.y, p.z), "needs x + y + z = s + 1"),),
         ),
         CaseDef(
             "cor3a",

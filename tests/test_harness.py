@@ -332,6 +332,27 @@ def test_golden_report_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST
 
 
+# The default sweep on one consistent wrong table: B_1^(a) + 1 among the
+# generalized numbers and B_2 + 1 at the classical source.  Pinned before
+# the scalar residuals were joined in one Fraction each: 3,524
+# counterexamples, 27 cases of them with nonzero residual strings.
+WRONG_TABLE_DIGEST = "8315467288b29180a160f75954d6ccb0b4a6e9ca0ad9f43a53c6bcca1f596c2c"
+
+
+def test_golden_wrong_table_report_digest():
+    wrong = GenBernTable()
+    wrong.grow(1)
+    wrong._numbers[1] = wrong.number(1) + 1
+    right = wrong.classical_numbers
+    wrong.classical_numbers = lambda n_max: [b + (i == 2) for i, b in enumerate(right(n_max))]
+    report = run_suite(SweepConfig(), wrong)
+    assert report.summary["counterexample"] == 3524
+    text = json.dumps(_stripped(emit_json(report)), indent=2)
+    nonzero = {r["case"] for r in json.loads(text)["results"] if r["residual"] != "0"}
+    assert len(nonzero) == 27
+    assert hashlib.sha256(text.encode()).hexdigest() == WRONG_TABLE_DIGEST
+
+
 def test_a_wrong_table_fails_the_run_it_is_passed_and_no_other(monkeypatch):
     cfg = SweepConfig(max_n=1, max_l=1, max_r=1, max_s=1, max_m=2)  # every case has a point in its domain
 
@@ -579,6 +600,52 @@ def test_sweep_hands_each_point_over_and_leaves_nothing_behind(monkeypatch):
     assert len(slots) == 1
     assert seen == [("theorem_le1", 1), ("proof_replay", 0)] * grid_size("theorem_le1", cfg)
     assert not any(key[0] == "lhs" for key in table._derived)
+
+
+def _hashed_point_order(cases):
+    """The pairing by hashed params that position pairing replaced."""
+    theorem = {c.params for c in cases if c.id == "theorem_le1"}
+    replays = {c.params: c for c in cases if c.id == "proof_replay" and c.params in theorem}
+    out = []
+    for c in cases:
+        if c.id != "proof_replay" or c.params not in replays:
+            out.append(c)
+        if c.id == "theorem_le1" and c.params in replays:
+            out.append(replays[c.params])
+    return out
+
+
+# the benchmark's suite_symbolic workload at its seed-0 points
+SUITE_SYMBOLIC_CONFIG = SweepConfig(
+    max_n=4, max_l=4, max_r=2, max_s=2, cases=("theorem_le1", "proof_replay", "neto_corrected", "s20")
+)
+
+
+@pytest.mark.parametrize(
+    "base", [SweepConfig(), SUITE_SYMBOLIC_CONFIG, GOLDEN_CONFIG], ids=["default", "symbolic", "golden"]
+)
+def test_point_order_pairs_the_main_identity_grids_by_position(base):
+    others = tuple(c for c in base.cases if c not in ("theorem_le1", "proof_replay"))
+    for cases in (
+        base.cases,
+        ("proof_replay", "theorem_le1", *others),
+        ("theorem_le1", *others, "proof_replay"),
+        ("theorem_le1",),
+        ("proof_replay",),
+        ("proof_replay", *others),
+    ):
+        enumerated = enumerate_cases(dataclasses.replace(base, cases=cases))
+        assert harness._point_order(enumerated) == _hashed_point_order(enumerated), cases
+    # the two grids are equal point for point
+    enumerated = enumerate_cases(base)
+    theorem = [c.params for c in enumerated if c.id == "theorem_le1"]
+    assert theorem and theorem == [c.params for c in enumerated if c.id == "proof_replay"]
+
+
+def test_point_order_rejects_grids_that_differ():
+    cases = [IdentityCase("theorem_le1", SumSpec(n=1)), IdentityCase("proof_replay", SumSpec(n=2))]
+    with pytest.raises(ValueError, match="grids differ"):
+        harness._point_order(cases)
 
 
 def test_a_case_run_alone_or_unpaired_hands_nothing_over(monkeypatch):

@@ -29,6 +29,8 @@ from genbern.identities import (
     _block,
     _difference,
     _double_sum,
+    _join,
+    _parts,
     alternating_power_sum,
     balanced_triple_residual_antisym,
     balanced_triple_residual_folded,
@@ -914,7 +916,8 @@ def test_double_sums_at_rationals_against_literal_evaluator():
             for l in range(3):
                 for r in range(3):
                     for stop in (None, 1, r + 1):
-                        assert _double_sum(n, l, r, range(1, 5), (cu, eu), (cv, ev), stop=stop) == (r + 1) * sum(
+                        term = _double_sum(n, l, r, range(1, 5), (*_parts(cu), eu), (*_parts(cv), ev), stop=stop)
+                        assert F(*term) == (r + 1) * sum(
                             math.comb(n + r, j)
                             * math.comb(l + r, r + 1 - j)
                             * (cu + eu * k) ** (l + j - 1)
@@ -1065,6 +1068,115 @@ def test_odd_r_tail_sums_against_literal_evaluator():
                 ]
 
 
+def _literal_pair(n, l, r, w, y, z, value):
+    """S(n, l, r; w, y, z) with B_i(u) = value(i, u), as displayed."""
+    first = _literal_block(n, l, r, w, lambda i: value(i, y))
+    return first + (-1) ** (l + n + r + 1) * _literal_block(l, n, r, w, lambda i: value(i, z))
+
+
+def _literal_double_sum(n, l, r, ks, u, v):
+    """(r+1) sum_{k in ks} sum_j C(n+r,j) C(l+r,r+1-j) u(k)^(l+j-1) v(k)^(n+r-j)
+    over the terms with a nonzero coefficient, where a zero base meets no
+    negative power."""
+    return (r + 1) * sum(
+        (
+            math.comb(n + r, j) * math.comb(l + r, r + 1 - j) * F(u(k)) ** (l + j - 1) * F(v(k)) ** (n + r - j)
+            for k in ks
+            for j in range(r + 2)
+            if math.comb(n + r, j) * math.comb(l + r, r + 1 - j)
+        ),
+        F(0),
+    )
+
+
+def _literal_leibniz_at(n, l, r, s, u, v):
+    """The Leibniz double sum at any u, v: integer ones make zero bases."""
+    return _literal_double_sum(n, l, r, range(1, s + 1), lambda k: u - k, lambda k: v - k)
+
+
+def test_s4_against_literal_evaluator():
+    # non-grid points, one pair with x + y an integer
+    for x, y in ((F(-5, 7), F(3, 4)), (F(7, 3), F(-1, 6)), (F(5, 6), F(1, 6))):
+        for n in range(3):
+            for l in range(3):
+                for r in range(3):
+                    for s in range(3):
+                        z = s + 1 - x - y
+                        expected = _literal_pair(n, l, r, x, y, z, _b) - _literal_leibniz_at(n, l, r, s, y, x + y)
+                        got = readings("s4", n=n, l=l, r=r, s=s, x=x, y=y, z=z)
+                        assert got == expected and type(got) is F, (n, l, r, s, x, y)
+
+
+def test_t4_tg4_and_t230_against_literal_evaluator():
+    # past the default grid's bounds (3, 3, 2 and m <= 4)
+    for n in range(5):
+        for l in range(5):
+            for m in range(1, 7):
+                for r in range(4):
+                    pair = _literal_pair(n, l, r, m, 0, 0, _b)
+                    gessel = _literal_double_sum(n, l, r, range(1, m), lambda k: -k, lambda k: m - k)
+                    assert readings("t4", n=n, l=l, r=r, m=m) == pair - gessel
+                    reindexed = _literal_double_sum(n, l, r, range(1, m), lambda k: k - m, lambda k: k)
+                    assert readings("tg4", n=n, l=l, r=r, m=m) == pair - reindexed
+                linear = sum(
+                    (((n + l) * k - m * n) * F(k) ** (n - 1) * F(k - m) ** (l - 1) for k in range(1, m)), F(0)
+                )
+                assert readings("t230", n=n, l=l, m=m) == _literal_pair(n, l, 0, m, 0, 0, _b) - linear
+
+
+def _assert_row_keys_reduced(table):
+    """Every row key of ``table`` holds its rationals in lowest terms over a
+    positive denominator, so one point has one key."""
+    rows = [key for key in table._derived if key[0] in ("row", "classical_row")]
+    assert rows
+    for key in rows:
+        assert all(d > 0 and math.gcd(v, d) == 1 for v, d in zip(key[1::2], key[2::2], strict=True)), key
+
+
+# points in sixths, so that derived arguments reduce: 1+s-lam-x over 36 and x+y over 36
+sixths = st.integers(-12, 12).map(lambda k: F(k, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), sixths, sixths, st.booleans())
+def test_app1_and_s4_at_points_whose_derived_argument_reduces(n, l, r, s, lam, x, hit):
+    if hit:
+        x = 1 + s - lam  # 1+s-lam-x = 0, and x + y an integer below
+    table = GenBernTable()
+    expected = _literal_pair(n, l, r, lam, x, 1 + s - lam - x, _b) - _literal_leibniz_at(n, l, r, s, x, x + lam)
+    got = readings("app1", table, n=n, l=l, r=r, s=s, lam=lam, x=x)
+    assert got == expected and type(got) is F
+    y = (1 - x) if hit else lam
+    z = s + 1 - x - y
+    expected = _literal_pair(n, l, r, x, y, z, _b) - _literal_leibniz_at(n, l, r, s, y, x + y)
+    got = readings("s4", table, n=n, l=l, r=r, s=s, x=x, y=y, z=z)
+    assert got == expected and type(got) is F
+    _assert_row_keys_reduced(table)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(1, 2), sixths, sixths, sixths, st.booleans())
+def test_balanced_forms_at_points_whose_derived_argument_reduces(n, l, r, alpha, x, y, hit):
+    if hit:
+        y = -x  # x + y = 0
+    z = alpha - x - y
+    table = GenBernTable()
+    first = _literal_block(n, l, r, x, lambda i: _gb(i, alpha, y))
+    second = _literal_block(l, n, r, x, lambda i: _gb(i, alpha, z))
+    assert readings("s1", table, n=n, l=l, r=r, alpha=alpha, x=x, y=y, z=z) == (-1) ** n * first - (-1) ** (l + r) * second
+    folded = _literal_block(l, n, r, -x, lambda i: _gb(i, alpha, x + y))
+    assert readings("s2", table, n=n, l=l, r=r, alpha=alpha, x=x, y=y) == first - folded
+    lhs = (-1) ** n * _literal_block(n, l, r, x, lambda i: _gb(i, alpha, y), stop=n + r) + (-1) ** (
+        l + r + 1
+    ) * _literal_block(l, n, r, x, lambda i: _gb(i, alpha, z), stop=l + r)
+    c = (-1) ** n * math.comb(n + l + 2 * r, r)
+    assert readings("cor3a", table, n=n, l=l, r=r, alpha=alpha, x=x, y=y, z=z) == {
+        name: lhs - c * (_gb(idx, alpha, x + y) - _gb(idx, alpha, y))
+        for name, idx in (("corrected", n + l + r), ("as_printed", n + l + 1))
+    }
+    _assert_row_keys_reduced(table)
+
+
 def _block_reference(p, q, r, w, term, stop=None, scale=1, total=F(0)):
     """The Fraction loop the rational block replaced: one Fraction product
     and add per term with a nonzero coefficient."""
@@ -1098,9 +1210,12 @@ rationals = st.one_of(
 )
 def test_rational_block_matches_fraction_loop(p, q, r, w, values, stop, scale, total):
     stop = None if stop is None else min(stop, p + r)  # below top + 1
-    got = _block(p, q, r, w, _row(values), stop=stop, scale=scale, total=total)
-    assert got == _block_reference(p, q, r, w, values.__getitem__, stop=stop, scale=scale, total=total)
-    assert type(got) is F
+    term = _block(p, q, r, _parts(w), _row(values), stop=stop, scale=scale)
+    expected = _block_reference(p, q, r, w, values.__getitem__, stop=stop, scale=scale, total=total)
+    assert F(*term) + total == expected
+    # the term joins a second one in one Fraction
+    got = _join(term, _parts(total))
+    assert got == expected and type(got) is F
 
 
 # its own table, so that random orders leave no entries in the default one
@@ -1122,8 +1237,8 @@ small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 def test_row_fed_block_matches_per_term_sum(p, q, r, stop, scale, w, alpha, x):
     stop = None if stop is None else min(stop, p + r)
     t = PROPERTY_TABLE
-    got = _block(p, q, r, w, t.value_row(p + q + r, alpha, x), stop=stop, scale=scale)
-    assert got == _block_reference(p, q, r, w, lambda i: t.value_at(i, alpha, x), stop=stop, scale=scale)
+    term = _block(p, q, r, _parts(w), t.value_row(p + q + r, alpha, x), stop=stop, scale=scale)
+    assert F(*term) == _block_reference(p, q, r, w, lambda i: t.value_at(i, alpha, x), stop=stop, scale=scale)
 
 
 def test_difference_short_circuit_matches_lincomb():
