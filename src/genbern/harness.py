@@ -109,9 +109,9 @@ class SweepConfig:
     cases: tuple[str, ...] = CASE_IDS
 
     def validate(self) -> None:
-        for name in BOUNDS:
-            if getattr(self, name) < 0:
-                raise UsageError(f"{name} must be >= 0")
+        for name, index in zip(BOUNDS, INDEXES):
+            if getattr(self, name) < index.default:
+                raise UsageError(f"{name} must be >= {index.default}")
         check_input_size(*(getattr(self, name) for name in BOUNDS))
         unknown = [c for c in self.cases if c not in CASE_DEFS]
         if unknown:
@@ -320,10 +320,13 @@ def record_json(res: VerificationResult, pad: str = "") -> str:
         '"status": ' + _string(res.status),
         '"residual": ' + _string(text[:RESIDUAL_TRUNCATE_AT]),
     ]
+    digest = res.residual_sha256
     if len(text) > RESIDUAL_TRUNCATE_AT:
         import hashlib  # only a truncated residual needs it, and importing it costs about 3.5 MB of RSS
 
-        members += ['"residual_truncated": true', f'"residual_sha256": "{hashlib.sha256(text.encode()).hexdigest()}"']
+        digest = hashlib.sha256(text.encode()).hexdigest()
+    if digest:
+        members += ['"residual_truncated": true', f'"residual_sha256": "{digest}"']
     if res.readings is not None:
         reading = "null" if res.reading is None else _string(res.reading)
         readings = [_string(name) + ": " + _string(status) for name, status in res.readings.items()]
@@ -335,16 +338,11 @@ def record_json(res: VerificationResult, pad: str = "") -> str:
 
 
 def result_from_dict(data: dict) -> VerificationResult:
+    """Inverse of :func:`record_json` up to the elapsed time, a truncated residual's digest included."""
     case = IdentityCase(data["case"], params_from_dict(data["params"]))
-    return VerificationResult(
-        case=case,
-        status=data["status"],
-        residual=data["residual"],
-        elapsed=data.get("elapsed_ms", 0.0) / 1000,
-        readings=data.get("readings"),
-        reading=data.get("reading"),
-        note=data.get("note"),
-    )
+    # the record's optional keys are the result's fields of the same names
+    optional = {key: data.get(key) for key in ("readings", "reading", "note", "residual_sha256")}
+    return VerificationResult(case, data["status"], data["residual"], data.get("elapsed_ms", 0.0) / 1000, **optional)
 
 
 @dataclass

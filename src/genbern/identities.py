@@ -14,18 +14,19 @@ The central object is the two-block alternating sum
 
 and the main identity evaluates it at (x, y, z) = (lam, x, a+s-lam-x) in
 closed form through the order-lowering umbral operator.  Every block of
-such a sum in the catalog goes through one kernel, ``_block``, and every
-order-one closed double sum (r+1) sum_k sum_j C(n+r,j) C(l+r,r+1-j)
-u_k^(l+j-1) v_k^(n+r-j) through another, ``_double_sum``.  At a rational
-order both kernels return an integer term (numerator, denominator), as
-the closed forms do, and a scalar residual is one ``_join`` of its terms:
-one lcm, one integer sum and one Fraction, the layout :class:`Poly` keeps
-for polynomials.  A derived point such as 1+s-lam-x or x+y is formed from
-the integer numerators and denominators and reduced by one gcd, and the
-table's row at it is read by that pair.  A handful of
-catalog entries circulate in print with typographical slips; those run in
-"adjudication" mode, where every candidate reading is evaluated and the
-result records which one verifies.
+such a sum in the catalog goes through one kernel per ring: ``_block`` at
+a rational order and point, and ``_poly_block`` over QQ[a] or QQ[a][x],
+one ``lincomb``.  Every order-one closed double sum (r+1) sum_k sum_j
+C(n+r,j) C(l+r,r+1-j) u_k^(l+j-1) v_k^(n+r-j) goes through ``_double_sum``.
+``_block`` and ``_double_sum`` return an integer term (numerator,
+denominator), as the closed forms do, and a scalar residual is one
+``_join`` of its terms: one lcm, one integer sum and one Fraction, the
+layout :class:`Poly` keeps for polynomials.  A derived point such as
+1+s-lam-x or x+y is formed from the integer numerators and denominators
+and reduced by one gcd, and the table's row at it is read by that pair.
+A handful of catalog entries circulate in print with typographical
+slips; those run in "adjudication" mode, where every candidate reading is
+evaluated and the result records which one verifies.
 
 Each case is a :class:`CaseDef` record: its sweep axes, its domain guards,
 its residual (one, or one per reading), the order in which its readings
@@ -76,44 +77,47 @@ def _difference(lhs: Poly, rhs: Poly) -> Poly:
 @functools.cache
 def _block_coefficients(p: int, q: int, r: int) -> tuple[int, ...]:
     """C(p+r,k) C(q+k+r,r) for k = 0..p+r, the integer coefficients of a
-    block; the default sweep reads 56 keys 6,961 times."""
+    block, which both block kernels read."""
     return tuple(binomial(p + r, k) * binomial(q + k + r, r) for k in range(p + r + 1))
 
 
-def _block(p: int, q: int, r: int, w, values, stop: int | None = None, scale=1, total=None):
-    """scale * sum_{k<stop} C(p+r,k) C(q+k+r,r) w^(p+r-k) B_{q+k}, plus ``total``.
+def _block(p: int, q: int, r: int, w, values, stop: int | None = None, scale=1) -> tuple[int, int]:
+    """scale * sum_{k<stop} C(p+r,k) C(q+k+r,r) w^(p+r-k) B_{q+k}, as a term.
 
-    One block of the two-block sum; ``stop`` defaults to p+r+1, the whole
-    block.  Every sign rides in ``scale``, which multiplies the integer
-    coefficient, so a signed block costs no extra product.
-
-    Without a ``total`` the block is a scalar term: w = (u, v) is the
-    rational weight u/v as two integers, and ``values`` a row ``(nums,
-    den)`` holding B_i = nums[i] / den (:meth:`GenBernTable.value_row_at`,
+    One block of the two-block sum at a rational point; ``stop`` defaults
+    to p+r+1, the whole block, and every sign rides in ``scale``.  w = (u, v)
+    is the weight u/v as two integers, and ``values`` a row ``(nums, den)``
+    holding B_i = nums[i] / den (:meth:`GenBernTable.value_row_at`,
     :meth:`GenBernTable.classical_row_at`).  The block is one integer Horner
-    pass over the row and the cached coefficients, with the integer weights
-    C C u^(p+r-k) v^k over v^(p+r), and is returned as the term ``(num,
-    den v^(p+r))`` for :func:`_join`.  With a polynomial ``total``, the
-    block accumulates into it: ``values(i)`` gives B_i, terms with a zero
-    coefficient are skipped without calling it, and the block is one
-    ``lincomb``.
+    pass over the row and the cached coefficients, returned as the term
+    ``(num, den v^(p+r))`` for :func:`_join`.
+    """
+    nums, den = values
+    u, v = w
+    top = p + r
+    coefficients = _block_coefficients(p, q, r)[:stop]
+    # Horner in u: acc = sum_k c_k nums[q+k] u^(K-1-k) v^k over the K coefficients kept
+    acc, vk = 0, 1
+    for c, b in zip(coefficients, nums[q : q + len(coefficients)], strict=True):
+        acc = acc * u + c * b * vk
+        vk *= v
+    return acc * scale * u ** (top + 1 - len(coefficients)), den * v**top
+
+
+def _poly_block(p: int, q: int, r: int, w, values, total: Poly, stop: int | None = None, scale=1) -> Poly:
+    """``total`` + scale * sum_{k<stop} C(p+r,k) C(q+k+r,r) w^(p+r-k) B_{q+k}, as one ``lincomb``.
+
+    The block of :func:`_block` over QQ[a] or QQ[a][x]: ``values(i)`` gives
+    B_i, and w is a rational u/v or a polynomial u in ``a`` (v = 1).  A term
+    whose whole weight scale C C u^(p+r-k) v^k is zero (at w = 0, every
+    k < p+r) is skipped without calling ``values``.
     """
     top = p + r
-    if total is None:
-        nums, den = values
-        u, v = w
-        coefficients = _block_coefficients(p, q, r)[:stop]
-        # Horner in u: acc = sum_k c_k nums[q+k] u^(K-1-k) v^k over the K coefficients kept
-        acc, vk = 0, 1
-        for c, b in zip(coefficients, nums[q : q + len(coefficients)], strict=True):
-            acc = acc * u + c * b * vk
-            vk *= v
-        return acc * scale * u ** (top + 1 - len(coefficients)), den * v**top
     u, v = (w, 1) if isinstance(w, Poly) else (w.numerator, w.denominator)
     pairs = [(v**top, total)] + [
         (c, values(q + k))
-        for k in range(top + 1 if stop is None else stop)
-        if (c := scale * binomial(top, k) * binomial(q + k + r, r) * u ** (top - k) * v**k)
+        for k, b in enumerate(_block_coefficients(p, q, r)[:stop])
+        if (c := scale * b * u ** (top - k) * v**k)
     ]
     return lincomb(total.var, pairs, v**top)
 
@@ -209,8 +213,8 @@ def paired_sum(n: int, l: int, r: int, x, y, z, alpha=None, table: GenBernTable 
     if alpha is not None:
         return _join(*_paired_terms(n, l, r, _parts(x), _parts(y), _parts(z), _parts(alpha), table))
     x, y, z = _rational(x), _rational(y), _rational(z)
-    first = _block(n, l, r, x, lambda idx: table.poly(idx).eval(y), total=Poly("a"))
-    return _block(l, n, r, x, lambda idx: table.poly(idx).eval(z), scale=_sign(l + n + r + 1), total=first)
+    first = _poly_block(n, l, r, x, lambda idx: table.poly(idx).eval(y), Poly("a"))
+    return _poly_block(l, n, r, x, lambda idx: table.poly(idx).eval(z), first, scale=_sign(l + n + r + 1))
 
 
 def _paired_terms(n: int, l: int, r: int, w, y, z, order, table: GenBernTable):
@@ -231,8 +235,8 @@ def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable =
     Built on every call; its blocks read the table's memoized polynomials.
     """
     lam = Fraction(lam)
-    first = _block(n, l, r, lam, table.poly, total=Poly("x"))
-    return _block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, lam - s), scale=-1, total=first)
+    first = _poly_block(n, l, r, lam, table.poly, Poly("x"))
+    return _poly_block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, lam - s), first, scale=-1)
 
 
 def _window_core(n: int, l: int, r: int, ks, u, v) -> Poly:
@@ -293,10 +297,10 @@ def main_identity_residual_at(n, l, r, s, lam, alpha, table: GenBernTable = DEFA
     QQ[x]) rather than by specializing the symbolic residual or calling
     :class:`OmegaOperator`."""
     lam, order = Fraction(lam), Fraction(alpha)
-    lhs = _block(n, l, r, lam, lambda idx: table.poly_at(idx, order), total=Poly("x"))
+    lhs = _poly_block(n, l, r, lam, lambda idx: table.poly_at(idx, order), Poly("x"))
     # The reflection sign (-1)^(n+k) goes into the weight: with the global
     # sign (-1)^(l+n+r+1), (-1)^(n+k) lam^(l+r-k) becomes -(-lam)^(l+r-k).
-    lhs = _block(l, n, r, -lam, lambda idx: table.poly_at(idx, order).shift(lam - s), scale=-1, total=lhs)
+    lhs = _poly_block(l, n, r, -lam, lambda idx: table.poly_at(idx, order).shift(lam - s), lhs, scale=-1)
     rhs = linear_image(telescoping_core(n, l, r, s, lam).derive(), lambda k: table.poly_at(k, order - 1))
     return _difference(lhs, rhs)
 
@@ -355,47 +359,27 @@ def certify_lambda(n: int, l: int, r: int, s: int, table: GenBernTable = DEFAULT
 # ---------------------------------------------------------------------------
 
 
-def gessel_double_sum(n: int, l: int, r: int, m: int) -> Fraction:
-    """(r+1) sum_{k<m} sum_{j<=r+1} (-1)^(l+j-1) C(n+r,j) C(l+r,r+1-j)
-    k^(l+j-1) (m-k)^(n+r-j)."""
-    return _join(_gessel(n, l, r, m))
-
-
 def _gessel(n: int, l: int, r: int, m: int, scale=1) -> tuple[int, int]:
-    """:func:`gessel_double_sum` times ``scale``, as a term."""
+    """scale (r+1) sum_{k<m} sum_{j<=r+1} (-1)^(l+j-1) C(n+r,j) C(l+r,r+1-j)
+    k^(l+j-1) (m-k)^(n+r-j), as a term."""
     return _double_sum(n, l, r, range(1, m), (0, 1, -1), (m, 1, -1), scale=scale)
 
 
-def gessel_double_sum_reindexed(n: int, l: int, r: int, m: int) -> Fraction:
-    """Equivalent form after reindexing k -> m-k: the summand becomes
-    C(n+r,j) C(l+r,r+1-j) k^(n+r-j) (k-m)^(l+j-1)."""
-    return _join(_gessel_reindexed(n, l, r, m))
-
-
 def _gessel_reindexed(n: int, l: int, r: int, m: int, scale=1) -> tuple[int, int]:
-    """:func:`gessel_double_sum_reindexed` times ``scale``, as a term."""
+    """:func:`_gessel` after reindexing k -> m-k, as a term: the summand
+    becomes C(n+r,j) C(l+r,r+1-j) k^(n+r-j) (k-m)^(l+j-1)."""
     return _double_sum(n, l, r, range(1, m), (-m, 1, 1), (0, 1, 1), scale=scale)
 
 
-def symmetric_block_sum(n: int, r: int, m: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
-    """The single Bernoulli block sum_{k=0}^{n+r} m^(n+r-k) C(n+r,k)
-    C(n+k+r,r) B_{n+k}; for odd r it is half of S(n, n, r; m, 0, 0)."""
-    return _join(_symmetric_block(n, r, m, table))
-
-
 def _symmetric_block(n: int, r: int, m: int, table: GenBernTable) -> tuple[int, int]:
-    """:func:`symmetric_block_sum` as a term."""
+    """The single Bernoulli block sum_{k=0}^{n+r} m^(n+r-k) C(n+r,k)
+    C(n+k+r,r) B_{n+k}, as a term; for odd r it is half of S(n, n, r; m, 0, 0)."""
     return _block(n, n, r, (m, 1), table.classical_row_at(2 * n + r, 0, 1))
 
 
-def gessel_halved_double_sum(n: int, r: int, m: int) -> Fraction:
-    """(1/2)(r+1) sum_{k<m} sum_{j<=r+1} C(n+r,j) C(n+r,r+1-j)
-    k^(j+n-1) (k-m)^(n+r-j), the closed form of the single block for odd r."""
-    return _join(_halved_double_sum(n, r, m))
-
-
 def _halved_double_sum(n: int, r: int, m: int, scale=1) -> tuple[int, int]:
-    """:func:`gessel_halved_double_sum` times ``scale``, as a term."""
+    """scale (1/2)(r+1) sum_{k<m} sum_{j<=r+1} C(n+r,j) C(n+r,r+1-j) k^(j+n-1)
+    (k-m)^(n+r-j), as a term: the closed form of the single block for odd r."""
     num, den = _double_sum(n, n, r, range(1, m), (0, 1, 1), (-m, 1, 1), scale=scale)
     return num, 2 * den
 
@@ -433,20 +417,14 @@ def stern_recurrence_sum(n: int, table: GenBernTable = DEFAULT_TABLE) -> Fractio
     return _join(_block(n, n, 1, (1, 1), table.classical_row_at(2 * n, 0, 1), stop=n + 1))
 
 
-def linear_weight_double_sum(n: int, l: int, m: int) -> Fraction:
-    """sum_{k<m} ((n+l)k - mn) k^(n-1) (k-m)^(l-1).
+def _linear_weight_sum(n: int, l: int, m: int) -> int:
+    """sum_{k<m} ((n+l)k - mn) k^(n-1) (k-m)^(l-1), an integer.
 
     The formally negative exponents always cancel, and the sum is written
-    out without them, over integers: at l = 0 the linear weight factors as
-    n(k-m) and absorbs (k-m)^(-1), leaving n k^(n-1) (nothing at n = 0
-    too); at n = 0 the k^(-1) piece carries the zero coefficient mn,
-    leaving l (k-m)^(l-1).
+    out without them: at l = 0 the linear weight factors as n(k-m) and
+    absorbs (k-m)^(-1), leaving n k^(n-1) (nothing at n = 0 too); at n = 0
+    the k^(-1) piece carries the zero coefficient mn, leaving l (k-m)^(l-1).
     """
-    return Fraction(_linear_weight_sum(n, l, m))
-
-
-def _linear_weight_sum(n: int, l: int, m: int) -> int:
-    """:func:`linear_weight_double_sum`, an integer."""
     if l == 0:
         return n * sum(k ** (n - 1) for k in range(1, m)) if n else 0
     if n == 0:
@@ -454,16 +432,11 @@ def _linear_weight_sum(n: int, l: int, m: int) -> int:
     return sum(((n + l) * k - m * n) * k ** (n - 1) * (k - m) ** (l - 1) for k in range(1, m))
 
 
-def kaneko_weighted_term(k: int, m: int, n: int) -> Fraction:
-    """p_k(m, 1, n) = (n+1)^2 k^n (k-m)^n + n(n+1) k^(n+1) (k-m)^(n-1).
+def _kaneko_term(k: int, m: int, n: int) -> int:
+    """p_k(m, 1, n) = (n+1)^2 k^n (k-m)^n + n(n+1) k^(n+1) (k-m)^(n-1), an integer.
 
     At n = 0 the second term carries the zero coefficient n(n+1), so the
     formal (k-m)^(-1) is never raised."""
-    return Fraction(_kaneko_term(k, m, n))
-
-
-def _kaneko_term(k: int, m: int, n: int) -> int:
-    """:func:`kaneko_weighted_term`, an integer."""
     second = n * (n + 1) * k ** (n + 1) * (k - m) ** (n - 1) if n else 0
     return (n + 1) ** 2 * k**n * (k - m) ** n + second
 
@@ -473,15 +446,10 @@ def _kaneko_term(k: int, m: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def leibniz_double_sum(n: int, l: int, r: int, s: int, u, v) -> Fraction:
-    """(r+1) sum_{k=1..s} sum_{j<=r+1} C(n+r,j) C(l+r,r+1-j)
-    (u-k)^(l+j-1) (v-k)^(n+r-j), the order-one closed form at a point."""
-    return _join(_leibniz(n, l, r, s, _parts(u), _parts(v)))
-
-
 def _leibniz(n: int, l: int, r: int, s: int, u, v, scale=1) -> tuple[int, int]:
-    """:func:`leibniz_double_sum` at u = a/b and v = c/d, given as pairs,
-    times ``scale``, as a term."""
+    """scale (r+1) sum_{k=1..s} sum_{j<=r+1} C(n+r,j) C(l+r,r+1-j)
+    (u-k)^(l+j-1) (v-k)^(n+r-j), the order-one closed form at a point, as a
+    term; u = a/b and v = c/d are given as the pairs (a, b) and (c, d)."""
     return _double_sum(n, l, r, range(1, s + 1), (*u, -1), (*v, -1), scale=scale)
 
 
@@ -512,16 +480,16 @@ def _order_shift_pair_residuals(n, l, r, m, beta, table: GenBernTable) -> dict[s
     """
     beta = Fraction(beta)
     lam = Fraction(m) - 2 * beta
-    first = _block(n, l, r, lam, lambda idx: table.poly_shifted(idx, beta), total=Poly("x"))
+    first = _poly_block(n, l, r, lam, lambda idx: table.poly_shifted(idx, beta), Poly("x"))
     right, mirror, sign = m - 1 - beta, 1 - lam - beta, _sign(l + n + r + 1)
     core = _window_core(n, l, r, (0,), beta - 1, right).derive(r + 1) * Fraction(1, math.factorial(r))
     rhs = OmegaOperator(-1, table)(core)
     # the per-term sign goes into the weight: -(-1)^(r+l+k) lam^(l+r-k) = -(-lam)^(l+r-k)
-    printed = _block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, right), scale=-1, total=first)
+    printed = _poly_block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, right), first, scale=-1)
     # B_{n+k}^(a)(a + mirror - x) = (-1)^(n+k) B_{n+k}^(a)(x - mirror) under the
     # global sign, (-1)^(n+k) going into the weight as (-1)^(n+l+r) (-lam)^(l+r-k).
     # Both readings verify because sign * (-1)^(n+l+r) = -1 and -mirror = m-1-beta.
-    reflected = _block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, -mirror), scale=sign * _sign(n + l + r), total=first)
+    reflected = _poly_block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, -mirror), first, scale=sign * _sign(n + l + r))
     return {"as_printed": _difference(printed, rhs), "from_main_identity": _difference(reflected, rhs)}
 
 
@@ -620,7 +588,7 @@ def odd_order_tail_residual(n: int, r: int, t_val, table: GenBernTable = DEFAULT
     """Symbolic-order identity for odd r: the truncated symmetric block with
     weight (a-2t)^(n+r-k) plus C(2n+2r,r) B_{2n+r}^(a)(t); residual in QQ[a]."""
     t_val = Fraction(t_val)
-    total = _block(n, n, r, poly_a(-2 * t_val, 1), lambda idx: table.poly(idx).eval(t_val), stop=n + r, total=poly_a())
+    total = _poly_block(n, n, r, poly_a(-2 * t_val, 1), lambda idx: table.poly(idx).eval(t_val), poly_a(), stop=n + r)
     return total + table.poly(2 * n + r).eval(t_val) * binomial(2 * n + 2 * r, r)
 
 
@@ -662,8 +630,8 @@ def symbolic_weight_pair_residual(n: int, l: int, table: GenBernTable = DEFAULT_
     """Fully symbolic two-block identity at weight a and arguments 0:
     sum_k a^(n-k) C(n,k) B_{l+k}^(a) + (-1)^(l+n+1) sum_k a^(l-k) C(l,k)
     B_{n+k}^(a); residual in QQ[a]."""
-    first = _block(n, l, 0, ALPHA, table.number, total=poly_a())
-    return _block(l, n, 0, ALPHA, table.number, scale=_sign(l + n + 1), total=first)
+    first = _poly_block(n, l, 0, ALPHA, table.number, poly_a())
+    return _poly_block(l, n, 0, ALPHA, table.number, first, scale=_sign(l + n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +696,8 @@ class VerificationResult:
     readings: dict[str, str] | None = None
     reading: str | None = None
     note: str | None = None
+    # the whole residual text's SHA-256 when ``residual`` is its prefix, read back from a truncated record
+    residual_sha256: str | None = None
 
     @property
     def verified(self) -> bool:

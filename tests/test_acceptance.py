@@ -20,21 +20,22 @@ from genbern.harness import SweepConfig, run_suite
 from genbern.identities import (
     IdentityCase,
     SumSpec,
+    _gessel,
+    _gessel_reindexed,
+    _halved_double_sum,
+    _join,
+    _linear_weight_sum,
+    _symmetric_block,
     alternating_power_sum,
     certify_lambda,
     classical_pair_residual,
-    gessel_double_sum,
-    gessel_double_sum_reindexed,
-    gessel_halved_double_sum,
     halved_tail_sum_residual,
-    linear_weight_double_sum,
     lucas_pair_sum,
     main_identity_residual,
     paired_sum,
     product_rule_split_residual,
     replay_proof,
     stern_recurrence_sum,
-    symmetric_block_sum,
     verify_case,
 )
 from genbern.poly import Poly, binomial
@@ -85,8 +86,8 @@ def test_criterion_4_explicit_double_sums():
         for n, l, r in product(range(5), repeat=3):
             for m in range(1, 6):
                 s = paired_sum(n, l, r, m, 0, 0, alpha=1)
-                assert s == gessel_double_sum(n, l, r, m), (n, l, r, m)
-                assert s == gessel_double_sum_reindexed(n, l, r, m), (n, l, r, m)
+                assert s == _join(_gessel(n, l, r, m)), (n, l, r, m)
+                assert s == _join(_gessel_reindexed(n, l, r, m)), (n, l, r, m)
 
 
 def test_criterion_5_symmetric_closed_forms():
@@ -94,7 +95,7 @@ def test_criterion_5_symmetric_closed_forms():
         for r in (1, 3):
             for n in range(6):
                 for m in range(1, 6):
-                    assert symmetric_block_sum(n, r, m) == gessel_halved_double_sum(n, r, m), (n, r, m)
+                    assert _join(_symmetric_block(n, r, m, DEFAULT_TABLE)) == _join(_halved_double_sum(n, r, m)), (n, r, m)
                     # ges1's corrected reading is the block minus the folded form
                     res = verify_case(IdentityCase("ges1", SumSpec(n=n, r=r, m=m)))
                     assert res.readings["sign_corrected"] == "verified", (n, r, m)
@@ -135,7 +136,7 @@ def test_criterion_6_classical_catalog():
             for r in range(5):
                 assert paired_sum(n, l, r, 1, 0, 0, alpha=1) == 0, ("s3", n, l, r)
             for m in range(1, 6):
-                assert paired_sum(n, l, 0, m, 0, 0, alpha=1) == linear_weight_double_sum(n, l, m), (
+                assert paired_sum(n, l, 0, m, 0, 0, alpha=1) == F(_linear_weight_sum(n, l, m)), (
                     "t230", n, l, m,
                 )
 

@@ -367,6 +367,16 @@ def test_m_bound(capsys):
     assert (code, out, err) == (2, "", f"error: m must be <= {limit}, got {limit + 1}\n")
 
 
+def test_suite_max_m_below_one_is_a_usage_error(capsys):
+    # m starts at 1: max_m = 0 would give t4 an empty grid and still exit 0
+    code, out, err = run_cli(capsys, "suite", "--cases", "t4,t3", "--max-m", "0")
+    assert (code, out, err) == (2, "", "error: max_m must be >= 1\n")
+    code, out, err = run_cli(capsys, "suite", "--cases", "t3", "--max-n", "-1")
+    assert (code, out, err) == (2, "", "error: max_n must be >= 0\n")
+    code, out, _ = run_cli(capsys, "suite", "--cases", "t4", "--max-n", "0", "--max-l", "0", "--max-r", "0", "--max-m", "1")
+    assert code == 0 and len(json.loads(out)["results"]) == 1
+
+
 def test_suite_grid_limit(capsys):
     limit = harness.MAX_GRID_POINTS
     # rem1 has 1000 * 5 * 10 = 50,000 points and p1 one more

@@ -167,6 +167,36 @@ def test_residual_truncation_hashes_full_form():
     assert entry["residual_sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
 
+def test_truncated_residual_round_trips_with_its_digest():
+    big = gen_bernoulli_numbers_symbolic(60)[60]
+    text = format_poly(big)
+    report = Report(SweepConfig(), [VerificationResult(IdentityCase("t3", SumSpec()), "counterexample", residual=big)])
+    stored = emit_json(report)
+    again = emit_json(parse_report(stored))
+    assert _stripped(again) == _stripped(stored)
+    entry = json.loads(again)["results"][0]
+    assert entry["residual_truncated"] is True
+    assert entry["residual"] == text[:RESIDUAL_TRUNCATE_AT]
+    assert entry["residual_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    # a residual of exactly RESIDUAL_TRUNCATE_AT characters is whole, before and after a round trip
+    whole = _hand_built_results()[4]
+    stored = emit_json(Report(SweepConfig(), [whole]))
+    assert emit_json(parse_report(stored)) == stored
+    assert "residual_truncated" not in json.loads(stored)["results"][0]
+
+
+def test_each_bound_is_checked_against_its_least_index():
+    for index in INDEXES:
+        name = "max_" + index.name
+        with pytest.raises(UsageError, match=f"^{name} must be >= {index.default}$"):
+            SweepConfig(**{name: index.default - 1}).validate()
+        with pytest.raises(UsageError, match=f"^{name} must be >= {index.default}$"):
+            SweepConfig.from_dict({name: index.default - 1})
+    # m starts at 1, so max_m = 0 would leave every case that sweeps m an empty grid
+    with pytest.raises(UsageError, match="^max_m must be >= 1$"):
+        SweepConfig(cases=("t4", "t3"), max_m=0).validate()
+
+
 def test_config_validation_errors():
     with pytest.raises(UsageError):
         SweepConfig(max_n=-1).validate()

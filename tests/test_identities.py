@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genbern.bernoulli import (
@@ -29,21 +29,23 @@ from genbern.identities import (
     _block,
     _difference,
     _double_sum,
+    _gessel,
+    _gessel_reindexed,
+    _halved_double_sum,
     _join,
+    _kaneko_term,
+    _leibniz,
+    _linear_weight_sum,
     _parts,
+    _poly_block,
+    _symmetric_block,
     alternating_power_sum,
     balanced_triple_residual_antisym,
     balanced_triple_residual_folded,
     certify_lambda,
     classical_pair_residual,
-    gessel_double_sum,
-    gessel_double_sum_reindexed,
-    gessel_halved_double_sum,
     halved_tail_sum_residual,
-    kaneko_weighted_term,
     lambda_degree_bound,
-    leibniz_double_sum,
-    linear_weight_double_sum,
     lucas_pair_sum,
     main_identity_lhs,
     main_identity_residual,
@@ -54,7 +56,6 @@ from genbern.identities import (
     replay_proof,
     stern_recurrence_sum,
     symbolic_weight_pair_residual,
-    symmetric_block_sum,
     telescoping_core,
     truncated_pair_sum,
     verify_case,
@@ -93,7 +94,7 @@ def test_paired_sum_weight_equal_to_order_vanishes():
 
 
 def test_paired_sum_matches_explicit_double_sum():
-    assert paired_sum(2, 1, 1, 3, 0, 0, alpha=1) == gessel_double_sum(2, 1, 1, 3)
+    assert paired_sum(2, 1, 1, 3, 0, 0, alpha=1) == _join(_gessel(2, 1, 1, 3))
 
 
 def test_paired_sum_symbolic_specializes_to_numeric():
@@ -366,15 +367,15 @@ def test_certify_lambda_point_counts():
 
 
 def test_double_sums_empty_at_m_one():
-    assert gessel_double_sum(2, 1, 1, 1) == 0
-    assert gessel_double_sum_reindexed(2, 1, 1, 1) == 0
-    assert gessel_halved_double_sum(2, 1, 1) == 0
+    assert _join(_gessel(2, 1, 1, 1)) == 0
+    assert _join(_gessel_reindexed(2, 1, 1, 1)) == 0
+    assert _join(_halved_double_sum(2, 1, 1)) == 0
     # the folded closed form is empty too, so both ges1 readings are the block, 0
     assert readings("ges1", n=2, r=1, m=1) == {"sign_corrected": 0, "as_printed": 0}
 
 
 def test_double_sum_equals_pair_sum_instance():
-    assert gessel_double_sum(1, 1, 1, 2) == paired_sum(1, 1, 1, 2, 0, 0, alpha=1)
+    assert _join(_gessel(1, 1, 1, 2)) == paired_sum(1, 1, 1, 2, 0, 0, alpha=1)
 
 
 def test_double_sum_grid():
@@ -383,20 +384,20 @@ def test_double_sum_grid():
             for r in range(3):
                 for m in range(1, 5):
                     s = paired_sum(n, l, r, m, 0, 0, alpha=1)
-                    assert s == gessel_double_sum(n, l, r, m)
-                    assert s == gessel_double_sum_reindexed(n, l, r, m)
+                    assert s == _join(_gessel(n, l, r, m))
+                    assert s == _join(_gessel_reindexed(n, l, r, m))
 
 
 def test_symmetric_block_closed_forms():
     # frozen hand instance: n=1, r=1, m=2
-    assert symmetric_block_sum(1, 1, 2) == -2
-    assert gessel_halved_double_sum(1, 1, 2) == -2
+    assert _join(_symmetric_block(1, 1, 2, DEFAULT_TABLE)) == -2
+    assert _join(_halved_double_sum(1, 1, 2)) == -2
     assert _q_term(1, 2, 1, 1, corrected=True) == -2
     for n in range(4):
         for r in (1, 3):
             for m in range(1, 5):
-                block = symmetric_block_sum(n, r, m)
-                assert block == gessel_halved_double_sum(n, r, m)
+                block = _join(_symmetric_block(n, r, m, DEFAULT_TABLE))
+                assert block == _join(_halved_double_sum(n, r, m))
                 # the block minus the folded closed form
                 assert readings("ges1", n=n, r=r, m=m)["sign_corrected"] == 0
                 # odd r collapses the pair sum onto twice the block
@@ -406,7 +407,7 @@ def test_symmetric_block_closed_forms():
 def test_q_block_printed_reading_fails_where_sign_matters():
     # exponent n+(r-1)/2 odd makes the printed base k(m-k) wrong
     assert _q_term(1, 2, 1, 1, corrected=False) == 6
-    assert symmetric_block_sum(1, 1, 2) == -2
+    assert _join(_symmetric_block(1, 1, 2, DEFAULT_TABLE)) == -2
     assert readings("ges1", n=1, r=1, m=2) == {"sign_corrected": 0, "as_printed": -8}
     # even exponent hides the difference
     res = readings("ges1", n=1, r=3, m=2)
@@ -446,26 +447,26 @@ def test_stern_recurrence_hand_instance():
 
 def test_weighted_lucas_values():
     # m=2, n=1: 4*2*B_1 + 2*3*B_2 + 4*B_3 = -4 + 1 + 0 = ... computed exactly
-    assert symmetric_block_sum(1, 1, 2) == -2
-    assert symmetric_block_sum(1, 1, 1) == 0
+    assert _join(_symmetric_block(1, 1, 2, DEFAULT_TABLE)) == -2
+    assert _join(_symmetric_block(1, 1, 1, DEFAULT_TABLE)) == 0
 
 
 def test_linear_weight_double_sum_example():
     # (n,l,m) = (2,2,3): sum over k of (4k-6) k (k-3) = 4 - 4 = 0
-    assert linear_weight_double_sum(2, 2, 3) == 0
+    assert F(_linear_weight_sum(2, 2, 3)) == 0
     assert paired_sum(2, 2, 0, 3, 0, 0, alpha=1) == 0
     for n in range(5):
         for l in range(5):
             for m in range(1, 6):
-                assert paired_sum(n, l, 0, m, 0, 0, alpha=1) == linear_weight_double_sum(n, l, m)
+                assert paired_sum(n, l, 0, m, 0, 0, alpha=1) == F(_linear_weight_sum(n, l, m))
 
 
 def test_kaneko_weighted_term_against_block():
     # the closed form matches the single block for r = 1
     for n in range(5):
         for m in range(1, 6):
-            closed = sum((kaneko_weighted_term(k, m, n) for k in range(1, m)), F(0))
-            assert symmetric_block_sum(n, 1, m) == closed
+            closed = sum((F(_kaneko_term(k, m, n)) for k in range(1, m)), F(0))
+            assert _join(_symmetric_block(n, 1, m, DEFAULT_TABLE)) == closed
 
 
 def _chen_sun_extra(k, m, n):
@@ -483,7 +484,7 @@ def test_chen_sun_extra_term_telescopes():
         for m in range(1, 6):
             total = sum((_chen_sun_term(k, m, n, True) for k in range(1, m)), F(0))
             assert total == sum((_q_term(k, m, 3, n, True) for k in range(1, m)), F(0))
-            assert symmetric_block_sum(n, 3, m) == total
+            assert _join(_symmetric_block(n, 3, m, DEFAULT_TABLE)) == total
 
 
 # -- adjudicated case records -------------------------------------------------------
@@ -497,7 +498,7 @@ def test_c1_drops_a_chen_sun_extra_that_sums_to_zero():
             assert sum(_chen_sun_extra(k, m, n) for k in range(1, m)) == 0
     for n in range(4):
         for m in range(1, 6):
-            lhs = symmetric_block_sum(n, 3, m)
+            lhs = _join(_symmetric_block(n, 3, m, DEFAULT_TABLE))
             whole = {
                 "sign_corrected": lhs - sum((_chen_sun_term(k, m, n, True) for k in range(1, m)), F(0)),
                 "as_printed": lhs - sum((_chen_sun_term(k, m, n, False) for k in range(1, m)), F(0)),
@@ -512,7 +513,7 @@ def test_t24_adjudication():
     assert res.readings == {"literal": "counterexample", "first_block": "verified"}
     # the literal prefactor claim really is off: (n+1)S = 8 vs sum = -2
     assert (1 + 1) * paired_sum(1, 2, 1, 2, 0, 0, alpha=1) == 8
-    assert symmetric_block_sum(1, 1, 2) == -2
+    assert _join(_symmetric_block(1, 1, 2, DEFAULT_TABLE)) == -2
 
 
 def test_k5_adjudication():
@@ -623,7 +624,7 @@ def test_classical_pair_specializes_to_double_sum():
     for m in (1, 2, 3):
         assert classical_pair_residual(1, 1, 1, m - 1, F(m), F(0)) == 0
         lhs_sum = paired_sum(1, 1, 1, m, 0, 0, alpha=1)
-        assert lhs_sum == gessel_double_sum(1, 1, 1, m)
+        assert lhs_sum == _join(_gessel(1, 1, 1, m))
 
 
 def test_classical_pair_rational_instance():
@@ -848,7 +849,7 @@ def test_kernels_against_literal_evaluator():
         )
         for r in range(4):
             for m in range(1, 5):
-                assert symmetric_block_sum(n, r, m) == sum(
+                assert _join(_symmetric_block(n, r, m, DEFAULT_TABLE)) == sum(
                     F(m) ** (n + r - k) * math.comb(n + r, k) * math.comb(n + k + r, r) * _b(n + k)
                     for k in range(n + r + 1)
                 )
@@ -878,7 +879,7 @@ def test_double_sums_against_literal_evaluator():
         for l in range(4):
             for r in range(4):
                 for m in range(1, 5):
-                    assert gessel_double_sum(n, l, r, m) == (r + 1) * sum(
+                    assert _join(_gessel(n, l, r, m)) == (r + 1) * sum(
                         F(-1) ** (l + j - 1)
                         * math.comb(n + r, j)
                         * math.comb(l + r, r + 1 - j)
@@ -888,7 +889,7 @@ def test_double_sums_against_literal_evaluator():
                         for j in range(r + 2)
                     )
                 for s in range(3):
-                    assert leibniz_double_sum(n, l, r, s, u, v) == (r + 1) * sum(
+                    assert _join(_leibniz(n, l, r, s, _parts(u), _parts(v))) == (r + 1) * sum(
                         math.comb(n + r, j) * math.comb(l + r, r + 1 - j) * (u - k) ** (l + j - 1) * (v - k) ** (n + r - j)
                         for k in range(1, s + 1)
                         for j in range(r + 2)
@@ -902,7 +903,7 @@ def test_double_sums_at_rationals_against_literal_evaluator():
             for l in range(3):
                 for r in range(3):
                     for s in range(3):
-                        assert leibniz_double_sum(n, l, r, s, u, v) == (r + 1) * sum(
+                        assert _join(_leibniz(n, l, r, s, _parts(u), _parts(v))) == (r + 1) * sum(
                             math.comb(n + r, j)
                             * math.comb(l + r, r + 1 - j)
                             * (u - k) ** (l + j - 1)
@@ -1182,7 +1183,7 @@ def _block_reference(p, q, r, w, term, stop=None, scale=1, total=F(0)):
     and add per term with a nonzero coefficient."""
     top = p + r
     for k in range(top + 1 if stop is None else stop):
-        c = scale * binomial(top, k) * binomial(q + k + r, r) * F(w) ** (top - k)
+        c = scale * binomial(top, k) * binomial(q + k + r, r) * (w if isinstance(w, Poly) else F(w)) ** (top - k)
         if c:
             total = total + term(q + k) * c
     return total
@@ -1216,6 +1217,41 @@ def test_rational_block_matches_fraction_loop(p, q, r, w, values, stop, scale, t
     # the term joins a second one in one Fraction
     got = _join(term, _parts(total))
     assert got == expected and type(got) is F
+
+
+small_coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+a_polys = st.lists(small_coefficients, max_size=3).map(lambda cs: Poly("a", cs))
+x_polys = st.lists(st.one_of(small_coefficients, a_polys.filter(bool)), max_size=3).map(lambda cs: Poly("x", cs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.one_of(st.just(F(0)), st.just(Poly("a")), rationals, a_polys),
+    # ten values and a starting total, all in QQ[a] or all in QQ[a][x]
+    st.sampled_from([a_polys, x_polys]).flatmap(lambda ring: st.tuples(st.lists(ring, min_size=10, max_size=10), ring)),
+    st.one_of(st.none(), st.integers(0, 6)),
+    st.sampled_from([1, -1]),
+)
+@example(2, 1, 1, F(0), ([X + i for i in range(10)], Poly("x")), None, -1)
+@example(1, 2, 1, ALPHA - 1, ([poly_a(i, 1) for i in range(10)], poly_a(1)), 1, 1)
+def test_poly_block_matches_fraction_loop(p, q, r, w, values_and_total, stop, scale):
+    values, total = values_and_total
+    stop = None if stop is None else min(stop, p + r)  # below top + 1
+    calls = []
+
+    def spy(i):
+        calls.append(i)
+        return values[i]
+
+    got = _poly_block(p, q, r, w, spy, total, stop=stop, scale=scale)
+    assert got == _block_reference(p, q, r, w, values.__getitem__, stop=stop, scale=scale, total=total)
+    assert isinstance(got, Poly) and got.var == total.var
+    # values is read once per term whose whole weight is nonzero: never for a zero weight below the top power
+    top = p + r
+    assert calls == [q + k for k in range(top + 1 if stop is None else stop) if w or k == top]
 
 
 # its own table, so that random orders leave no entries in the default one
