@@ -50,7 +50,7 @@ row, keyed ``("row", alpha, x)`` at a rational order
 classical family (:meth:`GenBernTable.classical_row`), built ahead of the
 request within the numbers the table has grown, so that a sweep asking
 for lengths 1, 2, 3, ... builds each row at most twice.  Nothing is
-evicted; the default sweep asks for 160 keys: 9 poly, 99 shifted, 26 row,
+evicted; the default sweep asks for 142 keys: 9 poly, 81 shifted, 26 row,
 8 offset and 18 classical-row keys (the symbolic sweep 109: 11 poly, 88
 shifted and 10 offset).  The main identity's sides are no memo entry: a
 sweep builds them once per point (:func:`genbern.harness.run_suite`).

@@ -239,31 +239,30 @@ def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable =
     return _poly_block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, lam - s), first, scale=-1)
 
 
-def _window_core(n: int, l: int, r: int, ks, u, v) -> Poly:
-    """sum_{k in ks} (x+u-k)^(l+r) (x+v-k)^(n+r) over QQ[x], for rational u, v.
+def _window_core(n: int, l: int, r: int, ks, v) -> Poly:
+    """sum_{k in ks} (x-k)^(l+r) (x+v-k)^(n+r) over QQ[x], for a rational v.
 
-    With u = a/b the first factor is (b*x + a - k*b)^(l+r) / b^(l+r), and
-    likewise for v = c/d, so both factors expand binomially over the
-    integers, the products are integer convolutions, and the sum is divided
-    by b^(l+r) d^(n+r) once.
+    With v = c/d the second factor is (d*x + c - k*d)^(n+r) / d^(n+r), so both
+    factors expand binomially over the integers, the products are integer
+    convolutions, and the sum is divided by d^(n+r) once.
     """
-    (a, b), (c, d) = [(w.numerator, w.denominator) for w in (Fraction(u), Fraction(v))]
+    c, d = _parts(v)
     e1, e2 = l + r, n + r
     acc = [0] * (e1 + e2 + 1)
     for k in ks:
-        left = [binomial(e1, i) * b**i * (a - k * b) ** (e1 - i) for i in range(e1 + 1)]
+        left = [binomial(e1, i) * (-k) ** (e1 - i) for i in range(e1 + 1)]
         right = [binomial(e2, j) * d**j * (c - k * d) ** (e2 - j) for j in range(e2 + 1)]
         for i, s in enumerate(left):
             if s:
                 for j, t in enumerate(right):
                     acc[i + j] += s * t
-    return from_rows("x", b**e1 * d**e2, acc)
+    return from_rows("x", d**e2, acc)
 
 
 def telescoping_core(n: int, l: int, r: int, s: int, lam) -> Poly:
     """The proof's auxiliary polynomial P(x): the r-th scaled derivative of
     the windowed product sum."""
-    return _window_core(n, l, r, range(1, s + 1), 0, lam).derive(r) * Fraction(1, math.factorial(r))
+    return _window_core(n, l, r, range(1, s + 1), lam).derive(r) * Fraction(1, math.factorial(r))
 
 
 def main_identity_rhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> Poly:
@@ -468,29 +467,21 @@ def classical_pair_residual(n: int, l: int, r: int, s: int, lam, x0, table: GenB
 
 
 def _order_shift_pair_residuals(n, l, r, m, beta, table: GenBernTable) -> dict[str, Poly]:
-    """Symbolic residuals of the beta-shifted corollary of the main
-    identity, reading -> residual.
+    """Symbolic residuals of the beta-shifted corollary, reading -> residual:
+    the main identity at s = 1 and lam = m - 2 beta, with x replaced by
+    x + beta.
 
-    ``as_printed`` builds the second block with its displayed per-term
-    sign -(-1)^(r+l+k); ``from_main_identity`` rebuilds it from the global
-    sign (-1)^(l+n+r+1) and the reflection realization.  Both readings
-    describe the same polynomial, which the adjudication confirms.  The
-    first block and the Omega_(a-1) side do not depend on the reading and
-    are built once.
+    ``as_printed`` reads the second block with the displayed per-term sign
+    -(-1)^(r+l+k) at x+m-1-beta; ``from_main_identity`` with the global sign
+    (-1)^(l+n+r+1) at a+1-lam-beta-x, by reflection.  Both weights are
+    -(-lam)^(l+r-k) at x+lam-1 shifted by beta, so the readings are one
+    residual.  The shift commutes with both blocks and with Omega_(a-1) on
+    any table, since every family a table derives is an Appell sequence
+    built from its numbers.
     """
     beta = Fraction(beta)
-    lam = Fraction(m) - 2 * beta
-    first = _poly_block(n, l, r, lam, lambda idx: table.poly_shifted(idx, beta), Poly("x"))
-    right, mirror, sign = m - 1 - beta, 1 - lam - beta, _sign(l + n + r + 1)
-    core = _window_core(n, l, r, (0,), beta - 1, right).derive(r + 1) * Fraction(1, math.factorial(r))
-    rhs = OmegaOperator(-1, table)(core)
-    # the per-term sign goes into the weight: -(-1)^(r+l+k) lam^(l+r-k) = -(-lam)^(l+r-k)
-    printed = _poly_block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, right), first, scale=-1)
-    # B_{n+k}^(a)(a + mirror - x) = (-1)^(n+k) B_{n+k}^(a)(x - mirror) under the
-    # global sign, (-1)^(n+k) going into the weight as (-1)^(n+l+r) (-lam)^(l+r-k).
-    # Both readings verify because sign * (-1)^(n+l+r) = -1 and -mirror = m-1-beta.
-    reflected = _poly_block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, -mirror), first, scale=sign * _sign(n + l + r))
-    return {"as_printed": _difference(printed, rhs), "from_main_identity": _difference(reflected, rhs)}
+    residual = main_identity_residual(n, l, r, 1, m - 2 * beta, table).shift(beta)
+    return {"as_printed": residual, "from_main_identity": residual}
 
 
 def product_rule_split_residual(n: int, l: int, r: int) -> Poly:

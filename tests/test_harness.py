@@ -652,6 +652,22 @@ SUITE_SYMBOLIC_CONFIG = SweepConfig(
 
 
 @pytest.mark.parametrize(
+    ("cfg", "tags"),
+    [
+        (SweepConfig(), {"poly": 9, "shifted": 81, "row": 26, "classical_row": 18, "offset": 8}),
+        (SUITE_SYMBOLIC_CONFIG, {"poly": 11, "shifted": 88, "offset": 10}),
+    ],
+    ids=["default", "symbolic"],
+)
+def test_memo_composition_per_sweep(cfg, tags):
+    # the keys a sweep leaves in a fresh table's memo, by tag: 142 on the
+    # default sweep, where nielsen_f10 reads theorem_le1's shifted entries, and 109
+    table = GenBernTable()
+    run_suite(cfg, table)
+    assert Counter(key[0] for key in table._derived) == tags
+
+
+@pytest.mark.parametrize(
     "base", [SweepConfig(), SUITE_SYMBOLIC_CONFIG, GOLDEN_CONFIG], ids=["default", "symbolic", "golden"]
 )
 def test_point_order_pairs_the_main_identity_grids_by_position(base):

@@ -157,7 +157,7 @@ def test_rhs_window_additivity():
     s1, s2 = 2, 3
     total = main_identity_rhs(n, l, r, s1 + s2, lam)
     head = main_identity_rhs(n, l, r, s1, lam)
-    tail_core = _window_core(n, l, r, range(s1 + 1, s1 + s2 + 1), 0, lam).derive(r + 1)
+    tail_core = _window_core(n, l, r, range(s1 + 1, s1 + s2 + 1), lam).derive(r + 1)
     tail = OmegaOperator(-1)(tail_core)  # r! = 1 here
     assert total == head + tail
 
@@ -172,14 +172,15 @@ def test_window_core_matches_product_expansion():
                         expected = Poly("x")
                         for k in range(1, s + 1):
                             expected = expected + (X - k) ** (l + r) * (X + (lam - k)) ** (n + r)
-                        got = _window_core(n, l, r, range(1, s + 1), 0, lam)
+                        got = _window_core(n, l, r, range(1, s + 1), lam)
                         assert got == expected, (n, l, r, s, lam)
                         assert all(type(c) is F for c in got.coeffs)
-                # the order-shift core: two rational offsets, one term
+                # the beta-shifted corollary's core, two rational offsets in
+                # one product: the core at k = 1, lam = m - 2 beta, shifted by beta
                 for m in (1, 2, 3):
                     for beta in (F(0), F(1), F(1, 2), F(-2, 3), F(3)):
                         expected = (X + (beta - 1)) ** (l + r) * (X + (m - 1 - beta)) ** (n + r)
-                        got = _window_core(n, l, r, (0,), beta - 1, m - 1 - beta)
+                        got = _window_core(n, l, r, (1,), m - 2 * beta).shift(beta)
                         assert got == expected, (n, l, r, m, beta)
                         assert all(type(c) is F for c in got.coeffs)
 
@@ -574,8 +575,9 @@ def _composed(p, arg):
 def _f10_literal(n, l, r, m, beta, table):
     """Both nielsen_f10 readings as displayed, each block summed term by
     term over B^(a)(x) composed with its argument, B_i^(a)(a + c - x)
-    realized as (-1)^i B_i^(a)(x - c); the record builds the second block
-    once per reading and shares the first and the Omega side."""
+    realized as (-1)^i B_i^(a)(x - c), and the Omega side mapped from the
+    two-offset product: an oracle independent of the record, which reads
+    the main identity at s = 1, lam = m - 2 beta and shifts it by beta."""
     lam = m - 2 * beta
     first = _literal_block(n, l, r, lam, lambda i: _composed(table.poly(i), X + beta))
     printed = first + sum(
@@ -592,22 +594,30 @@ def _f10_literal(n, l, r, m, beta, table):
 
 
 def test_f10_shared_parts_match_standalone_readings():
-    # B_1^(a) + 1 among the numbers: nonzero residuals, so equality is not
-    # 0 == 0, and every B_i^(a)(x) built from them is still the Appell
-    # expansion that the shifts of both routes assume
-    wrong = GenBernTable()
-    wrong.grow(12)
-    wrong._numbers[1] = wrong.number(1) + 1
+    # the record reads the main identity's residual at s = 1 shifted by
+    # beta, for both readings; the oracle sums each displayed reading term
+    # by term.  On the wrong tables the residuals are nonzero, so equality
+    # is not 0 == 0.  Each defect is planted at a source, so every
+    # B_i^(a)(x) built from it is still the Appell expansion under which
+    # shifting commutes with both blocks and with Omega, whatever the numbers are.
+    wrong_tables = {
+        "generalized B_1": _generalized_plus_one(1),
+        "classical B_2": _classical_plus_one(2),
+        "order only": _order_only_defect(),
+    }
+    nonzero = Counter()
     for n, l, r, m in ((1, 2, 1, 2), (2, 1, 0, 3), (0, 1, 2, 1), (2, 2, 1, 2)):
-        for beta in (F(0), F(1, 2), F(-2, 3)):
+        for beta in (F(0), F(1, 2), F(-2, 3), F(3), F(-1, 2)):
             res = run("nielsen_f10", n=n, l=l, r=r, m=m, beta=beta)
             alone = _f10_literal(n, l, r, m, beta, DEFAULT_TABLE)
             assert res.readings == {"as_printed": "verified", "from_main_identity": "verified"}
             assert res.residual == dict(alone)[res.reading]
             assert list(readings("nielsen_f10", n=n, l=l, r=r, m=m, beta=beta).items()) == alone
-            shared = readings("nielsen_f10", wrong, n=n, l=l, r=r, m=m, beta=beta)
-            assert list(shared.items()) == _f10_literal(n, l, r, m, beta, wrong)
-    assert not all(res.is_zero() for res in shared.values())
+            for name, wrong in wrong_tables.items():
+                shared = readings("nielsen_f10", wrong, n=n, l=l, r=r, m=m, beta=beta)
+                assert list(shared.items()) == _f10_literal(n, l, r, m, beta, wrong), (name, n, l, r, m, beta)
+                nonzero[name] += not shared["as_printed"].is_zero()
+    assert set(nonzero) == set(wrong_tables) and all(nonzero.values()), nonzero
 
 
 # -- applications ---------------------------------------------------------------------
@@ -766,6 +776,23 @@ def test_every_case_id_has_verifier():
 
 
 # -- planted defects ------------------------------------------------------------
+
+
+def _generalized_plus_one(k: int) -> GenBernTable:
+    """A table whose generalized numbers read B_k^(a) + 1."""
+    table = GenBernTable()
+    table.grow(k)
+    table._numbers[k] = table.number(k) + 1
+    return table
+
+
+def _order_only_defect() -> GenBernTable:
+    """A table whose numbers read B_2^(a) + (a-1)(a-2)(2a-1): a defect that
+    vanishes at the default sweep's rational orders 1, 2 and 1/2."""
+    table = GenBernTable()
+    table.grow(2)
+    table._numbers[2] = table.number(2) + poly_a(-1, 1) * poly_a(-2, 1) * poly_a(-1, 2)
+    return table
 
 
 def _classical_plus_one(k: int) -> GenBernTable:
