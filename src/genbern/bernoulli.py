@@ -48,12 +48,14 @@ scalar block of the identity catalog is one integer sum.  A point holds one
 row, keyed ``("row", alpha, x)`` at a rational order
 (:meth:`GenBernTable.value_row`) and ``("classical_row", x)`` for the
 classical family (:meth:`GenBernTable.classical_row`), built ahead of the
-request within the numbers the table has grown, so that a sweep asking
-for lengths 1, 2, 3, ... builds each row at most twice.  Nothing is
-evicted; the default sweep asks for 142 keys: 9 poly, 81 shifted, 26 row,
-8 offset and 18 classical-row keys (the symbolic sweep 109: 11 poly, 88
-shifted and 10 offset).  The main identity's sides are no memo entry: a
-sweep builds them once per point (:func:`genbern.harness.run_suite`).
+request, to twice its length or three times the held length, within the
+numbers the table has grown: the default sweep, whose requests at a point
+grow as it goes, builds each of its 44 rows at most twice.  Nothing is
+evicted; the default sweep asks for 133 keys: 9 poly, 72 shifted, 26 row,
+8 offset and 18 classical-row keys (the symbolic sweep 98: 11 poly, 77
+shifted and 10 offset), a shift by 0 reading the "poly" entry itself.
+The main identity's sides are no memo entry: a sweep builds them once per
+point (:func:`genbern.harness.run_suite`).
 """
 
 from __future__ import annotations
@@ -263,9 +265,11 @@ class GenBernTable:
         return self._row_entry(("row", a, b, p, q), n, build)
 
     def poly_shifted(self, n: int, c) -> Poly:
-        """B_n^(a)(x + c) via the binomial addition formula."""
+        """B_n^(a)(x + c) via the binomial addition formula; B_n^(a)(x) itself at c = 0."""
         c = _rational(c)
         p, q = c.numerator, c.denominator
+        if not p:
+            return self.poly(n)
 
         def build():
             # sum_k C(n,k) p^(n-k) q^k B_k^(a)(x) / q^n for c = p/q
@@ -301,13 +305,14 @@ class GenBernTable:
 
     def _row_entry(self, key: tuple, n: int, build) -> tuple[tuple[int, ...], int]:
         """Entries 0..n of the row under ``key``.  A longer request replaces
-        it by ``build(top)``, built ahead to top = 2(n + 1), more than twice
-        the held length, but not past the numbers this table has grown: a
-        build reaches past them only to n, as asked, since :meth:`grow` is
-        cubic in its size."""
+        it by ``build(top)``, built ahead to top = 2(n + 1) or three times
+        the held length, whichever is more, but not past the numbers this
+        table has grown: a build reaches past them only to n, as asked,
+        since :meth:`grow` is cubic in its size."""
         row = self._derived.get(key)
         if row is None or len(row[0]) <= n:
-            row = self._derived[key] = build(max(n, min(2 * n + 2, len(self._numbers) - 1)))
+            ahead = max(2 * n + 2, 3 * len(row[0]) if row else 0)
+            row = self._derived[key] = build(max(n, min(ahead, len(self._numbers) - 1)))
         nums, den = row
         return row if len(nums) == n + 1 else (nums[: n + 1], den)
 

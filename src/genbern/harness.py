@@ -4,8 +4,9 @@ A sweep enumerates a Cartesian parameter grid per case (points outside a
 case's validity domain are reported ``not_applicable`` rather than
 skipped), verifies every instance, and aggregates into a :class:`Report`
 with a machine-readable JSON form and CSV/JSON table exports.  Identical
-configurations produce identical result sets: results are canonically
-ordered by case id and parameters.
+configurations produce identical result sets: the cases are sorted once
+by case id and parameters, and verified in that order, which is the
+report's.
 
 The JSON report is ``json.dumps(..., indent=2)`` of the report, built
 without a dict per result: :func:`write_json` streams it one
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -365,11 +366,10 @@ class Report:
         return self.summary["counterexample"] == 0
 
 
-def _sort_key(res: VerificationResult):
+def _sort_key(case: IdentityCase):
     """The case id and the params' sorted-keys JSON text, built from
-    :func:`params_text`."""
-    members = sorted(params_text(res.case))
-    return (res.case.id, "{" + ", ".join(f'"{key}": {text}' for key, text in members) + "}")
+    :func:`params_text`: the report's order."""
+    return (case.id, "{" + ", ".join(f'"{key}": {text}' for key, text in sorted(params_text(case))) + "}")
 
 
 def table_size(n: int, l: int, r: int, s: int) -> int:
@@ -397,43 +397,34 @@ def check_input_size(n: int, l: int, r: int, s: int, m: int = 1) -> None:
         raise UsageError(f"m must be <= {MAX_M}, got {m}")
 
 
-def _point_order(cases: list[IdentityCase]) -> list[IdentityCase]:
-    """``cases`` with each proof_replay instance moved to right after the
-    theorem_le1 instance at the same point.  The two grids come from the
-    same axes in the same order, so they are paired by position, and each
-    pair's params are checked equal."""
-    theorem = [c for c in cases if c.id == "theorem_le1"]
-    replays = [c for c in cases if c.id == "proof_replay"]
-    if not theorem or not replays:
-        return cases
-    for t, p in zip(theorem, replays, strict=True):
-        if t.params != p.params:
-            raise ValueError(f"theorem_le1 and proof_replay grids differ: {t.params} against {p.params}")
-    after = iter(replays)
-    out = []
-    for c in cases:
-        if c.id != "proof_replay":
-            out.append(c)
-        if c.id == "theorem_le1":
-            out.append(next(after))
-    return out
-
-
 def run_suite(cfg: SweepConfig, table: GenBernTable = DEFAULT_TABLE) -> Report:
-    """Enumerate, verify on ``table`` and aggregate, one case after another."""
+    """Enumerate, sort into report order, and verify on ``table`` in that
+    order.  With both main-identity cases selected, each proof_replay point
+    first verifies theorem_le1 at the same point, whose sides pass to the
+    replay through one slot that the replay empties; theorem_le1's result
+    waits in a FIFO for its own turn, which comes later in the same order."""
     cfg.validate()
-    cases = enumerate_cases(cfg)
+    cases = sorted(enumerate_cases(cfg), key=_sort_key)
     start = time.perf_counter()
     # Pre-grow the number tables; the cases then only read them, and build
     # each entry they need on first use in ``table``'s memo.
     size = required_table_size(cfg)
     classical_bernoulli_numbers(2 * size)
     table.grow(size)
-    # theorem_le1 hands each point's sides to proof_replay at that point
-    # through one slot, which the replay empties
     slot = {} if "proof_replay" in cfg.cases else None
-    results = [verify_case(c, table, slot) for c in _point_order(cases)]
-    results.sort(key=_sort_key)
+    paired = slot is not None and "theorem_le1" in cfg.cases
+    held: deque[VerificationResult] = deque()
+    results = []
+    for c in cases:
+        if paired and c.id == "theorem_le1":
+            res = held.popleft() if held else None
+            if res is None or res.case.params != c.params:
+                raise ValueError(f"theorem_le1 and proof_replay grids differ at {c.params}")
+            results.append(res)
+            continue
+        if paired and c.id == "proof_replay":
+            held.append(verify_case(IdentityCase("theorem_le1", c.params), table, slot))
+        results.append(verify_case(c, table, slot))
     return Report(config=cfg, results=results, elapsed=time.perf_counter() - start)
 
 

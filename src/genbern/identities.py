@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bernoulli import DEFAULT_TABLE, GenBernTable, OmegaOperator, _rational
-from .poly import ALPHA, Poly, X, binomial, from_rows, lincomb, linear_image, poly_a
+from .poly import ALPHA, Poly, X, alpha_substituted, binomial, from_rows, lincomb, poly_a
 
 ZERO = Fraction(0)
 
@@ -231,7 +231,8 @@ def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable =
 
     The second block's argument a+s-lam-x is realized through the
     reflection rule, which turns it into (-1)^(n+k) B_{n+k}^(a)(x+lam-s), the
-    sign going into the weight as in :func:`main_identity_residual_at`.
+    sign going into the weight: with the global sign (-1)^(l+n+r+1),
+    (-1)^(n+k) lam^(l+r-k) becomes -(-lam)^(l+r-k).
     Built on every call; its blocks read the table's memoized polynomials.
     """
     lam = Fraction(lam)
@@ -287,20 +288,6 @@ def main_identity_residual(
     if slot is not None:
         slot[(table, n, l, r, s, lam)] = sides
     lhs, _, rhs = sides
-    return _difference(lhs, rhs)
-
-
-def main_identity_residual_at(n, l, r, s, lam, alpha, table: GenBernTable = DEFAULT_TABLE) -> Poly:
-    """Residual for a fixed rational order, computed along the numeric path
-    (specialized tables, and the umbral map x^k -> B_k^(order-1)(x) over
-    QQ[x]) rather than by specializing the symbolic residual or calling
-    :class:`OmegaOperator`."""
-    lam, order = Fraction(lam), Fraction(alpha)
-    lhs = _poly_block(n, l, r, lam, lambda idx: table.poly_at(idx, order), Poly("x"))
-    # The reflection sign (-1)^(n+k) goes into the weight: with the global
-    # sign (-1)^(l+n+r+1), (-1)^(n+k) lam^(l+r-k) becomes -(-lam)^(l+r-k).
-    lhs = _poly_block(l, n, r, -lam, lambda idx: table.poly_at(idx, order).shift(lam - s), lhs, scale=-1)
-    rhs = linear_image(telescoping_core(n, l, r, s, lam).derive(), lambda k: table.poly_at(k, order - 1))
     return _difference(lhs, rhs)
 
 
@@ -748,8 +735,9 @@ def _pair(n: int, l: int, r: int, m: int, table: GenBernTable) -> tuple[tuple[in
 
 
 def _at_order(residual: Poly, alpha):
-    """A residual in QQ[a], or its value at the order when that is rational."""
-    return residual if alpha is None else residual.eval(Fraction(alpha))
+    """A residual in QQ[a] or QQ[a][x], or its specialization at the order
+    when that is rational."""
+    return residual if alpha is None else alpha_substituted(residual, Fraction(alpha))
 
 
 def _against_block(n: int, r: int, m: int, table: GenBernTable) -> dict[str, Fraction]:
@@ -857,9 +845,7 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "theorem_le1",
             ("n", "l", "r", "s", "lam", "symbolic_alpha"),
-            lambda p, t, slot=None: main_identity_residual(p.n, p.l, p.r, p.s, p.lam, t, slot)
-            if p.alpha is None
-            else main_identity_residual_at(p.n, p.l, p.r, p.s, p.lam, p.alpha, t),
+            lambda p, t, slot=None: _at_order(main_identity_residual(p.n, p.l, p.r, p.s, p.lam, t, slot), p.alpha),
             slot=True,
         ),
         CaseDef(

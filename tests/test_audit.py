@@ -65,9 +65,14 @@ SIX = tuple(name for name in DEFECTS if name != "order only")
 _SYMBOLIC = ("theorem_le1", "proof_replay", "nielsen_f10", "neto_corrected", "s20")
 # The cases that read the generalized numbers at a rational order only
 _RATIONAL_ORDER = ("t3", "s3", "e2", "t4", "tg4", "t230", "s1", "s4", "cor3a")
-# The cases that no generalized defect catches; that they read classical
-# data only is what a spy on the table's reads would show
-_CLASSICAL = ("t5", "ges1", "p1", "e1", "k5", "k3", "t24", "c1", "app1", "cor3b", "cor1", "fi2", "vassilev")
+# The cases that read classical data only, so that no generalized defect
+# catches them (test_the_classical_cases_read_classical_data_only)
+_CLASSICAL = ("t5", "ges1", "p1", "e1", "k3", "c1", "app1", "cor3b", "cor1", "fi2", "vassilev")
+# The cases that no generalized defect catches although their preferred
+# reading reads the generalized numbers: where that reading fails they fall
+# back to one that reads classical data only (test_k5_and_t24_read_the_generalized_row_at_order_one,
+# test_k5_and_t24_fall_back_to_a_classical_reading)
+_FALLBACK = ("k5", "t24")
 
 
 def _pin(*cases, counts):
@@ -92,19 +97,22 @@ CAUGHT = {
     "classical B_1": {
         **_pin(*_SYMBOLIC, counts=(352, 352, 352, 12, 12)),
         **_pin(*_RATIONAL_ORDER, counts=(32, 32, 10, 128, 128, 40, 400, 400, 278)),
-        **_pin(*_CLASSICAL, counts=(8, 7, 3, 10, 2, 1, 8, 8, 1088, 79, 10, 2, 4)),
+        **_pin(*_CLASSICAL, counts=(8, 7, 3, 10, 1, 8, 1088, 79, 10, 2, 4)),
+        **_pin(*_FALLBACK, counts=(2, 8)),
     },
     "classical B_2": {
         **_pin(*_SYMBOLIC, counts=(304, 304, 304, 8, 9)),
         **_pin(*_RATIONAL_ORDER, counts=(32, 32, 8, 128, 128, 32, 331, 332, 207)),
-        **_pin(*_CLASSICAL, counts=(8, 8, 1, 8, 2, 2, 8, 12, 893, 80, 8, 2, 6)),
+        **_pin(*_CLASSICAL, counts=(8, 8, 1, 8, 2, 12, 893, 80, 8, 2, 6)),
+        **_pin(*_FALLBACK, counts=(2, 8)),
     },
     # p1 weighs B_n by C(n, n) - (-1)^n, which vanishes at even n
     # (tests/test_identities.py::test_p1_is_blind_to_a_wrong_b_n_at_even_n)
     "classical B_4": {
         **_pin(*_SYMBOLIC, counts=(152, 152, 152, 2, 6)),
         **_pin(*_RATIONAL_ORDER, counts=(16, 16, 2, 64, 64, 8, 167, 168, 81)),
-        **_pin(*(c for c in _CLASSICAL if c != "p1"), counts=(8, 8, 2, 2, 2, 8, 12, 450, 46, 6, 2, 2)),
+        **_pin(*(c for c in _CLASSICAL if c != "p1"), counts=(8, 8, 2, 2, 12, 450, 46, 6, 2, 2)),
+        **_pin(*_FALLBACK, counts=(2, 8)),
     },
     # vanishes at every sampled order, so only the cases that keep the
     # order symbolic see it: a verdict at a rational order says nothing
@@ -140,3 +148,45 @@ def test_every_case_that_reads_a_table_is_caught():
     caught = set().union(*(_caught(defect) for defect in SIX))
     assert caught == set(CASE_IDS) - never
     assert not never & set(_caught("order only"))
+
+
+def _read_alone(case_id: str) -> GenBernTable:
+    """A fresh table after every point of ``case_id``'s default grid ran on
+    it alone, without the sweep's pre-growth."""
+    table = GenBernTable()
+    for case in enumerate_cases(SweepConfig(cases=(case_id,))):
+        verify_case(case, table)
+    return table
+
+
+def test_the_classical_cases_read_classical_data_only():
+    # they leave only classical rows and grow no generalized number
+    for case_id in _CLASSICAL:
+        table = _read_alone(case_id)
+        assert {key[0] for key in table._derived} == {"classical_row"}, case_id
+        assert len(table._numbers) == 1, case_id
+
+
+def test_k5_and_t24_read_the_generalized_row_at_order_one():
+    # the literal reading's pair sum reads the generalized row at order one
+    # and x = 0, which grows the numbers to 7 and 8
+    for case_id, grown in zip(_FALLBACK, (7, 8)):
+        table = _read_alone(case_id)
+        assert [key for key in table._derived if key[0] != "classical_row"] == [("row", 1, 1, 0, 1)]
+        assert len(table._numbers) - 1 == grown
+
+
+# Per table: the points of k5's grid (4) that report first_block, and of
+# t24's (16) where the literal reading verifies
+FALLBACK_READINGS = {"right": (0, 4), "generalized B_1": (2, 2), "generalized B_2": (2, 2), "generalized B_3": (3, 1)}
+
+
+@pytest.mark.parametrize("defect", FALLBACK_READINGS)
+def test_k5_and_t24_fall_back_to_a_classical_reading(defect):
+    # a generalized defect moves where the literal reading verifies, and
+    # first_block, which reads classical data only, verifies everywhere
+    results = run_suite(SweepConfig(cases=_FALLBACK), DEFECTS.get(defect, GenBernTable)()).results
+    assert {res.status for res in results} == {"verified"}
+    k5 = sum(res.reading == "first_block" for res in results if res.case.id == "k5")
+    t24 = sum(res.readings["literal"] == "verified" for res in results if res.case.id == "t24")
+    assert (k5, t24) == FALLBACK_READINGS[defect]

@@ -221,6 +221,10 @@ def test_addition_formula_matches_direct_shift():
 
 def test_shift_examples():
     assert DEFAULT_TABLE.poly_shifted(3, 0) == DEFAULT_TABLE.poly(3)
+    # a shift by 0 is the polynomial's own entry, not a memoized copy of it
+    table = GenBernTable()
+    assert table.poly_shifted(3, 0) is table.poly_shifted(3, F(0)) is table.poly(3)
+    assert [key for key in table._derived if key[0] == "shifted"] == []
     assert DEFAULT_TABLE.poly_shifted(1, 1) == Poly("x", (poly_a(1, F(-1, 2)), F(1)))
 
 
@@ -496,9 +500,11 @@ def test_a_longer_row_replaces_the_entry_and_a_shorter_one_is_a_cut():
 
 
 def test_rows_are_built_ahead_on_a_sweep(monkeypatch):
-    # the default sweep asks each point for lengths 1, 2, 3, ... in turn; a
-    # row built ahead meets them with at most two builds per point, and every
-    # row it returns holds the values of a row built at exactly that length
+    # the default sweep asks each point for rows of lengths that grow as it
+    # goes (in report order, app1 asks the classical row at x = 0 for top
+    # indices 0 up to 9); a row built ahead meets them with at most two builds
+    # per point, and every row it returns holds the values of a row built at
+    # exactly that length
     from genbern.harness import SweepConfig, run_suite
 
     table = GenBernTable()

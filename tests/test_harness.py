@@ -549,13 +549,29 @@ def test_cli_report_and_record_are_indented_json(capsys):
     assert out[:-1] == json.dumps(json.loads(out), indent=2)
 
 
+# indexes of 10 or more, which sort as JSON text, with every main-identity
+# pair handed through the FIFO
+ORDER_CONFIG = SweepConfig(
+    max_n=11, max_l=0, max_r=0, max_s=11, lambda_points=(F(0),), cases=("p1", "theorem_le1", "proof_replay")
+)
+
+
 def test_sort_key_is_the_sorted_keys_json_of_the_params(golden_report):
     # p1 reads n alone, so {"n": 10} sorts before {"n": 1} as the JSON text does
     results = run_suite(SweepConfig(max_n=10, cases=("p1",))).results
     assert [r.case.params.n for r in results] == [0, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9]
-    for res in results + golden_report.results:
-        assert harness._sort_key(res) == (res.case.id, json.dumps(_reference_params_to_dict(res.case), sort_keys=True))
-    assert sorted(results[::-1], key=harness._sort_key) == results
+    ordered = run_suite(ORDER_CONFIG).results
+    assert [r.case.params.n for r in ordered if r.case.id == "p1"] == [0, 10, 11, *range(1, 10)]
+    # in both main cases s, the last key, sorts the same way within each n,
+    # while n, which a comma follows, runs 0, 1, 10, 11, 2, ...
+    for case_id in ("theorem_le1", "proof_replay"):
+        points = [(r.case.params.n, r.case.params.s) for r in ordered if r.case.id == case_id]
+        assert points == [(n, s) for n in (0, 1, 10, 11, *range(2, 10)) for s in (0, 10, 11, *range(1, 10))]
+    for res in results + ordered + golden_report.results:
+        assert harness._sort_key(res.case) == (res.case.id, json.dumps(_reference_params_to_dict(res.case), sort_keys=True))
+    for report in (results, ordered):
+        cases = [res.case for res in report]
+        assert sorted(cases[::-1], key=harness._sort_key) == cases
 
 
 # -- memory: the report costs about its own size, the writer almost nothing ---------
@@ -604,7 +620,7 @@ def test_sweep_records_equal_cases_run_alone_on_a_fresh_table(cases, fresh):
     # on a right table and on a wrong one, whose residuals are nonzero
     cfg = SweepConfig(**HANDOFF_BOUNDS, cases=cases)
     reference = fresh()
-    alone = sorted((verify_case(case, reference) for case in enumerate_cases(cfg)), key=harness._sort_key)
+    alone = sorted((verify_case(case, reference) for case in enumerate_cases(cfg)), key=lambda res: harness._sort_key(res.case))
     assert _records(run_suite(cfg, fresh()).results) == _records(alone)
 
 
@@ -632,19 +648,6 @@ def test_sweep_hands_each_point_over_and_leaves_nothing_behind(monkeypatch):
     assert not any(key[0] == "lhs" for key in table._derived)
 
 
-def _hashed_point_order(cases):
-    """The pairing by hashed params that position pairing replaced."""
-    theorem = {c.params for c in cases if c.id == "theorem_le1"}
-    replays = {c.params: c for c in cases if c.id == "proof_replay" and c.params in theorem}
-    out = []
-    for c in cases:
-        if c.id != "proof_replay" or c.params not in replays:
-            out.append(c)
-        if c.id == "theorem_le1" and c.params in replays:
-            out.append(replays[c.params])
-    return out
-
-
 # the benchmark's suite_symbolic workload at its seed-0 points
 SUITE_SYMBOLIC_CONFIG = SweepConfig(
     max_n=4, max_l=4, max_r=2, max_s=2, cases=("theorem_le1", "proof_replay", "neto_corrected", "s20")
@@ -654,44 +657,46 @@ SUITE_SYMBOLIC_CONFIG = SweepConfig(
 @pytest.mark.parametrize(
     ("cfg", "tags"),
     [
-        (SweepConfig(), {"poly": 9, "shifted": 81, "row": 26, "classical_row": 18, "offset": 8}),
-        (SUITE_SYMBOLIC_CONFIG, {"poly": 11, "shifted": 88, "offset": 10}),
+        (SweepConfig(), {"poly": 9, "shifted": 72, "row": 26, "classical_row": 18, "offset": 8}),
+        (SUITE_SYMBOLIC_CONFIG, {"poly": 11, "shifted": 77, "offset": 10}),
     ],
     ids=["default", "symbolic"],
 )
 def test_memo_composition_per_sweep(cfg, tags):
-    # the keys a sweep leaves in a fresh table's memo, by tag: 142 on the
-    # default sweep, where nielsen_f10 reads theorem_le1's shifted entries, and 109
+    # the keys a sweep leaves in a fresh table's memo, by tag: 133 on the
+    # default sweep, where nielsen_f10 and theorem_le1 share their shifted entries, and
+    # 98; a shift by 0 reads the "poly" entry itself
     table = GenBernTable()
     run_suite(cfg, table)
     assert Counter(key[0] for key in table._derived) == tags
 
 
 @pytest.mark.parametrize(
-    "base", [SweepConfig(), SUITE_SYMBOLIC_CONFIG, GOLDEN_CONFIG], ids=["default", "symbolic", "golden"]
+    "cfg",
+    [SweepConfig(), SUITE_SYMBOLIC_CONFIG, GOLDEN_CONFIG, ORDER_CONFIG],
+    ids=["default", "symbolic", "golden", "order"],
 )
-def test_point_order_pairs_the_main_identity_grids_by_position(base):
-    others = tuple(c for c in base.cases if c not in ("theorem_le1", "proof_replay"))
+def test_the_main_identity_grids_are_one_grid(cfg):
+    # theorem_le1 reads proof_replay's axes and a symbolic order, whose one
+    # point is None, proof_replay's own order: so the two grids hold equal
+    # SumSpecs and sort in one order, the one the sweep's held results follow
+    assert CASE_DEFS["theorem_le1"].axes == (*CASE_DEFS["proof_replay"].axes, "symbolic_alpha")
+    assert list(harness.AXES["symbolic_alpha"].points(cfg, {})) == [(None,)]
+    assert SumSpec().alpha is None
+    cases = sorted(enumerate_cases(cfg), key=harness._sort_key)
+    theorem = [c.params for c in cases if c.id == "theorem_le1"]
+    assert theorem and theorem == [c.params for c in cases if c.id == "proof_replay"]
+
+
+def test_a_held_result_at_another_point_is_an_error(monkeypatch):
+    cfg = SweepConfig(**HANDOFF_BOUNDS, cases=("theorem_le1", "proof_replay"))
     for cases in (
-        base.cases,
-        ("proof_replay", "theorem_le1", *others),
-        ("theorem_le1", *others, "proof_replay"),
-        ("theorem_le1",),
-        ("proof_replay",),
-        ("proof_replay", *others),
+        [IdentityCase("proof_replay", SumSpec(n=2)), IdentityCase("theorem_le1", SumSpec(n=1))],
+        [IdentityCase("theorem_le1", SumSpec(n=1))],  # nothing held
     ):
-        enumerated = enumerate_cases(dataclasses.replace(base, cases=cases))
-        assert harness._point_order(enumerated) == _hashed_point_order(enumerated), cases
-    # the two grids are equal point for point
-    enumerated = enumerate_cases(base)
-    theorem = [c.params for c in enumerated if c.id == "theorem_le1"]
-    assert theorem and theorem == [c.params for c in enumerated if c.id == "proof_replay"]
-
-
-def test_point_order_rejects_grids_that_differ():
-    cases = [IdentityCase("theorem_le1", SumSpec(n=1)), IdentityCase("proof_replay", SumSpec(n=2))]
-    with pytest.raises(ValueError, match="grids differ"):
-        harness._point_order(cases)
+        monkeypatch.setattr(harness, "enumerate_cases", lambda cfg, cases=cases: cases)
+        with pytest.raises(ValueError, match="grids differ"):
+            run_suite(cfg, GenBernTable())
 
 
 def test_a_case_run_alone_or_unpaired_hands_nothing_over(monkeypatch):

@@ -49,7 +49,6 @@ from genbern.identities import (
     lucas_pair_sum,
     main_identity_lhs,
     main_identity_residual,
-    main_identity_residual_at,
     main_identity_rhs,
     paired_sum,
     product_rule_split_residual,
@@ -142,12 +141,39 @@ def test_main_identity_two_sides_independent_instance():
     assert lhs == rhs
 
 
-def test_main_identity_numeric_route_agrees_with_symbolic():
-    for a in (F(1), F(4), F(-2, 3)):
-        sym = main_identity_lhs(2, 1, 1, 2, F(1, 2)) - main_identity_rhs(2, 1, 1, 2, F(1, 2))
-        num = main_identity_residual_at(2, 1, 1, 2, F(1, 2), a)
-        assert alpha_substituted(sym, a) == num
-        assert num.is_zero()
+def _main_identity_at_order(n, l, r, s, lam, alpha, table):
+    """Oracle for theorem_le1's record at a rational order: both sides built
+    over QQ[x] from the specialized polynomials by Poly arithmetic.  The
+    left side is the two-block sum S(n, l, r; lam, x, alpha+s-lam-x), its
+    second block read by the reflection B_j(alpha+s-lam-x) = (-1)^j
+    B_j(x+lam-s) as the record reads it (on a wrong table the reflection
+    fails, and the record is defined by the reflected reading).  The right
+    side is the umbral image at order alpha-1 of D^(r+1)/r! of the window
+    sum, expanded term by term."""
+    lam, alpha = F(lam), F(alpha)
+    lhs = Poly("x")
+    for k in range(n + r + 1):
+        lhs = lhs + table.poly_at(l + k, alpha) * (lam ** (n + r - k) * binomial(n + r, k) * binomial(l + k + r, r))
+    for k in range(l + r + 1):
+        weight = (-1) ** (l + r + k + 1) * lam ** (l + r - k) * binomial(l + r, k) * binomial(n + k + r, r)
+        lhs = lhs + table.poly_at(n + k, alpha).shift(lam - s) * weight
+    window = sum(((X - k) ** (l + r) * (X + (lam - k)) ** (n + r) for k in range(1, s + 1)), Poly("x"))
+    dp = window.derive(r + 1) * F(1, math.factorial(r))
+    rhs = sum((c * table.poly_at(k, alpha - 1) for k, c in enumerate(dp.coeffs)), Poly("x"))
+    return lhs - rhs
+
+
+@pytest.mark.parametrize("fresh", [GenBernTable, lambda: _generalized_plus_one(1)], ids=["right", "wrong"])
+def test_main_identity_record_at_a_rational_order_matches_the_specialized_sides(fresh):
+    table, nonzero = fresh(), 0
+    record = CASE_DEFS["theorem_le1"].residual
+    for n, l, r, s, lam in ((2, 1, 1, 2, F(1, 2)), (1, 2, 1, 2, F(1, 2)), (0, 1, 2, 1, F(-2, 3)), (2, 2, 0, 1, F(3))):
+        for alpha in (F(1), F(4), F(-2, 3)):
+            got = record(SumSpec(n=n, l=l, r=r, s=s, lam=lam, alpha=alpha), table)
+            assert got == _main_identity_at_order(n, l, r, s, lam, alpha, table), (n, l, r, s, lam, alpha)
+            nonzero += not got.is_zero()
+    # zero on the right table; on the wrong one the check compares nonzero residuals
+    assert nonzero == 0 if fresh is GenBernTable else nonzero > 0
 
 
 def test_rhs_window_additivity():
@@ -213,7 +239,8 @@ def test_memoized_sides_match_builders_on_a_fresh_table():
                         # the second block reads B^(a)(x + lam - s) from the memo
                         shift = F(lam) - s
                         for idx in range(n, n + l + r + 1):
-                            entry = DEFAULT_TABLE._derived[("shifted", idx, shift.numerator, shift.denominator)]
+                            memo_key = ("shifted", idx, shift.numerator, shift.denominator) if shift else ("poly", idx)
+                            entry = DEFAULT_TABLE._derived[memo_key]
                             assert DEFAULT_TABLE.poly_shifted(idx, shift) is entry
     table = GenBernTable()
     assert main_identity_lhs(2, 1, 1, 2, 1, table) == main_identity_lhs(2, 1, 1, 2, F(1), table)
@@ -332,7 +359,8 @@ def test_two_threads_share_one_memo_entry_per_key():
             assert seen[0] == seen[1] == expected
             # one entry per key, whichever thread built it first: the
             # shifted polynomials the left sides read, one per (index, lam - s)
-            shifted = {(idx, lam - s) for n, l, r, s, lam in keys for idx in range(n, n + l + r + 1)}
+            # with lam != s, where the "poly" entry is read instead
+            shifted = {(idx, lam - s) for n, l, r, s, lam in keys for idx in range(n, n + l + r + 1) if lam != s}
             assert sorted(key for key in table._derived if key[0] == "shifted") == sorted(
                 ("shifted", idx, c.numerator, c.denominator) for idx, c in shifted
             )
