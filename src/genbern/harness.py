@@ -317,7 +317,7 @@ def record_json(res: VerificationResult, pad: str = "") -> str:
     text = residual_text(res.residual)
     members = [
         '"case": ' + _string(res.case.id),
-        '"params": ' + _object([f'"{key}": {value}' for key, value in params_text(res.case)], inner),
+        '"params": ' + _object([f'"{key}": {value}' for key, value in res.params_text or params_text(res.case)], inner),
         '"status": ' + _string(res.status),
         '"residual": ' + _string(text[:RESIDUAL_TRUNCATE_AT]),
     ]
@@ -366,10 +366,11 @@ class Report:
         return self.summary["counterexample"] == 0
 
 
-def _sort_key(case: IdentityCase):
+def _sort_key(case: IdentityCase, text=None):
     """The case id and the params' sorted-keys JSON text, built from
-    :func:`params_text`: the report's order."""
-    return (case.id, "{" + ", ".join(f'"{key}": {text}' for key, text in sorted(params_text(case))) + "}")
+    ``text``, the case's :func:`params_text` if given: the report's order."""
+    text = params_text(case) if text is None else text
+    return (case.id, "{" + ", ".join(f'"{key}": {value}' for key, value in sorted(text)) + "}")
 
 
 def table_size(n: int, l: int, r: int, s: int) -> int:
@@ -402,9 +403,13 @@ def run_suite(cfg: SweepConfig, table: GenBernTable = DEFAULT_TABLE) -> Report:
     order.  With both main-identity cases selected, each proof_replay point
     first verifies theorem_le1 at the same point, whose sides pass to the
     replay through one slot that the replay empties; theorem_le1's result
-    waits in a FIFO for its own turn, which comes later in the same order."""
+    waits in a FIFO for its own turn, which comes later in the same order.
+    Each result keeps the params text its case was sorted by, for its
+    record, as a tuple over one object per distinct (key, text) pair."""
     cfg.validate()
-    cases = sorted(enumerate_cases(cfg), key=_sort_key)
+    pairs: dict = {}
+    texts = ((c, tuple(pairs.setdefault(pair, pair) for pair in params_text(c))) for c in enumerate_cases(cfg))
+    cases = sorted(texts, key=lambda item: _sort_key(*item))
     start = time.perf_counter()
     # Pre-grow the number tables; the cases then only read them, and build
     # each entry they need on first use in ``table``'s memo.
@@ -415,16 +420,17 @@ def run_suite(cfg: SweepConfig, table: GenBernTable = DEFAULT_TABLE) -> Report:
     paired = slot is not None and "theorem_le1" in cfg.cases
     held: deque[VerificationResult] = deque()
     results = []
-    for c in cases:
+    for c, text in cases:
         if paired and c.id == "theorem_le1":
             res = held.popleft() if held else None
             if res is None or res.case.params != c.params:
                 raise ValueError(f"theorem_le1 and proof_replay grids differ at {c.params}")
-            results.append(res)
-            continue
-        if paired and c.id == "proof_replay":
-            held.append(verify_case(IdentityCase("theorem_le1", c.params), table, slot))
-        results.append(verify_case(c, table, slot))
+        else:
+            if paired and c.id == "proof_replay":
+                held.append(verify_case(IdentityCase("theorem_le1", c.params), table, slot))
+            res = verify_case(c, table, slot)
+        res.params_text = text
+        results.append(res)
     return Report(config=cfg, results=results, elapsed=time.perf_counter() - start)
 
 

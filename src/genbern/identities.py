@@ -24,6 +24,27 @@ denominator), as the closed forms do, and a scalar residual is one
 layout :class:`Poly` keeps for polynomials.  A derived point such as
 1+s-lam-x or x+y is formed from the integer numerators and denominators
 and reduced by one gcd, and the table's row at it is read by that pair.
+
+The main identity's sides (:func:`main_identity_residual`,
+:func:`replay_proof`, and so ``nielsen_f10``) are first compared packed,
+by Kronecker substitution (D. Harvey, J. Symbolic Comput. 44 (2009),
+arXiv:0712.4046): each memo entry's numerators are one int per slot width
+B (:meth:`GenBernTable.packs`), x^i a^j at slot T(i+j) + i, T(d) =
+d(d+1)/2.  The map is injective, and an entry of index k (a-degree at
+most k - i at x^i) fills the slots below T(k+1).  Packing is Z-linear, so
+a side is one integer sum N of weighted packs over a denominator D, and
+lhs = rhs is the zero test of R = N1 (D2/g) - N2 (D1/g), g = gcd(D1, D2):
+
+* the bit lengths of the weights and of each entry's largest numerator
+  bound every coefficient of R below 2^bound, and B is bound rounded up
+  to a multiple of 64 (:func:`_width`);
+* then R packs to 0 only when it is the zero polynomial: at its lowest
+  nonzero slot the coefficient would be a multiple of 2^B;
+* the packed route only accepts zero.  A nonzero R, or one whose bound
+  does not fit B, reruns the Poly route, which decides and builds the
+  residual, so nothing is decoded and every residual text is the Poly
+  route's.  That route stays the oracle.
+
 A handful of catalog entries circulate in print with typographical
 slips; those run in "adjudication" mode, where every candidate reading is
 evaluated and the result records which one verifies.
@@ -44,7 +65,7 @@ import functools
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -112,14 +133,17 @@ def _poly_block(p: int, q: int, r: int, w, values, total: Poly, stop: int | None
     whose whole weight scale C C u^(p+r-k) v^k is zero (at w = 0, every
     k < p+r) is skipped without calling ``values``.
     """
+    weights, den = _block_weights(p, q, r, w, stop, scale)
+    return lincomb(total.var, [(den, total)] + [(c, values(i)) for i, c in weights], den)
+
+
+def _block_weights(p: int, q: int, r: int, w, stop: int | None = None, scale=1) -> tuple[list, int]:
+    """The (index q+k, weight scale C C u^(p+r-k) v^k) of the nonzero terms of
+    :func:`_poly_block`'s sum, and its denominator v^(p+r)."""
     top = p + r
     u, v = (w, 1) if isinstance(w, Poly) else (w.numerator, w.denominator)
-    pairs = [(v**top, total)] + [
-        (c, values(q + k))
-        for k, b in enumerate(_block_coefficients(p, q, r)[:stop])
-        if (c := scale * b * u ** (top - k) * v**k)
-    ]
-    return lincomb(total.var, pairs, v**top)
+    coefficients = enumerate(_block_coefficients(p, q, r)[:stop])
+    return [(q + k, c) for k, b in coefficients if (c := scale * b * u ** (top - k) * v**k)], v**top
 
 
 @functools.cache
@@ -240,30 +264,34 @@ def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable =
     return _poly_block(l, n, r, -lam, lambda idx: table.poly_shifted(idx, lam - s), first, scale=-1)
 
 
-def _window_core(n: int, l: int, r: int, ks, v) -> Poly:
-    """sum_{k in ks} (x-k)^(l+r) (x+v-k)^(n+r) over QQ[x], for a rational v.
+def _window_core(n: int, l: int, r: int, ks, v, derivative: int = 0) -> Poly:
+    """D^j/j! of sum_{k in ks} (x-k)^(l+r) (x+v-k)^(n+r) over QQ[x], for a
+    rational v and j = ``derivative``.
 
     With v = c/d the second factor is (d*x + c - k*d)^(n+r) / d^(n+r), so both
     factors expand binomially over the integers, the products are integer
-    convolutions, and the sum is divided by d^(n+r) once.
+    convolutions, and the sum is divided by d^(n+r) once; D^j/j! sends x^i
+    to C(i, j) x^(i-j).
     """
     c, d = _parts(v)
     e1, e2 = l + r, n + r
     acc = [0] * (e1 + e2 + 1)
+    left_binomials = [math.comb(e1, i) for i in range(e1 + 1)]
+    right_binomials = [math.comb(e2, j) * d**j for j in range(e2 + 1)]
     for k in ks:
-        left = [binomial(e1, i) * (-k) ** (e1 - i) for i in range(e1 + 1)]
-        right = [binomial(e2, j) * d**j * (c - k * d) ** (e2 - j) for j in range(e2 + 1)]
+        left = [b * (-k) ** (e1 - i) for i, b in enumerate(left_binomials)]
+        right = [b * (c - k * d) ** (e2 - j) for j, b in enumerate(right_binomials)]
         for i, s in enumerate(left):
             if s:
                 for j, t in enumerate(right):
                     acc[i + j] += s * t
-    return from_rows("x", d**e2, acc)
+    return from_rows("x", d**e2, [math.comb(i, derivative) * t for i, t in enumerate(acc[derivative:], derivative)])
 
 
 def telescoping_core(n: int, l: int, r: int, s: int, lam) -> Poly:
     """The proof's auxiliary polynomial P(x): the r-th scaled derivative of
     the windowed product sum."""
-    return _window_core(n, l, r, range(1, s + 1), lam).derive(r) * Fraction(1, math.factorial(r))
+    return _window_core(n, l, r, range(1, s + 1), lam, r)
 
 
 def main_identity_rhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> Poly:
@@ -273,21 +301,82 @@ def main_identity_rhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable =
 
 
 def _main_sides(n: int, l: int, r: int, s: int, lam, table: GenBernTable) -> tuple[Poly, Poly, Poly]:
-    """The left side, the proof's P and the right side Omega_(a-1)(D P)."""
+    """The left side, the proof's P and the right side Omega_(a-1)(D P): the Poly route."""
     core = telescoping_core(n, l, r, s, lam)
     return main_identity_lhs(n, l, r, s, lam, table), core, OmegaOperator(-1, table)(core.derive())
+
+
+class _Side:
+    """The sum of c * E / q over ``terms`` (int c, int q, the
+    :class:`genbern.bernoulli._Pack` of E), read as a pack is: its numerator
+    N = sum W E over ``den``, every coefficient of N below 2^``bits`` in
+    absolute value, and N packed per width."""
+
+    __slots__ = ("den", "bits", "_terms", "_at")
+
+    def __init__(self, terms):
+        self.den = den = math.lcm(*(q * pack.den for _, q, pack in terms))
+        self._terms = [(c * (den // (q * pack.den)), pack) for c, q, pack in terms]
+        self.bits = max((w.bit_length() + pack.bits for w, pack in self._terms), default=0) + len(terms).bit_length()
+        self._at = {}
+
+    def at(self, width: int) -> int:
+        packed = self._at.get(width)
+        if packed is None:
+            packed = self._at[width] = sum(w * pack.at(width) for w, pack in self._terms)
+        return packed
+
+
+def _terms(table: GenBernTable, weights, q: int, shift=0, offset: int = 0) -> list:
+    """(c, q, the pack of B_i^(a+offset)(x+shift)) for each (i, c) of ``weights``."""
+    return [(c, q, pack) for (_, c), pack in zip(weights, table.packs([i for i, _ in weights], shift, offset))]
+
+
+def _image(p: Poly, table: GenBernTable, offset: int) -> _Side:
+    """Omega_(a+offset)(p) for an x-polynomial p over QQ, packed."""
+    return _Side(_terms(table, [(k, c) for k, c in enumerate(p.rows) if c], p.den, offset=offset))
+
+
+def _width(bound: int) -> int:
+    """The slot width for coefficients below 2^bound: bound rounded up to a multiple of 64 bits."""
+    return max(64, -(-bound // 64) * 64)
+
+
+def _same(one: _Side, other: _Side) -> bool:
+    """Whether two packed sides are proven equal: R = N1 (D2/g) - N2 (D1/g),
+    g = gcd(D1, D2), packs to 0 at a width its coefficients fit.  False
+    means unproven, not unequal (the module docstring gives the argument)."""
+    g = math.gcd(one.den, other.den)
+    m1, m2 = other.den // g, one.den // g
+    bound = max(one.bits + m1.bit_length(), other.bits + m2.bit_length()) + 1
+    width = _width(bound)
+    return bound <= width and one.at(width) * m1 == other.at(width) * m2
+
+
+def _packed_sides(n: int, l: int, r: int, s: int, lam, table: GenBernTable) -> tuple:
+    """The left side, P and Omega_(a-1)(D P) of :func:`_main_sides`, each
+    side packed: the blocks over the "poly" and "shifted" packs."""
+    lam = _rational(lam)
+    first, q1 = _block_weights(n, l, r, lam)
+    second, q2 = _block_weights(l, n, r, -lam, scale=-1)
+    lhs = _Side(_terms(table, first, q1) + _terms(table, second, q2, lam - s))
+    core = telescoping_core(n, l, r, s, lam)
+    return lhs, core, _image(core.derive(), table, -1)
 
 
 def main_identity_residual(
     n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE, slot: dict | None = None
 ) -> Poly:
-    """Left side minus right side.  With a ``slot`` (a dict local to one
-    sweep) the sides it built go into the slot, keyed by the table and the
-    point, for :func:`replay_proof` at the same point to take out."""
-    sides = _main_sides(n, l, r, s, lam, table)
+    """Left side minus right side: zero when the packed sides are proven
+    equal, else the Poly route's difference.  With a ``slot`` (a dict local
+    to one sweep) the packed sides and P go into the slot, keyed by the
+    table and the point, for :func:`replay_proof` at the same point to take out."""
+    sides = _packed_sides(n, l, r, s, lam, table)
     if slot is not None:
         slot[(table, n, l, r, s, lam)] = sides
-    lhs, _, rhs = sides
+    if _same(sides[0], sides[2]):
+        return from_rows("x", 1, [])
+    lhs, _, rhs = _main_sides(n, l, r, s, lam, table)
     return _difference(lhs, rhs)
 
 
@@ -302,7 +391,8 @@ def replay_proof(
     A call builds P, both operator routes and the left side.  A call with a
     ``slot`` that :func:`main_identity_residual` filled at the same point
     and table takes the left side, P and the derive route Omega_(a-1)(D P)
-    out of it and builds only Omega_a(Delta P).
+    out of it and builds only Omega_a(Delta P).  Both are tested packed
+    (module docstring); only a nonzero one reruns the Poly route.
 
     The third link, Omega_(a-1)(D P) against the closed right side, holds by
     construction: P = D^r/r! W for the windowed product sum W, so D P is the
@@ -315,7 +405,11 @@ def replay_proof(
     ``operator_link`` - ``lhs_match``.
     """
     sides = slot.pop((table, n, l, r, s, lam), None) if slot else None
-    lhs, p, derive_route = sides or _main_sides(n, l, r, s, lam, table)
+    lhs, p, derive_route = sides or _packed_sides(n, l, r, s, lam, table)
+    delta_route = _image(p.delta(), table, 0)
+    if _same(delta_route, derive_route) and _same(delta_route, lhs):
+        return dict.fromkeys(("operator_link", "lhs_match"), from_rows("x", 1, []))
+    lhs, p, derive_route = _main_sides(n, l, r, s, lam, table)
     delta_route = OmegaOperator(0, table)(p.delta())
     return {
         "operator_link": _difference(delta_route, derive_route),
@@ -676,6 +770,8 @@ class VerificationResult:
     note: str | None = None
     # the whole residual text's SHA-256 when ``residual`` is its prefix, read back from a truncated record
     residual_sha256: str | None = None
+    # the report's params text of ``case``, kept by a sweep that built it to sort (genbern.harness.params_text)
+    params_text: tuple[tuple[str, str], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def verified(self) -> bool:

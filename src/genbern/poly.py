@@ -194,16 +194,20 @@ class Poly:
         if not offset or not self.rows:
             return self
         p, q = offset.numerator, offset.denominator
-        rows = self.rows
-        if any(type(r) is list for r in rows):
-            rows = [list(r) for r in zip(*(_taylor(col, p, q) for col in zip(*_grid(rows))))]
-        else:
-            rows = _taylor(rows, p, q)
-        return from_rows(self.var, self.den * q ** (len(self.rows) - 1), rows)
+        return from_rows(self.var, self.den * q ** (len(self.rows) - 1), self._by_column(lambda c: _taylor(c, p, q)))
 
     def delta(self) -> Poly:
-        """Forward difference p(var + 1) - p(var)."""
-        return lincomb(self.var, [(1, self.shift(1)), (-1, self)])
+        """Forward difference p(var + 1) - p(var): each column of numerators
+        shifted by 1 less itself, over den."""
+        return from_rows(self.var, self.den, self._by_column(lambda c: [u - v for u, v in zip(_taylor(c, 1, 1), c)]))
+
+    def _by_column(self, fn) -> list:
+        """New rows from ``fn`` of each column of integer numerators, one
+        per power of a (of the rows themselves when they are ints)."""
+        rows = self.rows
+        if any(type(r) is list for r in rows):
+            return [list(r) for r in zip(*(fn(col) for col in zip(*_grid(rows))))]
+        return fn(rows)
 
     # -- evaluation and coefficient maps -----------------------------------
 

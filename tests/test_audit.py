@@ -11,9 +11,11 @@ too, so each is a wrong generalized family as well.
 
 import functools
 from collections import Counter
+from unittest import mock
 
 import pytest
 
+from genbern import harness, identities
 from genbern.bernoulli import GenBernTable
 from genbern.harness import SweepConfig, enumerate_cases, run_suite
 from genbern.identities import CASE_IDS, verify_case
@@ -121,15 +123,50 @@ CAUGHT = {
 }
 
 
+_MAIN = ("theorem_le1", "proof_replay", "nielsen_f10")
+
+
 @functools.cache
+def _sweep(defect: str | None) -> tuple[Counter, Counter, Counter]:
+    """The default sweep on a table with ``defect`` (None: a right table):
+    its counterexamples per case, the main cases' counterexamples, and the
+    main cases' results that ran the main identity's Poly route
+    (``identities._main_sides``), rather than the packed route alone."""
+    current, poly_route = [None], Counter()
+    verify, sides = harness.verify_case, identities._main_sides
+
+    def verifying(case, table, slot=None):
+        current[0] = case
+        return verify(case, table, slot)
+
+    def unpacked(*args):
+        poly_route[current[0]] += 1
+        return sides(*args)
+
+    with mock.patch.object(harness, "verify_case", verifying), mock.patch.object(identities, "_main_sides", unpacked):
+        report = run_suite(SweepConfig(), DEFECTS[defect]() if defect else GenBernTable())
+    caught = [res.case for res in report.results if res.status == "counterexample"]
+    return Counter(case.id for case in caught), Counter(case for case in caught if case.id in _MAIN), poly_route
+
+
 def _caught(defect: str) -> Counter:
-    report = run_suite(SweepConfig(), DEFECTS[defect]())
-    return Counter(res.case.id for res in report.results if res.status == "counterexample")
+    return _sweep(defect)[0]
 
 
 @pytest.mark.parametrize("defect", DEFECTS)
 def test_each_defect_is_caught_where_pinned(defect):
     assert _caught(defect) == CAUGHT[defect]
+
+
+@pytest.mark.parametrize("defect", [None, *DEFECTS])
+def test_the_main_cases_run_the_poly_route_exactly_at_their_counterexamples(defect):
+    # the packed route proves every zero residual of theorem_le1,
+    # proof_replay and nielsen_f10, so the Poly route runs once at each
+    # counterexample, and on a right table never
+    _, caught, poly_route = _sweep(defect)
+    assert poly_route == caught
+    assert set(poly_route.values()) <= {1}
+    assert bool(caught) == (defect is not None)
 
 
 def test_the_order_only_defect_vanishes_at_every_sampled_order():

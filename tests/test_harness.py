@@ -574,6 +574,28 @@ def test_sort_key_is_the_sorted_keys_json_of_the_params(golden_report):
         assert sorted(cases[::-1], key=harness._sort_key) == cases
 
 
+def test_params_text_is_built_once_per_result(monkeypatch):
+    # the sort key and the record read the same text, which the result keeps
+    expected = run_suite(SweepConfig(), GenBernTable()).results
+    calls = Counter()
+    text = harness.params_text
+
+    def counted(case):
+        calls[case] += 1
+        return text(case)
+
+    monkeypatch.setattr(harness, "params_text", counted)
+    report = run_suite(SweepConfig(), GenBernTable())
+    emit_json(report)
+    assert sum(calls.values()) == len(report.results) == 5476
+    assert _records(report.results) == _records(expected)
+    assert set(calls.values()) == {1}
+    assert all(res.params_text == tuple(text(res.case)) for res in report.results)
+    # held as one object per distinct (key, text) pair, so the results hold little
+    held = [pair for res in report.results for pair in res.params_text]
+    assert len({id(pair) for pair in held}) == len(set(held)) < 100
+
+
 # -- memory: the report costs about its own size, the writer almost nothing ---------
 
 
@@ -657,18 +679,23 @@ SUITE_SYMBOLIC_CONFIG = SweepConfig(
 @pytest.mark.parametrize(
     ("cfg", "tags"),
     [
-        (SweepConfig(), {"poly": 9, "shifted": 72, "row": 26, "classical_row": 18, "offset": 8}),
-        (SUITE_SYMBOLIC_CONFIG, {"poly": 11, "shifted": 77, "offset": 10}),
+        (SweepConfig(), {"poly": 9, "shifted": 72, "row": 26, "classical_row": 18, "offset": 8, "pack": 89}),
+        (SUITE_SYMBOLIC_CONFIG, {"poly": 11, "shifted": 77, "offset": 10, "pack": 98}),
     ],
     ids=["default", "symbolic"],
 )
 def test_memo_composition_per_sweep(cfg, tags):
     # the keys a sweep leaves in a fresh table's memo, by tag: 133 on the
     # default sweep, where nielsen_f10 and theorem_le1 share their shifted entries, and
-    # 98; a shift by 0 reads the "poly" entry itself
+    # 98; a shift by 0 reads the "poly" entry itself.  Beside them, one pack
+    # for each poly, shifted and offset entry (89 and 98), each packed at
+    # one width
     table = GenBernTable()
     run_suite(cfg, table)
     assert Counter(key[0] for key in table._derived) == tags
+    packs = {key[1:]: entry for key, entry in table._derived.items() if key[0] == "pack"}
+    assert sorted(packs) == sorted(key for key in table._derived if key[0] in ("poly", "shifted", "offset"))
+    assert {len(pack._at) for pack in packs.values()} == {1}
 
 
 @pytest.mark.parametrize(

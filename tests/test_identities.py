@@ -11,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from genbern import identities
 from genbern.bernoulli import (
     DEFAULT_TABLE,
     GenBernTable,
     OmegaOperator,
+    _Pack,
     _row,
     bernoulli_numbers_binomial_solve,
     classical_bernoulli_numbers,
@@ -38,6 +40,8 @@ from genbern.identities import (
     _linear_weight_sum,
     _parts,
     _poly_block,
+    _same,
+    _Side,
     _symmetric_block,
     alternating_power_sum,
     balanced_triple_residual_antisym,
@@ -266,20 +270,38 @@ def test_memo_cannot_hide_a_wrong_table():
     assert balanced_triple_residual_antisym(*point, table=wrong) != 0
 
 
+def _spy_on_images(monkeypatch) -> list:
+    """The order offsets of the operator images built from now on, packed
+    (``_image``) or on the Poly route (``OmegaOperator``)."""
+    calls = []
+    image, call = identities._image, OmegaOperator.__call__
+
+    def packed(p, table, offset):
+        calls.append(offset)
+        return image(p, table, offset)
+
+    def unpacked(self, p):
+        calls.append(("poly", self.offset))
+        return call(self, p)
+
+    monkeypatch.setattr(identities, "_image", packed)
+    monkeypatch.setattr(OmegaOperator, "__call__", unpacked)
+    return calls
+
+
+def _packed(p):
+    """A Poly as a packed side of one term, for :func:`_same`."""
+    return _Side([(1, 1, _Pack(p))])
+
+
 def test_replay_builds_both_operator_routes_on_every_call(monkeypatch):
     key = (2, 1, 1, 2, F(-2, 3))
     replay_proof(*key)  # fills the memo of every polynomial the sides read
-    calls = []
-    call = OmegaOperator.__call__
-
-    def counted(self, p):
-        calls.append(self.offset)
-        return call(self, p)
-
-    monkeypatch.setattr(OmegaOperator, "__call__", counted)
+    calls = _spy_on_images(monkeypatch)
     for _ in range(2):
         calls.clear()
         assert all(res.is_zero() for res in replay_proof(*key).values())
+        # both images, packed: a right table never reaches the Poly route
         assert sorted(calls) == [-1, 0]
 
 
@@ -311,20 +333,15 @@ def test_replay_takes_only_the_sides_of_its_own_point_and_table(monkeypatch):
     slot = {}
     assert main_identity_residual(*a, DEFAULT_TABLE, slot).is_zero()
     [(key, sides)] = slot.items()
-    assert key == (DEFAULT_TABLE, *a) and sides[0] == main_identity_lhs(*a) and sides[2] == main_identity_rhs(*a)
+    # the packed sides and P, each equal to the Poly route's
+    assert key == (DEFAULT_TABLE, *a) and sides[1] == telescoping_core(*a)
+    assert _same(sides[0], _packed(main_identity_lhs(*a))) and _same(sides[2], _packed(main_identity_rhs(*a)))
     # another point or another table builds its own sides and leaves the entry
     assert replay_proof(*b, DEFAULT_TABLE, slot) == replay_proof(*b)
     assert replay_proof(*a, wrong, slot) == replay_proof(*a, wrong) != replay_proof(*a)
     assert list(slot) == [key]
     # the same point on the same table takes them out: Omega_a(Delta P) is its one new image
-    calls = []
-    call = OmegaOperator.__call__
-
-    def counted(self, p):
-        calls.append(self.offset)
-        return call(self, p)
-
-    monkeypatch.setattr(OmegaOperator, "__call__", counted)
+    calls = _spy_on_images(monkeypatch)
     assert all(res.is_zero() for res in replay_proof(*a, DEFAULT_TABLE, slot).values())
     assert calls == [0] and slot == {}
 
@@ -333,7 +350,8 @@ def test_two_threads_share_one_memo_entry_per_key():
     grid = ((n, l, r, s) for n in range(3) for l in range(3) for r in range(2) for s in range(3))
     keys = [(n, l, r, s, F(lam)) for n, l, r, s in grid for lam in (0, 1)]
     oracle = GenBernTable()
-    expected = [(main_identity_lhs(*k, oracle), main_identity_rhs(*k, oracle)) for k in keys]
+    expected = [(main_identity_lhs(*k, oracle), main_identity_rhs(*k, oracle), replay_proof(*k, oracle)) for k in keys]
+    packs = {key: pack._at for key, pack in oracle._derived.items() if key[0] == "pack"}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -346,7 +364,7 @@ def test_two_threads_share_one_memo_entry_per_key():
                 start.wait(timeout=60)
                 cast = F if slot else int  # one thread passes each lam as an int
                 seen[slot] = [
-                    (main_identity_lhs(n, l, r, s, cast(lam), table), main_identity_rhs(n, l, r, s, cast(lam), table))
+                    tuple(side(n, l, r, s, cast(lam), table) for side in (main_identity_lhs, main_identity_rhs, replay_proof))
                     for n, l, r, s, lam in keys
                 ]
 
@@ -365,6 +383,8 @@ def test_two_threads_share_one_memo_entry_per_key():
                 ("shifted", idx, c.numerator, c.denominator) for idx, c in shifted
             )
             assert not any(key[0] == "lhs" for key in table._derived)
+            # and one pack per entry the packed sides read, each packed once per width, as on one thread
+            assert {key: pack._at for key, pack in table._derived.items() if key[0] == "pack"} == packs
     finally:
         sys.setswitchinterval(interval)
 
