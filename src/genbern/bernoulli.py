@@ -60,8 +60,8 @@ is evicted.  The default sweep asks for 222 keys: 9 poly, 72 shifted, 26
 row, 8 offset, 18 classical-row and 89 pack keys, one pack for every
 poly, shifted and offset entry.  The symbolic sweep asks for 196: 11 poly,
 77 shifted, 10 offset and 98 pack keys.  A shift by 0 reads the "poly"
-entry itself.  The main identity's sides are no memo entry: a sweep
-builds them once per point (:func:`genbern.harness.run_suite`).
+entry itself.  The main identity's packed sides are no memo entry: a table
+holds one point's, in ``GenBernTable.sides``.
 """
 
 from __future__ import annotations
@@ -152,17 +152,17 @@ def _pack(p: Poly, width: int) -> int:
 class _Pack:
     """A memo entry's numerators packed into one int per slot width (a
     multiple of 8 above ``bits``, the bit length of the largest), built
-    once per width, and the entry's denominator."""
+    once per width, the entry's denominator and the ``entry`` itself."""
 
-    __slots__ = ("den", "bits", "_entry", "_at")
+    __slots__ = ("den", "bits", "entry", "_at")
 
     def __init__(self, entry: Poly):
-        self.den, self._entry, self._at = entry.den, entry, {}
+        self.den, self.entry, self._at = entry.den, entry, {}
         self.bits = max((abs(v).bit_length() for row in entry.rows for v in _as_list(row)), default=0)
 
     def at(self, width: int) -> int:
         packed = self._at.get(width)
-        return self._at.setdefault(width, _pack(self._entry, width)) if packed is None else packed
+        return self._at.setdefault(width, _pack(self.entry, width)) if packed is None else packed
 
 
 def _appell_row(numbers, x) -> tuple[tuple[int, ...], int]:
@@ -210,6 +210,9 @@ class GenBernTable:
     one reads a cut of it over the held row's denominator.  A pack only
     gains a width, each published the same way (:meth:`_Pack.at`).  Nothing is
     evicted, so the memo grows with the distinct keys the process asks for.
+    Beside it, ``sides`` is (point, packed sides) of the main identity's
+    last point, set by one tuple assignment: a reader that finds its point
+    there finds that point's sides.
     """
 
     def __init__(self):
@@ -218,6 +221,7 @@ class GenBernTable:
         self._coeffs: list[tuple[list[int], int]] = [([1], 1)]
         self._numbers: list[Poly] = [Poly("a", (1,))]
         self._derived: dict[tuple, object] = {}
+        self.sides: tuple | None = None
 
     def grow(self, n_max: int) -> None:
         """Make the numbers B_0^(a) .. B_n_max^(a) available."""

@@ -66,11 +66,11 @@ RATIO_X_POINTS = (Fraction(0), Fraction(1, 3), Fraction(-1, 2))
 TABLE_LIMITS = {"classical": 2000, "generalized": 200}
 # Largest m an input may name; the closed forms loop over k < m.
 MAX_M = 1000
-# Most results one sweep may have.  A result costs about 0.1 ms and 0.9 KB
-# on the default sweep, and about 0.3 ms and 1.1 KB on the symbolic cases
-# at n, l <= 8: the main identity's sides are built once per point and not
-# kept, and the streamed report adds next to nothing.  So the largest sweep
-# admitted should finish in 5-20 s within about 100 MB.
+# Most results one sweep may have.  A result costs about 0.04 ms and 0.8 KB
+# on the default sweep, and 0.09 ms and 1.0 KB on theorem_le1 and proof_replay
+# at (n, l, r, s) <= (8, 8, 4, 4) (16,200 results in 1.3-1.5 s on one Xeon
+# core): a table holds one point's main-identity sides, and the streamed
+# report adds next to nothing.  So a sweep at the limit takes seconds, ~50 MB.
 MAX_GRID_POINTS = 50_000
 
 
@@ -401,11 +401,11 @@ def check_input_size(n: int, l: int, r: int, s: int, m: int = 1) -> None:
 def run_suite(cfg: SweepConfig, table: GenBernTable = DEFAULT_TABLE) -> Report:
     """Enumerate, sort into report order, and verify on ``table`` in that
     order.  With both main-identity cases selected, each proof_replay point
-    first verifies theorem_le1 at the same point, whose sides pass to the
-    replay through one slot that the replay empties; theorem_le1's result
-    waits in a FIFO for its own turn, which comes later in the same order.
-    Each result keeps the params text its case was sorted by, for its
-    record, as a tuple over one object per distinct (key, text) pair."""
+    first verifies theorem_le1 at the same point, which leaves its sides in
+    ``table.sides`` for the replay to read; theorem_le1's result waits in
+    a FIFO for its own turn, which comes later in the same order.  Each
+    result keeps the params text its case was sorted by, for its record, as
+    a tuple over one object per distinct (key, text) pair."""
     cfg.validate()
     pairs: dict = {}
     texts = ((c, tuple(pairs.setdefault(pair, pair) for pair in params_text(c))) for c in enumerate_cases(cfg))
@@ -416,8 +416,7 @@ def run_suite(cfg: SweepConfig, table: GenBernTable = DEFAULT_TABLE) -> Report:
     size = required_table_size(cfg)
     classical_bernoulli_numbers(2 * size)
     table.grow(size)
-    slot = {} if "proof_replay" in cfg.cases else None
-    paired = slot is not None and "theorem_le1" in cfg.cases
+    paired = {"theorem_le1", "proof_replay"} <= set(cfg.cases)
     held: deque[VerificationResult] = deque()
     results = []
     for c, text in cases:
@@ -427,8 +426,8 @@ def run_suite(cfg: SweepConfig, table: GenBernTable = DEFAULT_TABLE) -> Report:
                 raise ValueError(f"theorem_le1 and proof_replay grids differ at {c.params}")
         else:
             if paired and c.id == "proof_replay":
-                held.append(verify_case(IdentityCase("theorem_le1", c.params), table, slot))
-            res = verify_case(c, table, slot)
+                held.append(verify_case(IdentityCase("theorem_le1", c.params), table))
+            res = verify_case(c, table)
         res.params_text = text
         results.append(res)
     return Report(config=cfg, results=results, elapsed=time.perf_counter() - start)

@@ -41,9 +41,10 @@ lhs = rhs is the zero test of R = N1 (D2/g) - N2 (D1/g), g = gcd(D1, D2):
 * then R packs to 0 only when it is the zero polynomial: at its lowest
   nonzero slot the coefficient would be a multiple of 2^B;
 * the packed route only accepts zero.  A nonzero R, or one whose bound
-  does not fit B, reruns the Poly route, which decides and builds the
-  residual, so nothing is decoded and every residual text is the Poly
-  route's.  That route stays the oracle.
+  does not fit B, takes the Poly route: one ``lincomb`` over the entries
+  both packed sides hold, which decides and builds the residual, so
+  nothing is decoded.  :func:`main_identity_lhs`, :func:`main_identity_rhs`
+  and ``OmegaOperator``, which read no pack, stay the tests' oracle.
 
 A handful of catalog entries circulate in print with typographical
 slips; those run in "adjudication" mode, where every candidate reading is
@@ -85,14 +86,6 @@ class NegativePowerError(ValueError):
 
 def _sign(e: int) -> int:
     return -1 if e % 2 else 1
-
-
-def _difference(lhs: Poly, rhs: Poly) -> Poly:
-    """lhs - rhs for two x-polynomials, over integers; equal storage is
-    a zero difference, since storage is canonical."""
-    if lhs.den == rhs.den and lhs.rows == rhs.rows:
-        return from_rows("x", 1, [])
-    return lincomb("x", [(1, lhs), (-1, rhs)])
 
 
 @functools.cache
@@ -300,17 +293,11 @@ def main_identity_rhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable =
     return OmegaOperator(-1, table)(telescoping_core(n, l, r, s, lam).derive())
 
 
-def _main_sides(n: int, l: int, r: int, s: int, lam, table: GenBernTable) -> tuple[Poly, Poly, Poly]:
-    """The left side, the proof's P and the right side Omega_(a-1)(D P): the Poly route."""
-    core = telescoping_core(n, l, r, s, lam)
-    return main_identity_lhs(n, l, r, s, lam, table), core, OmegaOperator(-1, table)(core.derive())
-
-
 class _Side:
     """The sum of c * E / q over ``terms`` (int c, int q, the
     :class:`genbern.bernoulli._Pack` of E), read as a pack is: its numerator
-    N = sum W E over ``den``, every coefficient of N below 2^``bits`` in
-    absolute value, and N packed per width."""
+    N = sum W E over ``den`` (each (W, pack) kept), every coefficient of N
+    below 2^``bits`` in absolute value, and N packed per width."""
 
     __slots__ = ("den", "bits", "_terms", "_at")
 
@@ -353,9 +340,21 @@ def _same(one: _Side, other: _Side) -> bool:
     return bound <= width and one.at(width) * m1 == other.at(width) * m2
 
 
+def _unpacked(one: _Side, other: _Side) -> Poly:
+    """one - other on the Poly route: one ``lincomb`` of both sides' entries over lcm(D1, D2)."""
+    den = math.lcm(one.den, other.den)
+    pairs = [(w * pack.den * (den // one.den), pack.entry) for w, pack in one._terms]
+    pairs += [(-w * pack.den * (den // other.den), pack.entry) for w, pack in other._terms]
+    return lincomb("x", pairs, den)
+
+
+def _minus(one: _Side, other: _Side) -> Poly:
+    """one - other: zero when the packed sides are proven equal, else the Poly route's."""
+    return from_rows("x", 1, []) if _same(one, other) else _unpacked(one, other)
+
+
 def _packed_sides(n: int, l: int, r: int, s: int, lam, table: GenBernTable) -> tuple:
-    """The left side, P and Omega_(a-1)(D P) of :func:`_main_sides`, each
-    side packed: the blocks over the "poly" and "shifted" packs."""
+    """The left side, P and Omega_(a-1)(D P), each side packed."""
     lam = _rational(lam)
     first, q1 = _block_weights(n, l, r, lam)
     second, q2 = _block_weights(l, n, r, -lam, scale=-1)
@@ -364,35 +363,22 @@ def _packed_sides(n: int, l: int, r: int, s: int, lam, table: GenBernTable) -> t
     return lhs, core, _image(core.derive(), table, -1)
 
 
-def main_identity_residual(
-    n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE, slot: dict | None = None
-) -> Poly:
-    """Left side minus right side: zero when the packed sides are proven
-    equal, else the Poly route's difference.  With a ``slot`` (a dict local
-    to one sweep) the packed sides and P go into the slot, keyed by the
-    table and the point, for :func:`replay_proof` at the same point to take out."""
+def main_identity_residual(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> Poly:
+    """Left side minus right side (:func:`_minus`); its sides and P stay in ``table.sides`` for :func:`replay_proof`."""
     sides = _packed_sides(n, l, r, s, lam, table)
-    if slot is not None:
-        slot[(table, n, l, r, s, lam)] = sides
-    if _same(sides[0], sides[2]):
-        return from_rows("x", 1, [])
-    lhs, _, rhs = _main_sides(n, l, r, s, lam, table)
-    return _difference(lhs, rhs)
+    table.sides = ((n, l, r, s, lam), sides)
+    return _minus(sides[0], sides[2])
 
 
-def replay_proof(
-    n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE, slot: dict | None = None
-) -> dict[str, Poly]:
+def replay_proof(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> dict[str, Poly]:
     """Replay the proof route and return its two exact residuals.
 
     * ``operator_link``: Omega_a(Delta P) - Omega_(a-1)(D P), an instance
       of the operator commutation lemma;
     * ``lhs_match``: Omega_a(Delta P) against the expanded left side.
-    A call builds P, both operator routes and the left side.  A call with a
-    ``slot`` that :func:`main_identity_residual` filled at the same point
-    and table takes the left side, P and the derive route Omega_(a-1)(D P)
-    out of it and builds only Omega_a(Delta P).  Both are tested packed
-    (module docstring); only a nonzero one reruns the Poly route.
+    It reads the left side, P and Omega_(a-1)(D P) from ``table.sides``
+    when :func:`main_identity_residual` left them there at this very point,
+    else builds them, and makes each link one :func:`_minus`.
 
     The third link, Omega_(a-1)(D P) against the closed right side, holds by
     construction: P = D^r/r! W for the windowed product sum W, so D P is the
@@ -404,17 +390,10 @@ def replay_proof(
     Omega_a(Delta P) cancels, the main identity's residual is
     ``operator_link`` - ``lhs_match``.
     """
-    sides = slot.pop((table, n, l, r, s, lam), None) if slot else None
-    lhs, p, derive_route = sides or _packed_sides(n, l, r, s, lam, table)
+    point, held = table.sides or (None, None)
+    lhs, p, derive_route = held if point == (n, l, r, s, lam) else _packed_sides(n, l, r, s, lam, table)
     delta_route = _image(p.delta(), table, 0)
-    if _same(delta_route, derive_route) and _same(delta_route, lhs):
-        return dict.fromkeys(("operator_link", "lhs_match"), from_rows("x", 1, []))
-    lhs, p, derive_route = _main_sides(n, l, r, s, lam, table)
-    delta_route = OmegaOperator(0, table)(p.delta())
-    return {
-        "operator_link": _difference(delta_route, derive_route),
-        "lhs_match": _difference(delta_route, lhs),
-    }
+    return {"operator_link": _minus(delta_route, derive_route), "lhs_match": _minus(delta_route, lhs)}
 
 
 def lambda_degree_bound(n: int, l: int, r: int) -> int:
@@ -810,10 +789,7 @@ class CaseDef:
     for a case read in several ways, to a dict reading -> residual in report
     order.  ``prefer`` names those readings in order of
     preference and is empty for a case with one reading.  ``note`` goes into
-    every result inside the domain.  A record with ``slot`` set has a
-    residual that takes a third argument, the sweep's slot through which
-    the main identity's sides pass from theorem_le1 to proof_replay at one
-    point (:func:`main_identity_residual`, :func:`replay_proof`).
+    every result inside the domain.
     """
 
     id: str
@@ -822,7 +798,6 @@ class CaseDef:
     domain: tuple[Guard, ...] = ()
     prefer: tuple[str, ...] = ()
     note: str | None = None
-    slot: bool = False
 
 
 def _pair(n: int, l: int, r: int, m: int, table: GenBernTable) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -941,18 +916,14 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "theorem_le1",
             ("n", "l", "r", "s", "lam", "symbolic_alpha"),
-            lambda p, t, slot=None: _at_order(main_identity_residual(p.n, p.l, p.r, p.s, p.lam, t, slot), p.alpha),
-            slot=True,
+            lambda p, t: _at_order(main_identity_residual(p.n, p.l, p.r, p.s, p.lam, t), p.alpha),
         ),
         CaseDef(
             "proof_replay",
             ("n", "l", "r", "s", "lam"),
             # the first nonzero of operator_link and lhs_match
-            lambda p, t, slot=None: next(
-                (res for res in replay_proof(p.n, p.l, p.r, p.s, p.lam, t, slot).values() if not res.is_zero()), Poly("x")
-            ),
+            lambda p, t: next(filter(None, replay_proof(p.n, p.l, p.r, p.s, p.lam, t).values()), from_rows("x", 1, [])),
             note="operator link, lhs expansion and rhs closed form all replayed",
-            slot=True,
         ),
         CaseDef(
             "app1", ("n", "l", "r", "s", "lam", "x"), lambda p, t: classical_pair_residual(p.n, p.l, p.r, p.s, p.lam, p.x, t)
@@ -1033,12 +1004,12 @@ CASE_DEFS: dict[str, CaseDef] = {
 CASE_IDS = tuple(CASE_DEFS)
 
 
-def verify_case(case: IdentityCase, table: GenBernTable = DEFAULT_TABLE, slot: dict | None = None) -> VerificationResult:
+def verify_case(case: IdentityCase, table: GenBernTable = DEFAULT_TABLE) -> VerificationResult:
     """Run one catalog instance through its record on ``table``, and time it.
 
-    ``slot`` is a sweep's handoff between main-identity cases (a record
-    with ``slot`` set reads it, any other ignores it); without one a case
-    builds all it needs and leaves nothing behind.
+    A theorem_le1 or nielsen_f10 point leaves its sides in ``table.sides``,
+    which proof_replay at the same point reads (:func:`replay_proof`);
+    otherwise a case builds all it needs.
 
     The first guard of ``domain`` that fails makes the result not
     applicable, with that guard's note.  Otherwise the residual decides.  A
@@ -1053,7 +1024,7 @@ def verify_case(case: IdentityCase, table: GenBernTable = DEFAULT_TABLE, slot: d
     for holds, note in d.domain:
         if not holds(p):
             return VerificationResult(case, STATUS_NOT_APPLICABLE, elapsed=time.perf_counter() - start, note=note)
-    residual = d.residual(p, table, slot) if d.slot else d.residual(p, table)
+    residual = d.residual(p, table)
     if not d.prefer:
         return VerificationResult(case, _status(residual), residual, time.perf_counter() - start, note=d.note)
     readings = {name: _status(res) for name, res in residual.items()}

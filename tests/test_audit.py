@@ -131,19 +131,19 @@ def _sweep(defect: str | None) -> tuple[Counter, Counter, Counter]:
     """The default sweep on a table with ``defect`` (None: a right table):
     its counterexamples per case, the main cases' counterexamples, and the
     main cases' results that ran the main identity's Poly route
-    (``identities._main_sides``), rather than the packed route alone."""
+    (``identities._unpacked``), rather than the packed route alone."""
     current, poly_route = [None], Counter()
-    verify, sides = harness.verify_case, identities._main_sides
+    verify, poly = harness.verify_case, identities._unpacked
 
-    def verifying(case, table, slot=None):
+    def verifying(case, table):
         current[0] = case
-        return verify(case, table, slot)
+        return verify(case, table)
 
     def unpacked(*args):
         poly_route[current[0]] += 1
-        return sides(*args)
+        return poly(*args)
 
-    with mock.patch.object(harness, "verify_case", verifying), mock.patch.object(identities, "_main_sides", unpacked):
+    with mock.patch.object(harness, "verify_case", verifying), mock.patch.object(identities, "_unpacked", unpacked):
         report = run_suite(SweepConfig(), DEFECTS[defect]() if defect else GenBernTable())
     caught = [res.case for res in report.results if res.status == "counterexample"]
     return Counter(case.id for case in caught), Counter(case for case in caught if case.id in _MAIN), poly_route
@@ -161,8 +161,8 @@ def test_each_defect_is_caught_where_pinned(defect):
 @pytest.mark.parametrize("defect", [None, *DEFECTS])
 def test_the_main_cases_run_the_poly_route_exactly_at_their_counterexamples(defect):
     # the packed route proves every zero residual of theorem_le1,
-    # proof_replay and nielsen_f10, so the Poly route runs once at each
-    # counterexample, and on a right table never
+    # proof_replay and nielsen_f10 (each proof_replay link alike), so the
+    # Poly route runs once at each counterexample, and on a right table never
     _, caught, poly_route = _sweep(defect)
     assert poly_route == caught
     assert set(poly_route.values()) <= {1}

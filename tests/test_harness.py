@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from genbern import harness
+from genbern import harness, identities
 from genbern.bernoulli import GenBernTable, gen_bernoulli_numbers_symbolic
 from genbern.cli import main
 from genbern.harness import (
@@ -646,28 +646,41 @@ def test_sweep_records_equal_cases_run_alone_on_a_fresh_table(cases, fresh):
     assert _records(run_suite(cfg, fresh()).results) == _records(alone)
 
 
-def test_sweep_hands_each_point_over_and_leaves_nothing_behind(monkeypatch):
-    cfg = SweepConfig(**HANDOFF_BOUNDS, cases=("proof_replay", "theorem_le1"))
-    seen, slots = [], set()
+def _spy_on_sides(monkeypatch) -> list:
+    """The points at which the main identity's packed sides are built from now on."""
+    built, packed_sides = [], identities._packed_sides
 
-    def spy(case, table, slot=None):
+    def spy(*args):
+        built.append(args[:5])
+        return packed_sides(*args)
+
+    monkeypatch.setattr(identities, "_packed_sides", spy)
+    return built
+
+
+def test_sweep_hands_each_point_over_and_leaves_one_entry(monkeypatch):
+    cfg = SweepConfig(**HANDOFF_BOUNDS, cases=("proof_replay", "theorem_le1"))
+    built, seen = _spy_on_sides(monkeypatch), []
+
+    def spy(case, table):
         if case.id == "proof_replay":
             # the sides theorem_le1 built at this very point, on this table
-            [key] = slot
-            assert key[0] is table and key[1:] == (case.params.n, case.params.l, case.params.r, case.params.s, case.params.lam)
-        res = verify_case(case, table, slot)
-        slots.add(id(slot))
-        seen.append((case.id, len(slot)))
+            assert table.sides[0] == (case.params.n, case.params.l, case.params.r, case.params.s, case.params.lam)
+        res = verify_case(case, table)
+        seen.append((case.id, len(built)))
         return res
 
     monkeypatch.setattr(harness, "verify_case", spy)
     table = GenBernTable()
     report = run_suite(cfg, table)
-    assert report.success and len(report.results) == 2 * grid_size("theorem_le1", cfg)
-    # one slot for the sweep, filled by each theorem_le1 point, emptied by the replay right after it
-    assert len(slots) == 1
-    assert seen == [("theorem_le1", 1), ("proof_replay", 0)] * grid_size("theorem_le1", cfg)
-    assert not any(key[0] == "lhs" for key in table._derived)
+    points = grid_size("theorem_le1", cfg)
+    assert report.success and len(report.results) == 2 * points
+    # each theorem_le1 point builds the sides, and the replay right after it builds none
+    assert seen == [(case, i) for i in range(1, points + 1) for case in ("theorem_le1", "proof_replay")]
+    assert len(set(built)) == points
+    # the table holds the last point's sides, and its memo holds no side
+    assert table.sides[0] == built[-1]
+    assert {key[0] for key in table._derived} == {"poly", "shifted", "offset", "pack"}
 
 
 # the benchmark's suite_symbolic workload at its seed-0 points
@@ -727,19 +740,16 @@ def test_a_held_result_at_another_point_is_an_error(monkeypatch):
 
 
 def test_a_case_run_alone_or_unpaired_hands_nothing_over(monkeypatch):
-    slots = []
-
-    def spy(case, table, slot=None):
-        slots.append(slot)
-        return verify_case(case, table, slot)
-
-    monkeypatch.setattr(harness, "verify_case", spy)
-    # without a proof_replay there is no slot; without a theorem_le1 it stays empty
-    run_suite(SweepConfig(**HANDOFF_BOUNDS, cases=("theorem_le1",)), GenBernTable())
-    assert set(slots) == {None}
-    slots.clear()
-    run_suite(SweepConfig(**HANDOFF_BOUNDS, cases=("proof_replay", "t3")), GenBernTable())
-    assert all(slot == {} for slot in slots)
+    built = _spy_on_sides(monkeypatch)
+    # without a theorem_le1 no entry is left, and every replay builds its own sides
+    table, cfg = GenBernTable(), SweepConfig(**HANDOFF_BOUNDS, cases=("proof_replay", "t3"))
+    run_suite(cfg, table)
+    assert table.sides is None and len(set(built)) == len(built) == grid_size("proof_replay", cfg)
+    # without a proof_replay each point builds its sides once, and its entry replaces the last
+    built.clear()
+    table, cfg = GenBernTable(), SweepConfig(**HANDOFF_BOUNDS, cases=("theorem_le1",))
+    run_suite(cfg, table)
+    assert len(set(built)) == len(built) == grid_size("theorem_le1", cfg) and table.sides[0] == built[-1]
 
 
 def test_two_threads_sweeping_one_table_give_identical_reports():

@@ -29,7 +29,6 @@ from genbern.identities import (
     IdentityCase,
     SumSpec,
     _block,
-    _difference,
     _double_sum,
     _gessel,
     _gessel_reindexed,
@@ -64,7 +63,7 @@ from genbern.identities import (
     verify_case,
     _window_core,
 )
-from genbern.poly import ALPHA, Poly, X, alpha_substituted, binomial, from_rows, lincomb, poly_a
+from genbern.poly import ALPHA, Poly, X, alpha_substituted, binomial, poly_a
 from genbern.textform import format_poly
 
 
@@ -295,12 +294,13 @@ def _packed(p):
 
 
 def test_replay_builds_both_operator_routes_on_every_call(monkeypatch):
-    key = (2, 1, 1, 2, F(-2, 3))
-    replay_proof(*key)  # fills the memo of every polynomial the sides read
+    # a table of its own, whose sides no main_identity_residual call has left
+    key, table = (2, 1, 1, 2, F(-2, 3)), GenBernTable()
+    replay_proof(*key, table)  # fills the memo of every polynomial the sides read
     calls = _spy_on_images(monkeypatch)
     for _ in range(2):
         calls.clear()
-        assert all(res.is_zero() for res in replay_proof(*key).values())
+        assert all(res.is_zero() for res in replay_proof(*key, table).values())
         # both images, packed: a right table never reaches the Poly route
         assert sorted(calls) == [-1, 0]
 
@@ -327,23 +327,98 @@ def test_main_residual_is_operator_link_minus_lhs_match():
 
 def test_replay_takes_only_the_sides_of_its_own_point_and_table(monkeypatch):
     a, b = (2, 1, 1, 2, F(1, 2)), (2, 1, 1, 2, F(-2, 3))
-    wrong = GenBernTable()
-    wrong.grow(1)
-    wrong._numbers[1] = wrong.number(1) + 1  # B_1^(a) + 1 at the source
-    slot = {}
-    assert main_identity_residual(*a, DEFAULT_TABLE, slot).is_zero()
-    [(key, sides)] = slot.items()
+    table, wrong = GenBernTable(), _generalized_plus_one(1)
+    assert main_identity_residual(*a, table).is_zero()
+    entry = table.sides
+    point, sides = entry
     # the packed sides and P, each equal to the Poly route's
-    assert key == (DEFAULT_TABLE, *a) and sides[1] == telescoping_core(*a)
+    assert point == a and sides[1] == telescoping_core(*a)
     assert _same(sides[0], _packed(main_identity_lhs(*a))) and _same(sides[2], _packed(main_identity_rhs(*a)))
-    # another point or another table builds its own sides and leaves the entry
-    assert replay_proof(*b, DEFAULT_TABLE, slot) == replay_proof(*b)
-    assert replay_proof(*a, wrong, slot) == replay_proof(*a, wrong) != replay_proof(*a)
-    assert list(slot) == [key]
-    # the same point on the same table takes them out: Omega_a(Delta P) is its one new image
+    # another point, or another table, builds its own sides and leaves the entry
     calls = _spy_on_images(monkeypatch)
-    assert all(res.is_zero() for res in replay_proof(*a, DEFAULT_TABLE, slot).values())
-    assert calls == [0] and slot == {}
+    assert replay_proof(*b, table) == replay_proof(*b, GenBernTable())
+    assert sorted(calls) == [-1, -1, 0, 0]
+    assert replay_proof(*a, wrong) == replay_proof(*a, _generalized_plus_one(1)) != replay_proof(*a, GenBernTable())
+    assert table.sides is entry and wrong.sides is None
+    # the same point on the same table reads them: Omega_a(Delta P) is its
+    # one new image, and the entry stays
+    calls.clear()
+    assert all(res.is_zero() for res in replay_proof(*a, table).values())
+    assert calls == [0] and table.sides is entry
+    # a residual at another point replaces the entry, and a lam given as an
+    # int meets the equal Fraction
+    main_identity_residual(1, 1, 1, 1, 1, table)
+    calls.clear()
+    assert all(res.is_zero() for res in replay_proof(1, 1, 1, 1, F(1), table).values())
+    assert calls == [0] and table.sides[0] == (1, 1, 1, 1, 1)
+
+
+# a right table and each generalized planted defect, on which the residuals are nonzero
+SYMBOLIC_TABLES = {"right": GenBernTable, **{f"generalized B_{k}": lambda k=k: _generalized_plus_one(k) for k in (1, 2, 3)}}
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["packed", "poly_route"])
+@pytest.mark.parametrize("fresh", SYMBOLIC_TABLES.values(), ids=SYMBOLIC_TABLES)
+def test_main_residual_and_links_match_the_poly_builders_at_symbolic_order(fresh, short, monkeypatch):
+    # the packed route, or its lincomb over the packs' entries (every time
+    # when the width is one bit short of every bound), against the Poly
+    # builders, which read no pack; each replay runs once before its point's
+    # residual (so builds its own sides) and once after (so reads them)
+    if short:
+        monkeypatch.setattr(identities, "_width", lambda bound: bound - 1)
+    table, nonzero = fresh(), Counter()
+    grid = ((n, l, r, s) for n in range(3) for l in range(3) for r in range(2) for s in range(3))
+    for key in ((*point, lam) for point in grid for lam in (F(0), F(1, 2), F(-2, 3), F(2))):
+        lhs, rhs = main_identity_lhs(*key, table), main_identity_rhs(*key, table)
+        delta = OmegaOperator(0, table)(telescoping_core(*key).delta())
+        links = {"operator_link": delta - rhs, "lhs_match": delta - lhs}
+        assert replay_proof(*key, table) == links, key
+        residual = main_identity_residual(*key, table)
+        assert residual == lhs - rhs, key
+        assert replay_proof(*key, table) == links, key
+        nonzero.update(name for name, res in (("residual", residual), *links.items()) if res)
+    # zero on the right table; on a wrong one the checks compare nonzero
+    # residuals, and operator_link alone is nonzero (replay_proof's docstring)
+    if fresh is GenBernTable:
+        assert not nonzero
+    else:
+        assert set(nonzero) == {"residual", "operator_link"} and nonzero["residual"] == nonzero["operator_link"]
+
+
+@pytest.mark.parametrize("fresh", [GenBernTable, lambda: _generalized_plus_one(1)], ids=["right", "wrong"])
+def test_two_threads_alternating_residual_and_replay_on_one_table_get_one_thread_results(fresh):
+    # each thread alternates main_identity_residual and replay_proof at its
+    # own points on one shared table, whose entry the other thread may have
+    # replaced in between: the handoff may miss, but a replay served another
+    # point's sides would give other links
+    grid = [(n, l, r, s) for n in range(3) for l in range(3) for r in range(2) for s in range(1, 3)]
+    points = [[(*point, lam) for point in grid] for lam in (F(1, 2), F(-2, 3))]
+
+    def results(keys, table):
+        return [(main_identity_residual(*key, table), replay_proof(*key, table)) for key in keys]
+
+    expected = [results(keys, fresh()) for keys in points]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            table = fresh()
+            start = threading.Barrier(2)
+            seen = [None, None]
+
+            def sweep(i):
+                start.wait(timeout=60)
+                seen[i] = results(points[i], table)
+
+            threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert seen == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_two_threads_share_one_memo_entry_per_key():
@@ -360,15 +435,15 @@ def test_two_threads_share_one_memo_entry_per_key():
             start = threading.Barrier(2)
             seen = [None, None]
 
-            def read(slot):
+            def read(i):
                 start.wait(timeout=60)
-                cast = F if slot else int  # one thread passes each lam as an int
-                seen[slot] = [
+                cast = F if i else int  # one thread passes each lam as an int
+                seen[i] = [
                     tuple(side(n, l, r, s, cast(lam), table) for side in (main_identity_lhs, main_identity_rhs, replay_proof))
                     for n, l, r, s, lam in keys
                 ]
 
-            threads = [threading.Thread(target=read, args=(slot,)) for slot in range(2)]
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -1350,22 +1425,3 @@ def test_row_fed_block_matches_per_term_sum(p, q, r, stop, scale, w, alpha, x):
     t = PROPERTY_TABLE
     term = _block(p, q, r, _parts(w), t.value_row(p + q + r, alpha, x), stop=stop, scale=scale)
     assert F(*term) == _block_reference(p, q, r, w, lambda i: t.value_at(i, alpha, x), stop=stop, scale=scale)
-
-
-def test_difference_short_circuit_matches_lincomb():
-    lhs = main_identity_lhs(2, 1, 1, 1, F(1, 2))
-    pairs = [
-        (lhs, lhs),  # one object
-        (lhs, main_identity_lhs(2, 1, 1, 1, F(1, 2)) + Poly("x")),  # equal storage, built twice
-        (lhs, lhs + X),  # unequal
-        (X * ALPHA + 3, X * ALPHA + F(5, 2)),  # unequal constant, same kinds
-        # equal polynomials whose rows differ only in kind (int v against [v])
-        (from_rows("x", 2, [1, [0, 1]]), from_rows("x", 2, [[1], [0, 1]])),
-        (from_rows("x", 3, [[2], 5]), from_rows("x", 3, [2, [5]])),
-    ]
-    for a, b in pairs:
-        via_lincomb = lincomb("x", [(1, a), (-1, b)])
-        got = _difference(a, b)
-        assert (got.var, got.den, got.rows) == (via_lincomb.var, via_lincomb.den, via_lincomb.rows)
-        assert got.is_zero() == (a == b)
-    assert main_identity_residual(2, 1, 1, 1, F(1, 2)).is_zero()
