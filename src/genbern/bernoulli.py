@@ -31,7 +31,7 @@ multiplication for integer orders) are provided as oracles.
 
 Every derived entry lives in one :class:`GenBernTable` memo,
 :meth:`GenBernTable.memo`, keyed by a tag ("poly", "shifted", "at", "row",
-"offset", "classical_poly", "classical_row" or "pack") and integers, a
+"offset", "classical_poly" or "classical_row") and integers, a
 rational standing as its numerator and denominator so that a hit builds no
 Fraction.  Every entry is built on integers from one source per number
 family, the generalized numbers a table grows and its
@@ -52,16 +52,11 @@ request, to twice its length or three times the held length, within the
 numbers the table has grown: the default sweep, whose requests at a point
 grow as it goes, builds each of its 44 rows at most twice.
 
-A pack (:meth:`GenBernTable.packs`, :class:`_Pack`) holds a "poly",
-"shifted" or "offset" entry's numerators as one int per slot width, for
-the main identity's packed sides (:mod:`genbern.identities`); it is keyed
-by its entry's key behind "pack", and each width is packed once.  Nothing
-is evicted.  The default sweep asks for 222 keys: 9 poly, 72 shifted, 26
-row, 8 offset, 18 classical-row and 89 pack keys, one pack for every
-poly, shifted and offset entry.  The symbolic sweep asks for 196: 11 poly,
-77 shifted, 10 offset and 98 pack keys.  A shift by 0 reads the "poly"
-entry itself.  The main identity's packed sides are no memo entry: a table
-holds one point's, in ``GenBernTable.sides``.
+Nothing is evicted.  The default sweep asks for 133 of these keys: 9
+poly, 72 shifted, 26 row, 8 offset and 18 classical-row keys; the symbolic
+sweep asks for 98: 11 poly, 77 shifted and 10 offset keys.  A shift by 0
+reads the "poly" entry itself.  A caller may keep what it derives from
+these entries in the same memo, under a tag of its own.
 """
 
 from __future__ import annotations
@@ -70,7 +65,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .poly import Poly, _as_list, _horner, alpha_shifted, alpha_substituted, binomial, from_rows, lincomb, linear_image
+from .poly import Poly, _horner, alpha_shifted, alpha_substituted, binomial, from_rows, lincomb, linear_image
 
 _classical_lock = threading.Lock()
 _classical: list[Fraction] = [Fraction(1)]
@@ -136,35 +131,6 @@ def _row(values) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
-def _pack(p: Poly, width: int) -> int:
-    """sum rows[i][j] 2^(width (T(i+j) + i)) over the numerators of x^i a^j,
-    T(d) = d(d+1)/2, each below 2^width in absolute value: read off one
-    byte string per sign."""
-    rows = enumerate(p.rows)
-    slots = {(i + j) * (i + j + 1) // 2 + i: v for i, row in rows for j, v in enumerate(_as_list(row)) if v}
-    size = width // 8
-    signed = [bytearray(size * (max(slots, default=-1) + 1)) for _ in range(2)]
-    for slot, v in slots.items():
-        signed[v < 0][slot * size : (slot + 1) * size] = abs(v).to_bytes(size, "little")
-    return int.from_bytes(signed[0], "little") - int.from_bytes(signed[1], "little")
-
-
-class _Pack:
-    """A memo entry's numerators packed into one int per slot width (a
-    multiple of 8 above ``bits``, the bit length of the largest), built
-    once per width, the entry's denominator and the ``entry`` itself."""
-
-    __slots__ = ("den", "bits", "entry", "_at")
-
-    def __init__(self, entry: Poly):
-        self.den, self.entry, self._at = entry.den, entry, {}
-        self.bits = max((abs(v).bit_length() for row in entry.rows for v in _as_list(row)), default=0)
-
-    def at(self, width: int) -> int:
-        packed = self._at.get(width)
-        return self._at.setdefault(width, _pack(self.entry, width)) if packed is None else packed
-
-
 def _appell_row(numbers, x) -> tuple[tuple[int, ...], int]:
     """B_k(x) = sum_j C(k,j) B_j x^(k-j) for k = 0..n from the numbers B_0 ..
     B_n of one order, as a row: with x = p/q, one integer Horner pass in p
@@ -192,10 +158,9 @@ class GenBernTable:
     :meth:`memo`, keyed by a tag and integers: :meth:`poly` by
     ``("poly", n)``, :meth:`poly_shifted` by ``("shifted", n, c)``,
     :meth:`poly_at` by ``("at", n, alpha)``, the rows of :meth:`value_row`
-    (which :meth:`value_at` reads) by ``("row", alpha, x)``,
-    :meth:`offset_poly` by ``("offset", n, offset)`` and :meth:`packs` by
-    ``"pack"`` and the key of the entry it packs.  The classical family
-    is held the same way, by ``("classical_poly", n)`` and
+    (which :meth:`value_at` reads) by ``("row", alpha, x)`` and
+    :meth:`offset_poly` by ``("offset", n, offset)``.  The classical
+    family is held the same way, by ``("classical_poly", n)`` and
     ``("classical_row", x)``, and read, as :meth:`grow` reads it, from the
     one source :meth:`classical_numbers`.  A rational stands as
     ``numerator, denominator``: an int meets the equal
@@ -207,12 +172,12 @@ class GenBernTable:
     coordination; a race at worst builds an entry twice and keeps one.  A
     point's row is the one entry that is replaced: a longer request
     publishes a row built ahead of it (:meth:`_row_entry`), and a shorter
-    one reads a cut of it over the held row's denominator.  A pack only
-    gains a width, each published the same way (:meth:`_Pack.at`).  Nothing is
+    one reads a cut of it over the held row's denominator.  Nothing is
     evicted, so the memo grows with the distinct keys the process asks for.
-    Beside it, ``sides`` is (point, packed sides) of the main identity's
-    last point, set by one tuple assignment: a reader that finds its point
-    there finds that point's sides.
+    Beside it, ``sides`` is (point, sides) of the main identity's last
+    point (:func:`genbern.identities.main_identity_residual`), set by one
+    tuple assignment: a reader that finds its point there finds that
+    point's sides.
     """
 
     def __init__(self):
@@ -362,19 +327,6 @@ class GenBernTable:
         if offset == 0:
             return self.poly(n)
         return self.memo(("offset", n, offset), lambda: alpha_shifted(self.poly(n), offset))
-
-    def packs(self, indices, c=0, offset: int = 0) -> list[_Pack]:
-        """The :class:`_Pack` of B_i^(a + offset)(x + c) for each i in
-        ``indices``, for a shift or an order offset: of the "shifted" or the
-        "offset" entry, or of the "poly" entry when both are 0, each keyed
-        by its entry's key behind "pack"."""
-        c = _rational(c)
-        p, q = c.numerator, c.denominator
-        get, out = self._derived.get, []
-        for i in indices:
-            key = ("pack", "shifted", i, p, q) if p else ("pack", "offset", i, offset) if offset else ("pack", "poly", i)
-            out.append(get(key) or self.memo(key, lambda: _Pack(self.poly_shifted(i, c) if p else self.offset_poly(i, offset))))
-        return out
 
     def memo(self, key: tuple, build):
         """The entry ``build()`` derives from this table, built once per key."""

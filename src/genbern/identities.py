@@ -28,12 +28,17 @@ and reduced by one gcd, and the table's row at it is read by that pair.
 The main identity's sides (:func:`main_identity_residual`,
 :func:`replay_proof`, and so ``nielsen_f10``) are first compared packed,
 by Kronecker substitution (D. Harvey, J. Symbolic Comput. 44 (2009),
-arXiv:0712.4046): each memo entry's numerators are one int per slot width
-B (:meth:`GenBernTable.packs`), x^i a^j at slot T(i+j) + i, T(d) =
-d(d+1)/2.  The map is injective, and an entry of index k (a-degree at
-most k - i at x^i) fills the slots below T(k+1).  Packing is Z-linear, so
-a side is one integer sum N of weighted packs over a denominator D, and
-lhs = rhs is the zero test of R = N1 (D2/g) - N2 (D1/g), g = gcd(D1, D2):
+arXiv:0712.4046): a pack (:class:`_Pack`) holds one table entry's
+numerators as one int per slot width B, x^i a^j at slot T(i+j) + i,
+T(d) = d(d+1)/2.  The map is injective, and an entry of index k (a-degree
+at most k - i at x^i) fills the slots below T(k+1).  The pack of
+B_i^(a+offset)(x+p/q) is an entry of the memo of the table it reads,
+keyed ``("pack", i, p, q, offset)`` (:func:`_terms`) and packed once per
+width: one per poly, shifted and offset entry, 89 keys beside the
+table's own 133 on the default sweep and 98 beside 98 on the symbolic
+one.  Packing is Z-linear, so a side is one integer sum N of weighted
+packs over a denominator D, and lhs = rhs is the zero test of
+R = N1 (D2/g) - N2 (D1/g), g = gcd(D1, D2):
 
 * the bit lengths of the weights and of each entry's largest numerator
   bound every coefficient of R below 2^bound, and B is bound rounded up
@@ -71,7 +76,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bernoulli import DEFAULT_TABLE, GenBernTable, OmegaOperator, _rational
-from .poly import ALPHA, Poly, X, alpha_substituted, binomial, from_rows, lincomb, poly_a
+from .poly import ALPHA, Poly, X, _add_product, _as_list, alpha_substituted, binomial, from_rows, lincomb, poly_a
 
 ZERO = Fraction(0)
 
@@ -228,19 +233,26 @@ def paired_sum(n: int, l: int, r: int, x, y, z, alpha=None, table: GenBernTable 
     Fraction.
     """
     if alpha is not None:
-        return _join(*_paired_terms(n, l, r, _parts(x), _parts(y), _parts(z), _parts(alpha), table))
+        return _join(*_paired_terms(n, l, r, _parts(x), _parts(y), _parts(z), _rows_at(table, _parts(alpha))))
     x, y, z = _rational(x), _rational(y), _rational(z)
     first = _poly_block(n, l, r, x, lambda idx: table.poly(idx).eval(y), Poly("a"))
     return _poly_block(l, n, r, x, lambda idx: table.poly(idx).eval(z), first, scale=_sign(l + n + r + 1))
 
 
-def _paired_terms(n: int, l: int, r: int, w, y, z, order, table: GenBernTable):
-    """The two blocks of S(n, l, r; w, y, z) at a rational order, as terms;
-    the weight, the points and the order are (num, den) pairs, the points
-    and the order in lowest terms."""
+def _paired_terms(n: int, l: int, r: int, w, y, z, row):
+    """The two blocks of S(n, l, r; w, y, z) as terms, each over the row
+    ``row(top, p, q)`` at its point p/q; the weight and the points are
+    (num, den) pairs, the points in lowest terms."""
     top = n + l + r
-    first = _block(n, l, r, w, table.value_row_at(top, *order, *y))
-    return first, _block(l, n, r, w, table.value_row_at(top, *order, *z), scale=_sign(top + 1))
+    first = _block(n, l, r, w, row(top, *y))
+    return first, _block(l, n, r, w, row(top, *z), scale=_sign(top + 1))
+
+
+def _rows_at(table: GenBernTable, order):
+    """The row reader of :func:`_paired_terms` over ``table``'s rows at the
+    rational order (num, den), in lowest terms."""
+    a, b = order
+    return lambda top, p, q: table.value_row_at(top, a, b, p, q)
 
 
 def main_identity_lhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable = DEFAULT_TABLE) -> Poly:
@@ -274,10 +286,7 @@ def _window_core(n: int, l: int, r: int, ks, v, derivative: int = 0) -> Poly:
     for k in ks:
         left = [b * (-k) ** (e1 - i) for i, b in enumerate(left_binomials)]
         right = [b * (c - k * d) ** (e2 - j) for j, b in enumerate(right_binomials)]
-        for i, s in enumerate(left):
-            if s:
-                for j, t in enumerate(right):
-                    acc[i + j] += s * t
+        _add_product(acc, left, right)
     return from_rows("x", d**e2, [math.comb(i, derivative) * t for i, t in enumerate(acc[derivative:], derivative)])
 
 
@@ -293,9 +302,39 @@ def main_identity_rhs(n: int, l: int, r: int, s: int, lam, table: GenBernTable =
     return OmegaOperator(-1, table)(telescoping_core(n, l, r, s, lam).derive())
 
 
+def _pack(p: Poly, width: int) -> int:
+    """sum rows[i][j] 2^(width (T(i+j) + i)) over the numerators of x^i a^j,
+    T(d) = d(d+1)/2, each below 2^width in absolute value: read off one
+    byte string per sign."""
+    rows = enumerate(p.rows)
+    slots = {(i + j) * (i + j + 1) // 2 + i: v for i, row in rows for j, v in enumerate(_as_list(row)) if v}
+    size = width // 8
+    signed = [bytearray(size * (max(slots, default=-1) + 1)) for _ in range(2)]
+    for slot, v in slots.items():
+        signed[v < 0][slot * size : (slot + 1) * size] = abs(v).to_bytes(size, "little")
+    return int.from_bytes(signed[0], "little") - int.from_bytes(signed[1], "little")
+
+
+class _Pack:
+    """A memo entry's numerators packed into one int per slot width (a
+    multiple of 8 above ``bits``, the bit length of the largest), each
+    width built once and published by one dict operation; it keeps the
+    entry's denominator and the ``entry`` itself."""
+
+    __slots__ = ("den", "bits", "entry", "_at")
+
+    def __init__(self, entry: Poly):
+        self.den, self.entry, self._at = entry.den, entry, {}
+        self.bits = max((abs(v).bit_length() for row in entry.rows for v in _as_list(row)), default=0)
+
+    def at(self, width: int) -> int:
+        packed = self._at.get(width)
+        return self._at.setdefault(width, _pack(self.entry, width)) if packed is None else packed
+
+
 class _Side:
     """The sum of c * E / q over ``terms`` (int c, int q, the
-    :class:`genbern.bernoulli._Pack` of E), read as a pack is: its numerator
+    :class:`_Pack` of E), read as a pack is: its numerator
     N = sum W E over ``den`` (each (W, pack) kept), every coefficient of N
     below 2^``bits`` in absolute value, and N packed per width."""
 
@@ -315,8 +354,14 @@ class _Side:
 
 
 def _terms(table: GenBernTable, weights, q: int, shift=0, offset: int = 0) -> list:
-    """(c, q, the pack of B_i^(a+offset)(x+shift)) for each (i, c) of ``weights``."""
-    return [(c, q, pack) for (_, c), pack in zip(weights, table.packs([i for i, _ in weights], shift, offset))]
+    """(c, q, the pack of B_i^(a+offset)(x+shift)) for each (i, c) of
+    ``weights``, shift or offset being 0.  Each pack is the table's memo
+    entry ``("pack", i, num, den, offset)`` for shift = num/den, built on a
+    miss from :meth:`GenBernTable.poly_shifted` or
+    :meth:`GenBernTable.offset_poly`."""
+    num, den = _parts(shift)
+    entry = (lambda i: table.poly_shifted(i, shift)) if num else (lambda i: table.offset_poly(i, offset))
+    return [(c, q, table.memo(("pack", i, num, den, offset), lambda: _Pack(entry(i)))) for i, c in weights]
 
 
 def _image(p: Poly, table: GenBernTable, offset: int) -> _Side:
@@ -454,9 +499,9 @@ def alternating_power_sum(m: int, r_exp: int, s_exp: int) -> Fraction:
 
 
 def lucas_pair_sum(n: int, l: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
-    """sum_k C(n,k) B_{l+k} + (-1)^(l+n+1) sum_k C(l,k) B_{n+k}."""
-    nums = table.classical_row_at(n + l, 0, 1)
-    return _join(_block(n, l, 0, (1, 1), nums), _block(l, n, 0, (1, 1), nums, scale=_sign(l + n + 1)))
+    """sum_k C(n,k) B_{l+k} + (-1)^(l+n+1) sum_k C(l,k) B_{n+k}: S(n, l, 0;
+    1, 0, 0) over the classical numbers."""
+    return _join(*_paired_terms(n, l, 0, (1, 1), (0, 1), (0, 1), table.classical_row_at))
 
 
 def truncated_pair_sum(n: int, l: int, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
@@ -513,17 +558,18 @@ def _leibniz(n: int, l: int, r: int, s: int, u, v, scale=1) -> tuple[int, int]:
 
 
 def classical_pair_residual(n: int, l: int, r: int, s: int, lam, x0, table: GenBernTable = DEFAULT_TABLE) -> Fraction:
-    """Order-one specialization of the main identity at a rational point."""
-    w, x = _parts(lam), _parts(x0)
-    (a, b), (c, d) = w, x
-    top = n + l + r
-    # the second block's argument 1+s-lam-x0, and x0+lam, over b*d
-    z = _point((1 + s) * b * d - a * d - c * b, b * d)
-    return _join(
-        _block(n, l, r, w, table.classical_row_at(top, c, d)),
-        _block(l, n, r, w, table.classical_row_at(top, *z), scale=_sign(top + 1)),
-        _leibniz(n, l, r, s, x, _point(c * b + a * d, b * d), scale=-1),
-    )
+    """Order-one specialization of the main identity at a rational point, over the classical numbers."""
+    return _order_one_residual(n, l, r, s, lam, x0, table.classical_row_at)
+
+
+def _order_one_residual(n: int, l: int, r: int, s: int, w, y, row) -> Fraction:
+    """S(n, l, r; w, y, s+1-w-y) over the rows ``row(top, p, q)`` of an
+    order-one family, minus the order-one closed double sum at (y, w+y)."""
+    w, y = _parts(w), _parts(y)
+    (a, b), (c, d) = w, y
+    # the second block's argument s+1-w-y, and w+y, over b*d
+    z = _point((s + 1) * b * d - a * d - c * b, b * d)
+    return _join(*_paired_terms(n, l, r, w, y, z, row), _leibniz(n, l, r, s, y, _point(c * b + a * d, b * d), scale=-1))
 
 
 def _order_shift_pair_residuals(n, l, r, m, beta, table: GenBernTable) -> dict[str, Poly]:
@@ -586,16 +632,6 @@ def balanced_triple_residual_folded(n, l, r, alpha, x, y, table=DEFAULT_TABLE) -
         _block(n, l, r, (a, b), table.value_row_at(top, *order, c, d)),
         _block(l, n, r, (-a, b), table.value_row_at(top, *order, *_point(a * d + c * b, b * d)), scale=-1),
     )
-
-
-def integer_balance_residual(n, l, r, s, x, y, table=DEFAULT_TABLE) -> Fraction:
-    """Order-one form with x+y+z = s+1: the two-block sum against the
-    order-one closed double sum."""
-    w, y = _parts(x), _parts(y)
-    (a, b), (c, d) = w, y
-    z = _point((s + 1) * b * d - a * d - c * b, b * d)
-    lhs = _paired_terms(n, l, r, w, y, z, (1, 1), table)
-    return _join(*lhs, _leibniz(n, l, r, s, y, _point(a * d + c * b, b * d), scale=-1))
 
 
 def _truncated_balanced_readings(n, l, r, alpha, x, y, table: GenBernTable) -> dict[str, Fraction]:
@@ -802,7 +838,7 @@ class CaseDef:
 
 def _pair(n: int, l: int, r: int, m: int, table: GenBernTable) -> tuple[tuple[int, int], tuple[int, int]]:
     """The two blocks of S(n, l, r; m, 0, 0) at order one, as terms."""
-    return _paired_terms(n, l, r, (m, 1), (0, 1), (0, 1), (1, 1), table)
+    return _paired_terms(n, l, r, (m, 1), (0, 1), (0, 1), _rows_at(table, (1, 1)))
 
 
 def _at_order(residual: Poly, alpha):
@@ -952,7 +988,8 @@ CASE_DEFS: dict[str, CaseDef] = {
         CaseDef(
             "s4",
             ("n", "l", "r", "s", "xy", "z=s+1-x-y"),
-            lambda p, t: integer_balance_residual(p.n, p.l, p.r, p.s, p.x, p.y, t),
+            # the order-one form with x+y+z = s+1, over the generalized rows
+            lambda p, t: _order_one_residual(p.n, p.l, p.r, p.s, p.x, p.y, _rows_at(t, (1, 1))),
             domain=(Guard(lambda p: _sums_to(p.s + 1, p.x, p.y, p.z), "needs x + y + z = s + 1"),),
         ),
         CaseDef(

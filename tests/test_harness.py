@@ -701,13 +701,17 @@ def test_memo_composition_per_sweep(cfg, tags):
     # the keys a sweep leaves in a fresh table's memo, by tag: 133 on the
     # default sweep, where nielsen_f10 and theorem_le1 share their shifted entries, and
     # 98; a shift by 0 reads the "poly" entry itself.  Beside them, one pack
-    # for each poly, shifted and offset entry (89 and 98), each packed at
-    # one width
+    # for each poly, shifted and offset entry (89 and 98), keyed ("pack", i,
+    # p, q, offset) for B_i^(a+offset)(x+p/q) and packed at one width: the
+    # left side's first block and Omega_a(Delta P) share the poly entry's
     table = GenBernTable()
     run_suite(cfg, table)
     assert Counter(key[0] for key in table._derived) == tags
-    packs = {key[1:]: entry for key, entry in table._derived.items() if key[0] == "pack"}
-    assert sorted(packs) == sorted(key for key in table._derived if key[0] in ("poly", "shifted", "offset"))
+    packs = {key[1:]: pack for key, pack in table._derived.items() if key[0] == "pack"}
+    # the entry each pack's key names: each entry has exactly one pack
+    entries = [("shifted", i, p, q) if p else ("offset", i, offset) if offset else ("poly", i) for i, p, q, offset in packs]
+    assert sorted(entries) == sorted(key for key in table._derived if key[0] in ("poly", "shifted", "offset"))
+    assert all(pack.entry is table._derived[key] for key, pack in zip(entries, packs.values()))
     assert {len(pack._at) for pack in packs.values()} == {1}
 
 

@@ -16,7 +16,6 @@ from genbern.bernoulli import (
     DEFAULT_TABLE,
     GenBernTable,
     OmegaOperator,
-    _Pack,
     _row,
     bernoulli_numbers_binomial_solve,
     classical_bernoulli_numbers,
@@ -37,6 +36,7 @@ from genbern.identities import (
     _kaneko_term,
     _leibniz,
     _linear_weight_sum,
+    _Pack,
     _parts,
     _poly_block,
     _same,
@@ -323,6 +323,39 @@ def test_main_residual_is_operator_link_minus_lhs_match():
                 nonzero += not residual.is_zero()
                 assert not replay["operator_link"].is_zero()
     assert nonzero == 4
+
+
+def test_lhs_match_fails_on_a_wrong_left_side(monkeypatch):
+    # No wrong table moves lhs_match: the left side and Omega_a(Delta P) read
+    # one table, and every family it derives is built from its numbers, so
+    # they agree on it.  A fault in the code's own left side moves it: here
+    # the packed lhs carries one term B_0^(a)(x) = 1 too many.
+    packed_sides = identities._packed_sides
+
+    def one_too_many(n, l, r, s, lam, table):
+        lhs, core, image = packed_sides(n, l, r, s, lam, table)
+        terms = [(w * pack.den, lhs.den, pack) for w, pack in lhs._terms]
+        return _Side(terms + [(1, 1, _Pack(table.poly(0)))]), core, image
+
+    monkeypatch.setattr(identities, "_packed_sides", one_too_many)
+    grid = {"max_n": 2, "max_l": 2, "max_r": 1, "max_s": 2}
+    # proof_replay with no theorem_le1 before it, so that it builds the sides itself
+    points = [_main_point(case) for case in enumerate_cases(SweepConfig(**grid, cases=("proof_replay",)))]
+    table = GenBernTable()
+    for point in points:
+        replay = replay_proof(*point, table)
+        assert replay["operator_link"].is_zero() and replay["lhs_match"] == Poly("x", (-1,)), point
+    # theorem_le1 fails at each of these points, at every order
+    theorem = run_suite(SweepConfig(**grid, cases=("theorem_le1",)), GenBernTable()).results
+    assert {res.status for res in theorem} == {"counterexample"}
+    assert {_main_point(res.case) for res in theorem} == set(points)
+    assert len(points) == len(set(points)) == 216
+
+
+def _main_point(case: IdentityCase) -> tuple:
+    """A main-identity case's point (n, l, r, s, lam)."""
+    p = case.params
+    return p.n, p.l, p.r, p.s, p.lam
 
 
 def test_replay_takes_only_the_sides_of_its_own_point_and_table(monkeypatch):

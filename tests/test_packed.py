@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genbern import harness, identities
-from genbern.bernoulli import GenBernTable, _Pack
+from genbern.bernoulli import GenBernTable
 from genbern.harness import SweepConfig, record_json, run_suite
-from genbern.identities import _same, _Side, _width
+from genbern.identities import _Pack, _same, _Side, _width
 from genbern.poly import from_rows, lincomb
 
 # numerators at and around the slot widths the route picks (64, 128)
